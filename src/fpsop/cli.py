@@ -287,14 +287,15 @@ def parse_config(source) -> Config:
         phi = _build_symbol(normalized["phi"])
         space = SpaceConfig(p=p, truncation_degree=degree,
                             tail_window=tail_window, tolerance=float(tolerance))
+        config = Config(
+            normalized=normalized, p=p, beta=beta, delta=delta, u=u,
+            u_given=normalized["u"] is not None, phi=phi, space=space,
+            power_limit=power_limit, cap=float(cap), seed=normalized["seed"],
+        )
+        config.request()  # rejects a stride or shift that disagrees with phi or u
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return Config(
-        normalized=normalized, p=p, beta=beta, delta=delta, u=u,
-        u_given=normalized["u"] is not None, phi=phi, space=space,
-        power_limit=power_limit, cap=float(cap), seed=normalized["seed"],
-    )
+    return config
 
 
 def _series_or_fail(config: Config, key: str) -> TruncatedSeries:

@@ -18,7 +18,7 @@ from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
 from .combinatorics import PowerTable, in_stride_set, stride_offsets
-from .operators import BoundCertificate, ResourceLimitError
+from .operators import BoundCertificate, ResourceLimitError, _safe_float
 from .series import PolynomialSymbol, TruncatedSeries, norm
 from .weights import (
     DeltaSequence,
@@ -75,19 +75,20 @@ class CriterionRequest:
                 raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
         if not (isinstance(self.cap, (int, float)) and self.cap > 0):
             raise ValidationError("cap must be a positive real")
+        if (self.stride is not None and self.phi is not None
+                and self.phi.monomial_degree() != self.stride):
+            raise ValidationError(
+                f"stride={self.stride} conflicts with phi, which is not z**{self.stride}")
+        if (self.shift is not None and self.u is not None
+                and self.u.monomial_degree() != self.shift):
+            raise ValidationError(
+                f"shift={self.shift} conflicts with u, which is not z**{self.shift}")
 
     @property
     def power_limit(self) -> int:
         if self.inner_power_limit is not None:
             return self.inner_power_limit
         return self.space.truncation_degree
-
-
-def _safe_float(value) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
 
 
 def _gt(a, b) -> bool:

@@ -5,6 +5,10 @@ its columns sparsely (column ``L`` is the image of ``z**L``), so monomial
 symbols scale to large truncations while general polynomial symbols stay
 within a guarded dense budget.  Norm estimates are certified lower bounds:
 truncation can only shrink an operator norm, never inflate it.
+
+numpy and scipy are imported inside the oracle functions that use them, so
+importing this module (and the exact-arithmetic side of the package) does not
+load them; the ``np`` / ``sp`` annotations are never evaluated.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence
-
-import numpy as np
-import scipy.sparse as sp
 
 from .series import (
     EXACT,
@@ -160,6 +161,9 @@ class OperatorMatrix:
         Entry ``(n, L)`` is ``w(n) * T[n, L] / w(L)``; p-norm ratios of this
         matrix equal weighted-norm ratios of the operator, for every p.
         """
+        import numpy as np
+        import scipy.sparse as sp
+
         rows, cols, data = [], [], []
         for L, col in enumerate(self.columns):
             inv = beta.as_float(L)
@@ -361,6 +365,8 @@ def column_lower_bound(T: OperatorMatrix, beta: WeightSequence, p,
 
 
 def _finite_scaled(T: OperatorMatrix, beta: WeightSequence) -> sp.csr_matrix:
+    import numpy as np
+
     A = T.scaled_array(beta)
     if A.nnz and not np.isfinite(A.data).all():
         raise ValidationError("operator has non-finite scaled entries")
@@ -373,6 +379,8 @@ def _power_run(A: sp.csr_matrix, x: np.ndarray, max_iters: int, tol: float):
     Returns ``(sigma, iterations, converged, delta, final_x)``; ``sigma`` is
     a Rayleigh-quotient value, hence a lower bound on the top singular value.
     """
+    import numpy as np
+
     cols = A.shape[1]
     sigma_prev = 0.0
     sigma = 0.0
@@ -414,6 +422,8 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence,
     the true norm, so the estimate is a certified lower bound; ``converged``
     reports whether the reported run stabilized within ``tol``.
     """
+    import numpy as np
+
     if max_iters < 1:
         raise ValidationError("max_iters must be positive")
     A = _finite_scaled(T, beta)
@@ -458,6 +468,8 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence,
 
 
 def _pnorm(x: np.ndarray, pf: float) -> float:
+    import numpy as np
+
     if pf == 2.0:
         return float(np.linalg.norm(x))
     ax = np.abs(x)
@@ -477,6 +489,8 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p,
     coordinate ascent around the incumbent.  Deterministic for a fixed seed;
     the value never falls below the monomial column bound.
     """
+    import numpy as np
+
     pf = float(p)
     if not math.isfinite(pf) or pf < 1:
         raise ValidationError(f"exponent must satisfy 1 <= p < inf, got {p!r}")

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -7,6 +11,12 @@ import pytest
 from fpsop.cli import COMMANDS, Config, ConfigError, main, parse_config, run
 
 MINIMAL = '{"p": 2, "beta": {"preset": "dirichlet"}, "phi": {"monomial": 2}}'
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+CONFLICTING_STRIDE = ('{"beta": "dirichlet", "u": {"monomial": 1},'
+                      ' "phi": {"monomial": 2}, "stride": 3,'
+                      ' "truncation": {"degree": 128}}')
 
 
 def run_main(capsys, *argv):
@@ -225,3 +235,54 @@ class TestMain:
                              "--timings")
         assert code == 0
         assert json.loads(out)["elapsed_ms"] > 0
+
+
+class TestConflictingSymbolKeys:
+    def test_stride_disagreeing_with_phi_exits_two(self, capsys):
+        for argv in (["estimate"], ["bound", "--theorem", "cor26"]):
+            code = main(argv + ["--config", CONFLICTING_STRIDE])
+            assert code == 2
+            assert "stride=3 conflicts with phi" in capsys.readouterr().err
+
+    def test_agreeing_pair_accepted(self, capsys):
+        cfg = CONFLICTING_STRIDE.replace('"stride": 3', '"stride": 2')
+        code, out = run_main(capsys, "bound", "--theorem", "cor26",
+                             "--config", cfg, "--quiet")
+        assert code == 0
+        named = {c["name"]: c for c in json.loads(out)["certificates"]}
+        assert named["progression-ratio-lower"]["value"] <= \
+            named["progression-ratio-upper"]["value"]
+
+
+_IMPORT_GUARD = textwrap.dedent("""
+    import contextlib, io, sys
+    import fpsop, fpsop.cli
+
+    def numerics():
+        return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+    def run(command, config):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return fpsop.cli.main([command, "--config", "configs/" + config + ".json",
+                                   "--quiet"])
+
+    assert numerics() == [], numerics()
+    for command, config in (
+            ("bound", "bound-progression-pair"), ("norm", "norm-two-term"),
+            ("product", "product-binomial-kernel"), ("compose", "compose-affine-cube"),
+            ("theta", "theta-shifted-square"),
+            ("check-algebra", "check-algebra-inverse-factorial")):
+        assert run(command, config) == 0, command
+        assert numerics() == [], (command, numerics())
+    assert run("estimate", "estimate-substitution-tight") == 0
+    assert numerics() == ["numpy", "scipy"], numerics()
+""")
+
+
+def test_only_estimate_imports_numpy_and_scipy():
+    # A fresh interpreter: this test process already holds numpy through the
+    # operator tests.
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=REPO_ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

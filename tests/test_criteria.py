@@ -283,3 +283,23 @@ class TestTruncationWindowRule:
         cert = multiplier_algebra_bound(
             request(hardy, make_delta("inverse-factorial"), degree=64))
         assert cert.attained_at == 2
+
+
+class TestConflictingSymbolKeys:
+    def test_stride_must_match_monomial_phi(self):
+        with pytest.raises(ValidationError, match="stride=3 conflicts with phi"):
+            request(hardy, ones, phi=PolynomialSymbol.monomial(2), stride=3)
+
+    def test_stride_with_non_monomial_phi_rejected(self):
+        phi = PolynomialSymbol((0, Fraction(1, 2), Fraction(1, 3)))
+        with pytest.raises(ValidationError, match="stride=2 conflicts with phi"):
+            request(hardy, ones, phi=phi, stride=2)
+
+    def test_shift_must_match_monomial_u(self):
+        with pytest.raises(ValidationError, match="shift=1 conflicts with u"):
+            request(hardy, ones, u=TruncatedSeries((0, 0, 1)), shift=1)
+
+    def test_agreeing_keys_accepted(self):
+        req = request(hardy, ones, phi=PolynomialSymbol.monomial(2), stride=2,
+                      u=TruncatedSeries((0, 1)), shift=1)
+        assert substitution_bounds_monomial_pair(req)[0].value == 1.0
