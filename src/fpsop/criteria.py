@@ -17,7 +17,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
-from .combinatorics import PowerTable, in_stride_set, stride_offsets
+from .combinatorics import PowerTable, stride_offsets
 from .operators import BoundCertificate, ResourceLimitError, _safe_float
 from .series import PolynomialSymbol, TruncatedSeries, norm
 from .weights import (
@@ -637,9 +637,11 @@ def substitution_bounds_monomial_pair(req: CriterionRequest
     """Bounds when both the multiplier and the symbol are unit monomials.
 
     Every image coefficient lands on the arithmetic progression
-    ``shift + stride*N``, so both bounds are plain ratio suprema: the upper
-    scans progression members by output degree, the lower scans them by
-    input degree.
+    ``shift + stride*m``, so both bounds are plain ratio suprema over the
+    inputs ``z**m``, ``m <= N``: the upper scans them by output degree, up to
+    ``shift + stride*N`` where the image of ``z**N`` lands, with the degrees
+    off the progression as empty entries; the lower scans them by input
+    degree.
     """
     m1 = _shift_of(req)
     m2 = _stride_of(req)
@@ -648,29 +650,21 @@ def substitution_bounds_monomial_pair(req: CriterionRequest
     beta, delta, space = req.beta, req.delta, req.space
     N = space.truncation_degree
 
-    upper = _SupScan()
-    for n in range(N + 1):
-        if not in_stride_set(n, m1, m2):
-            upper.add(n)
-            continue
-        t = _ratio(
-            [delta.value(n), beta.value(n)],
-            [delta.value(m1), delta.value(n - m1), beta.value((n - m1) // m2)],
-        )
-        upper.add(n, t)
-    upper_cert = _finalize(
-        upper, kind="upper", space=space, cap=req.cap,
-        notes=("progression ratio supremum by output degree",),
-    )
-
-    lower = _SupScan()
+    upper, lower = _SupScan(), _SupScan()
     for m in range(N + 1):
         n = m1 + m * m2
         t = _ratio(
             [delta.value(n), beta.value(n)],
-            [delta.value(m * m2), delta.value(m1), beta.value(m)],
+            [delta.value(m1), delta.value(m * m2), beta.value(m)],
         )
+        for gap in range(len(upper.traj), n):
+            upper.add(gap)
+        upper.add(n, t)
         lower.add(m, t)
+    upper_cert = _finalize(
+        upper, kind="upper", space=space, cap=req.cap,
+        notes=("progression ratio supremum by output degree",),
+    )
     lower_cert = _finalize(
         lower, kind="lower", space=space, cap=req.cap,
         notes=("progression ratio supremum by input degree",),

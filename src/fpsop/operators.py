@@ -6,6 +6,12 @@ symbols scale to large truncations while general polynomial symbols stay
 within a guarded dense budget.  Norm estimates are certified lower bounds:
 truncation can only shrink an operator norm, never inflate it.
 
+The l2 oracle ``norm_estimate_l2`` takes the norm of every *lone* column (one
+that shares no row with another column, a 1x1 block of the normal matrix)
+exactly and power-iterates only the remaining *coupled* columns.  Monomial
+compositions and shift/stride substitutions have lone columns only, so their
+estimate is exact and reports ``iterations=0``.
+
 numpy and scipy are imported inside the oracle functions that use them, so
 importing this module (and the exact-arithmetic side of the package) does not
 load them; the ``np`` / ``sp`` annotations are never evaluated.
@@ -408,32 +414,18 @@ def _power_run(A: sp.csr_matrix, x: np.ndarray, max_iters: int, tol: float):
     return sigma, iterations, converged, delta, x
 
 
-def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence,
-                     max_iters: int = 50_000, tol: float = 1e-12
-                     ) -> BoundCertificate:
-    """Largest singular value of the scaled matrix, by power iteration.
+def _power_top(A: sp.csr_matrix, max_iters: int, tol: float):
+    """Top singular value of ``A`` by power iteration with probe restarts.
 
-    Independent of the bound evaluators: works directly on the truncated
-    matrix.  The primary run starts from the fixed all-ones vector; because
-    that start can be orthogonal to the top singular pair (convolution-type
-    matrices often oscillate), two fixed probe starts briefly iterate
-    afterwards, and whichever probe beats the primary value continues to a
-    full run.  Everything is deterministic.  Rayleigh quotients never exceed
-    the true norm, so the estimate is a certified lower bound; ``converged``
-    reports whether the reported run stabilized within ``tol``.
+    The primary run starts from the fixed all-ones vector; because that start
+    can be orthogonal to the top singular pair (convolution-type matrices
+    often oscillate), two fixed probe starts briefly iterate afterwards, and
+    whichever probe beats the primary value continues to a full run.
+    Returns ``(sigma, iterations, converged, delta, notes)``.
     """
     import numpy as np
 
-    if max_iters < 1:
-        raise ValidationError("max_iters must be positive")
-    A = _finite_scaled(T, beta)
     cols = A.shape[1]
-    if A.nnz == 0:
-        return BoundCertificate(
-            value=0.0, kind="lower", attained_at=None,
-            truncation_degree=T.n_cols, tail_delta=0.0, converged=True,
-            notes=("power iteration on the scaled normal matrix", "iterations=0"),
-        )
     ones = np.full(cols, 1.0 / math.sqrt(cols))
     sigma, iterations, converged, delta, _ = _power_run(A, ones, max_iters, tol)
     total_iters = iterations
@@ -457,13 +449,57 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence,
                 sigma, converged, delta = r_sigma, r_conv, r_delta
                 if "restarted from a dominating probe start" not in notes:
                     notes.append("restarted from a dominating probe start")
+    return sigma, total_iters, converged, delta, notes
+
+
+def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence,
+                     max_iters: int = 50_000, tol: float = 1e-12
+                     ) -> BoundCertificate:
+    """Largest singular value of the scaled matrix.
+
+    Independent of the bound evaluators: works directly on the truncated
+    matrix.  A *lone* column shares none of its rows with another column, so
+    it is a 1x1 block of the normal matrix and its singular value is its own
+    2-norm, taken exactly.  The *coupled* columns (all the others) go through
+    deterministic power iteration with probe restarts (``_power_top``); when
+    every column is coupled the matrix is passed on whole.  The estimate is
+    the larger of the two parts.  Column norms and Rayleigh quotients never
+    exceed the true norm, so the estimate is a certified lower bound.
+
+    ``converged`` and ``tail_delta`` come from the power iteration; the note
+    ``iterations=0`` means none ran because every column is lone (weighted
+    composition and shift/stride substitution by unit monomials, or the zero
+    matrix), and the value is then exact for the truncated matrix.
+    """
+    import numpy as np
+
+    if max_iters < 1:
+        raise ValidationError("max_iters must be positive")
+    A = _finite_scaled(T, beta)
+    # A row holding nonzeros of two or more columns couples those columns.
+    row_counts = np.diff(A.indptr)
+    coupled = np.zeros(A.shape[1], dtype=bool)
+    coupled[A.indices[np.repeat(row_counts > 1, row_counts)]] = True
+    n_lone = int(A.shape[1] - coupled.sum())
+    lone_best = 0.0
+    if n_lone:
+        sq = np.bincount(A.indices, weights=A.data * A.data, minlength=A.shape[1])
+        lone_best = float(np.sqrt(sq[~coupled].max()))
+
+    head, notes = [], []
+    sigma, iterations, converged, delta = 0.0, 0, True, 0.0
+    if n_lone < A.shape[1]:
+        B = A[:, np.flatnonzero(coupled)] if n_lone else A
+        sigma, iterations, converged, delta, notes = _power_top(B, max_iters, tol)
+        head.append("power iteration on the scaled normal matrix")
+    if n_lone:
+        notes.append(f"{n_lone} lone columns taken exactly")
     return BoundCertificate(
-        value=sigma, kind="lower", attained_at=None,
+        value=max(sigma, lone_best), kind="lower", attained_at=None,
         truncation_degree=T.n_cols,
         tail_delta=(0.0 if math.isinf(delta) else delta),
         converged=converged,
-        notes=tuple(["power iteration on the scaled normal matrix",
-                     f"iterations={total_iters}"] + notes),
+        notes=tuple(head + [f"iterations={iterations}"] + notes),
     )
 
 

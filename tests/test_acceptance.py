@@ -77,14 +77,13 @@ def test_criterion_1_composition_norm_equality(verdict):
             sup = max(float(beta.value(n * m)) / float(beta.value(n))
                       for n in range(2049))
             elapsed = time.perf_counter() - started
-            tol = 1e-3 if name == "dirichlet" else 1e-9
-            if abs(est.value - sup) > tol:
-                failures.append(f"{name} m={m}: |{est.value}-{sup}|>{tol}")
+            if abs(est.value - sup) > 1e-9:
+                failures.append(f"{name} m={m}: |{est.value}-{sup}|>1e-9")
             if elapsed >= 10.0:
                 failures.append(f"{name} m={m}: took {elapsed:.1f}s")
-    ok = verdict("criterion 1: power iteration matches the monomial "
+    ok = verdict("criterion 1: the l2 oracle matches the monomial "
                  "composition norm on 9 weight/stride cases", not failures,
-                 "; ".join(failures) or "max err <= stated tolerances")
+                 "; ".join(failures) or "max err <= 1e-9")
     assert ok, failures
 
 

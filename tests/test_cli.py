@@ -156,6 +156,18 @@ class TestRun:
         assert named["progression-ratio-lower"]["value"] - 1e-9 <= oracle
         assert oracle <= named["progression-ratio-upper"]["value"] + 1e-9
 
+    def test_progression_upper_scans_the_whole_image(self):
+        # The image of z**N lands at degree shift + stride*N = 50, past the
+        # truncation degree 20; the upper must scan that far, not stop at 20.
+        cfg = parse_config(
+            '{"beta": "hardy", "u": {"monomial": 30}, "phi": {"monomial": 1},'
+            ' "truncation": {"degree": 20}}')
+        report = run("estimate", cfg)
+        named = {c["name"]: c for c in report["certificates"]}
+        upper = named["progression-ratio-upper"]["value"]
+        assert upper >= report["oracle"]["estimate"]
+        assert upper == named["progression-ratio-lower"]["value"]
+
     def test_check_algebra_passes(self):
         cfg = parse_config(
             '{"beta": {"preset": "hardy"}, "delta": {"preset": "inverse-factorial"},'

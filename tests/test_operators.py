@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from fpsop.operators import (
     BoundCertificate,
     OperatorMatrix,
+    _finite_scaled,
+    _power_top,
     apply,
     build_matrix,
     column_lower_bound,
@@ -212,6 +214,82 @@ class TestNormEstimateL2:
             want = np.linalg.svd(dense, compute_uv=False)[0]
             got = norm_estimate_l2(T, beta)
             assert got.value == pytest.approx(want, rel=1e-9)
+
+
+def float_matrix(columns, n_rows=None):
+    if n_rows is None:
+        n_rows = max((r for col in columns for r, _ in col), default=0)
+    return OperatorMatrix(kind="diamond-mult", n_rows=n_rows,
+                          n_cols=len(columns) - 1, columns=tuple(columns),
+                          mode="float", delta=ones, u=None, phi=None)
+
+
+def dense_top(T, beta):
+    return np.linalg.svd(T.scaled_array(beta).toarray(), compute_uv=False)[0]
+
+
+class TestLoneColumnSplit:
+    def test_all_lone_is_largest_column_norm(self):
+        beta = make_beta("dirichlet")
+        T = build_matrix("composition", None, PolynomialSymbol.monomial(3),
+                         ones, 3 * 300, 300)
+        cert = norm_estimate_l2(T, beta)
+        want = float(np.abs(T.scaled_array(beta).toarray()).max())
+        assert cert.value == want
+        assert cert.converged and cert.tail_delta == 0.0
+        assert "iterations=0" in cert.notes
+
+    def test_zero_matrix(self):
+        cert = norm_estimate_l2(float_matrix([(), (), ()], n_rows=2),
+                                make_beta("hardy"))
+        assert cert.value == 0.0 and cert.converged
+        assert "iterations=0" in cert.notes
+
+    @pytest.mark.parametrize("lone", [10.0, 0.5])
+    def test_lone_column_beside_coupled_block(self, lone):
+        beta = make_beta("hardy")
+        block = [((1, 1.0), (2, 2.0)), ((1, 3.0), (2, -1.0))]
+        T = float_matrix(block[:1] + [((0, lone),)] + block[1:])
+        cert = norm_estimate_l2(T, beta)
+        want = dense_top(T, beta)
+        assert want == pytest.approx(max(lone, dense_top(float_matrix(block), beta)))
+        assert cert.value == pytest.approx(want, rel=1e-12)
+        assert cert.converged
+        assert "iterations=0" not in cert.notes
+
+    def test_all_coupled_keeps_the_whole_matrix(self):
+        beta = make_beta("bergman")
+        u = TruncatedSeries.from_coeffs([1.0, -0.5, 0.25, 2.0])
+        T = build_matrix("diamond-mult", u, None, ones, 24, 20)
+        cert = norm_estimate_l2(T, beta)
+        sigma, iterations, converged, delta, _ = _power_top(
+            _finite_scaled(T, beta), 50_000, 1e-12)
+        assert cert.value == sigma
+        assert cert.converged == converged and cert.tail_delta == delta
+        assert f"iterations={iterations}" in cert.notes
+        assert not any("lone" in note for note in cert.notes)
+
+
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+       st.integers(1, 6),
+       st.lists(st.lists(st.integers(-8, 8).filter(bool), min_size=1, max_size=2),
+                max_size=5),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_lone_and_coupled_mix_matches_dense_svd(u_coeffs, block_cols, lone_cols, rnd):
+    u = TruncatedSeries.from_coeffs([Fraction(c, 2) for c in u_coeffs]).to_float()
+    block = build_matrix("diamond-mult", u, None, ones,
+                         block_cols + len(u_coeffs) - 1, block_cols)
+    row = block.n_rows + 1
+    columns = list(block.columns)
+    for values in lone_cols:
+        columns.append(tuple((row + i, v / 4) for i, v in enumerate(values)))
+        row += len(values)
+    rnd.shuffle(columns)
+    T = float_matrix(columns, n_rows=row)
+    beta = make_beta("bergman")
+    cert = norm_estimate_l2(T, beta)
+    assert cert.value == pytest.approx(dense_top(T, beta), rel=1e-9)
 
 
 class TestNormLowerSearch:
