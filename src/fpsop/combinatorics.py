@@ -3,7 +3,8 @@
 ``power_coefficient`` expands ``phi(z)**L`` by enumerating exponent vectors,
 which keeps it independent of the convolution machinery in ``series`` and
 usable as a cross-check.  ``PowerTable`` caches whole rows of those
-coefficients for the bound computations that scan many ``(n, L)`` pairs.
+coefficients for the bound computations that scan many ``(n, L)`` pairs and
+for the matrix builder, which reads its columns from the rows.
 """
 
 from __future__ import annotations

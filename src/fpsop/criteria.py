@@ -6,7 +6,9 @@ whenever the weights and exponents allow it, and packages the result as a
 that keeps growing through the final window is probed for divergence: the
 value is reported as ``inf`` when it exceeds a cap or when the growth fails
 to decay across dyadic windows; otherwise the partial value stands with
-``converged=False``.
+``converged=False``.  All of that is :func:`_certify`; the evaluators only
+supply one contribution per outer index, through three shared scan shapes
+or, for ``thm21`` and ``cor26``, as plain weight-ratio lists.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .combinatorics import PowerTable, stride_offsets
-from .operators import BoundCertificate, ResourceLimitError, _safe_float
-from .series import PolynomialSymbol, TruncatedSeries, norm
+from .operators import BoundCertificate, _guard, _tail_stats
+from .series import PolynomialSymbol, TruncatedSeries, _float_pnorm, _safe_float, norm
 from .weights import (
     DeltaSequence,
     SpaceConfig,
@@ -36,8 +38,6 @@ __all__ = [
     "substitution_bounds_monomial_pair",
     "substitution_bounds_monomial_symbol",
 ]
-
-TABLE_ENTRY_LIMIT = 10_000_000
 
 DECAY_RATIO = 0.9
 
@@ -75,14 +75,11 @@ class CriterionRequest:
                 raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
         if not (isinstance(self.cap, (int, float)) and self.cap > 0):
             raise ValidationError("cap must be a positive real")
-        if (self.stride is not None and self.phi is not None
-                and self.phi.monomial_degree() != self.stride):
-            raise ValidationError(
-                f"stride={self.stride} conflicts with phi, which is not z**{self.stride}")
-        if (self.shift is not None and self.u is not None
-                and self.u.monomial_degree() != self.shift):
-            raise ValidationError(
-                f"shift={self.shift} conflicts with u, which is not z**{self.shift}")
+        for name, other in (("stride", "phi"), ("shift", "u")):
+            given, series = getattr(self, name), getattr(self, other)
+            if given is not None and series is not None and series.monomial_degree() != given:
+                raise ValidationError(
+                    f"{name}={given} conflicts with {other}, which is not z**{given}")
 
     @property
     def power_limit(self) -> int:
@@ -132,11 +129,8 @@ def _ratio(nums: Sequence, dens: Sequence):
             exact /= Fraction(v)
         else:
             den *= _safe_float(v)
-    if exact.denominator == 1 and num == 1.0 and den == 1.0:
-        out = exact
-        return int(out) if out.denominator == 1 else out
     if num == 1.0 and den == 1.0:
-        return exact
+        return int(exact) if exact.denominator == 1 else exact
     if den == 0.0 or (math.isinf(num) and math.isinf(den)):
         raise ValidationError(
             "ratio of weights is numerically indeterminate; use exact weight lists"
@@ -150,52 +144,27 @@ def _ratio(nums: Sequence, dens: Sequence):
         return math.inf
 
 
-def _whole_exponent(e):
-    """Collapse an exact exponent to int when possible, else float."""
-    if isinstance(e, Rational):
-        f = Fraction(e)
+def _exponent(a, b=1):
+    """The exponent ``a / b`` (``p``, ``q``, ``1/p``, ``1/q``, ``p/q``): an int
+    when ``a`` and ``b`` are rational and the quotient whole, else a float."""
+    if isinstance(a, Rational) and isinstance(b, Rational):
+        f = Fraction(a) / Fraction(b)
         return int(f) if f.denominator == 1 else float(f)
-    return float(e)
+    return float(a) / float(b)
 
 
-class _SupScan:
-    """Running supremum over an outer index, with first-attainment tracking."""
-
-    def __init__(self):
-        self.best = None
-        self.best_f = 0.0
-        self.attained: Optional[int] = None
-        self.traj: list[float] = []
-
-    def add(self, index: int, value=None) -> None:
-        if value is not None and (self.best is None or _gt(value, self.best)):
-            self.best = value
-            self.best_f = _safe_float(value)
-            self.attained = index
-        self.traj.append(self.best_f)
-
-    def final(self):
-        return 0 if self.best is None else self.best
+def _exact_or_fsum(values: list):
+    """The exact sum when every value is rational, else their float fsum."""
+    if all(isinstance(v, Rational) for v in values):
+        return sum(values, 0)
+    return math.fsum(_safe_float(v) for v in values)
 
 
-class _SumScan:
-    """Running sum over an outer index; exact until a float term arrives."""
-
-    def __init__(self):
-        self.parts: list = []
-        self.run = 0.0
-        self.traj: list[float] = []
-
-    def add(self, index: int, value=0) -> None:
-        if value != 0:
-            self.parts.append(value)
-            self.run += _safe_float(value)
-        self.traj.append(self.run)
-
-    def final(self):
-        if all(isinstance(v, Rational) for v in self.parts):
-            return sum(self.parts, 0)
-        return math.fsum(_safe_float(v) for v in self.parts)
+def _q_aggregate(terms: list, qe):
+    """``sum t**q`` over the nonzero terms, or their max when ``qe`` is None (p = 1)."""
+    if qe is None:
+        return max(terms, default=0)
+    return _exact_or_fsum([_pow(t, qe) for t in terms if t != 0])
 
 
 def _decayed(last3: Sequence[float]) -> bool:
@@ -208,36 +177,44 @@ def _decayed(last3: Sequence[float]) -> bool:
     return c <= DECAY_RATIO * b and b <= DECAY_RATIO * a
 
 
-def _finalize(scan, *, kind: str, space: SpaceConfig, cap: float,
-              outer_exponent=1, scale: float = 1.0, sum_scan: bool = False,
-              inner_ok: bool = True, notes: Iterable[str] = ()
-              ) -> BoundCertificate:
-    """Turn a finished scan into a certificate with divergence analysis."""
-    ef = float(_whole_exponent(outer_exponent))
+def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: float,
+             summed: bool = False, outer_exponent=1, scale: float = 1.0,
+             inner_ok: bool = True, notes: Iterable[str] = ()) -> BoundCertificate:
+    """Certify the running supremum (or, ``summed``, sum) of the contributions.
+
+    One contribution per outer index, ``None`` for an empty one.  The value
+    and its trajectory are raised to ``outer_exponent`` and multiplied by
+    ``scale``; the final window (``_tail_stats``) decides convergence and
+    divergence.
+    """
+    ef = float(outer_exponent)
 
     def tf(x: float) -> float:
-        if math.isinf(x):
-            return math.inf
-        if x <= 0.0:
-            return 0.0
-        try:
-            return (x ** ef) * scale
-        except OverflowError:
-            return math.inf
+        return 0.0 if x <= 0.0 else _pow(x, ef) * scale
 
-    traj = [tf(x) for x in scan.traj]
-    raw_final = scan.final()
-    value = tf(_safe_float(raw_final))
+    traj: list[float] = []
+    attained = None
+    if summed:
+        parts, level = [], 0.0
+        for v in contributions:
+            if v:
+                parts.append(v)
+                level += _safe_float(v)
+            traj.append(tf(level))
+        total = _exact_or_fsum(parts)
+    else:
+        best, level = None, 0.0
+        for i, v in enumerate(contributions):
+            if v is not None and (best is None or _gt(v, best)):
+                best, level, attained = v, _safe_float(v), i
+            traj.append(tf(level))
+        total = 0 if best is None else best
+    value = tf(_safe_float(total))
     note_list = list(notes)
     tol = space.tolerance
+    tail_delta, settled = _tail_stats(traj, space.tail_window, tol)
     n_top = len(traj) - 1
-    w = min(space.tail_window, n_top)
     hi = traj[-1]
-    lo = traj[-1 - w] if w >= 1 else hi
-    if math.isinf(hi):
-        tail_delta = math.inf
-    else:
-        tail_delta = hi - lo
 
     diverged = False
     if math.isinf(value) or math.isinf(hi):
@@ -263,20 +240,74 @@ def _finalize(scan, *, kind: str, space: SpaceConfig, cap: float,
         note_list.append("p=1: conjugate-exponent sums taken as suprema")
 
     if diverged:
-        return BoundCertificate(
-            value=math.inf, kind=kind, attained_at=None,
-            truncation_degree=space.truncation_degree,
-            tail_delta=tail_delta, converged=False, notes=tuple(note_list),
-        )
-
-    attained = None
-    if not sum_scan and getattr(scan, "attained", None) is not None:
-        attained = scan.attained if scan.attained <= n_top - w else None
-    converged = abs(tail_delta) <= tol and inner_ok and not math.isinf(value)
+        value, attained = math.inf, None
+    elif attained is not None and attained > max(n_top - space.tail_window, 0):
+        attained = None
     return BoundCertificate(
         value=value, kind=kind, attained_at=attained,
-        truncation_degree=space.truncation_degree,
-        tail_delta=tail_delta, converged=converged, notes=tuple(note_list),
+        truncation_degree=space.truncation_degree, tail_delta=tail_delta,
+        converged=settled and inner_ok and not math.isinf(value),
+        notes=tuple(note_list),
+    )
+
+
+def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
+                ) -> BoundCertificate:
+    """``scale`` times the sup over ``n`` of the q-aggregated kernel
+    ``d(n) w(n) / (d(k) d(n-k) w(k) w((n-k)/stride))``, ``stride | n-k``."""
+    beta, delta, space = req.beta, req.delta, req.space
+    qe = None if space.sup_mode else _exponent(space.q)
+    rows = (
+        _q_aggregate([
+            _ratio([delta.value(n), beta.value(n)],
+                   [delta.value(k), delta.value(n - k), beta.value(k),
+                    beta.value((n - k) // stride)])
+            for k in stride_offsets(n, stride)
+        ], qe)
+        for n in range(space.truncation_degree + 1)
+    )
+    return _certify(
+        rows, kind="upper", space=space, cap=req.cap,
+        outer_exponent=1 if space.sup_mode else _exponent(1, space.q),
+        scale=scale, notes=(note,),
+    )
+
+
+def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int,
+                     term: Callable, row: Callable, note: str) -> BoundCertificate:
+    """The p-summed bound: row ``n >= shift`` contributes ``row(n, j, agg)``,
+    ``agg`` the q-aggregate of ``term(n, L, theta(j, L))``, ``j = n - shift``."""
+    space, L_max = req.space, req.power_limit
+    qe = None if space.sup_mode else _exponent(space.q)
+    inner_ok = True
+    rows = [None] * min(shift, space.truncation_degree + 1)
+    for n in range(shift, space.truncation_degree + 1):
+        j = n - shift
+        terms = []
+        for L in table.power_range(j):
+            if L > L_max:
+                break
+            th = table.theta(j, L)
+            terms.append(0 if th == 0 else term(n, L, th))
+        if _natural_power_cut(table.phi, j, L_max) and not _decayed(
+                [_safe_float(t) for t in terms[-3:]]):
+            inner_ok = False
+        rows.append(row(n, j, _q_aggregate(terms, qe)))
+    return _certify(
+        rows, kind="upper", space=space, cap=req.cap, summed=True,
+        outer_exponent=_exponent(1, space.p), inner_ok=inner_ok, notes=(note,),
+    )
+
+
+def _column_lower(req: CriterionRequest, column: Callable, note: str) -> BoundCertificate:
+    """The best ratio ``norm(image of z**l) / w(l)``; ``column(l)`` yields
+    the ``(coefficient, float weight)`` pairs of that image."""
+    beta, space = req.beta, req.space
+    pf = float(space.p)
+    return _certify(
+        (_float_pnorm(column(l), pf) / beta.as_float(l)
+         for l in range(space.truncation_degree + 1)),
+        kind="lower", space=space, cap=req.cap, notes=(note,),
     )
 
 
@@ -296,33 +327,25 @@ def _phi_of(req: CriterionRequest) -> PolynomialSymbol:
     raise ValidationError("this evaluator needs a substitution symbol (phi or stride)")
 
 
+def _unit_degree(given: Optional[int], series, what: str) -> int:
+    """``given``, else the degree of ``series`` when it is a unit monomial."""
+    m = series.monomial_degree() if given is None and series is not None else given
+    if m is None:
+        raise ValidationError(f"this evaluator needs a unit-monomial {what}")
+    return m
+
+
 def _stride_of(req: CriterionRequest) -> int:
-    if req.stride is not None:
-        return req.stride
-    if req.phi is not None:
-        m = req.phi.monomial_degree()
-        if m is not None:
-            return m
-    raise ValidationError("this evaluator needs a unit-monomial symbol degree (stride)")
+    return _unit_degree(req.stride, req.phi, "symbol degree (stride)")
 
 
 def _shift_of(req: CriterionRequest) -> int:
-    if req.shift is not None:
-        return req.shift
-    if req.u is not None:
-        m = req.u.monomial_degree()
-        if m is not None:
-            return m
-    raise ValidationError("this evaluator needs a unit-monomial multiplier degree (shift)")
+    return _unit_degree(req.shift, req.u, "multiplier degree (shift)")
 
 
 def _build_table(phi: PolynomialSymbol, degree_bound: int, max_power: int) -> PowerTable:
     if phi.monomial_degree() is None:
-        estimate = (degree_bound + 1) * (max_power + 1)
-        if estimate > TABLE_ENTRY_LIMIT:
-            raise ResourceLimitError(
-                f"power table needs ~{estimate} entries; the guard allows {TABLE_ENTRY_LIMIT}"
-            )
+        _guard((degree_bound + 1) * (max_power + 1), "power table")
     return PowerTable(phi, degree_bound=degree_bound, max_power=max_power)
 
 
@@ -349,11 +372,10 @@ def composition_norm_monomial(req: CriterionRequest) -> BoundCertificate:
             "constant symbol: use composition_bounds_polynomial with degree 0"
         )
     beta, space = req.beta, req.space
-    scan = _SupScan()
-    for n in range(space.truncation_degree + 1):
-        scan.add(n, _ratio([beta.value(n * m)], [beta.value(n)]))
-    return _finalize(
-        scan, kind="exact", space=space, cap=req.cap,
+    return _certify(
+        (_ratio([beta.value(n * m)], [beta.value(n)])
+         for n in range(space.truncation_degree + 1)),
+        kind="exact", space=space, cap=req.cap,
         notes=(f"weight-ratio supremum for the degree-{m} monomial symbol",),
     )
 
@@ -370,65 +392,19 @@ def composition_bounds_polynomial(req: CriterionRequest
     phi = _phi_of(req)
     beta, space = req.beta, req.space
     N = space.truncation_degree
-    L_max = req.power_limit
-    p, q = space.p, space.q
-    table = _build_table(phi, degree_bound=N, max_power=max(L_max, N))
-
-    inner_ok = True
-    upper = _SumScan()
-    for n in range(N + 1):
-        rng = table.power_range(n)
-        last3: list[float] = []
-        terms = []
-        for L in rng:
-            if L > L_max:
-                break
-            th = table.theta(n, L)
-            if th == 0:
-                t = 0
-            else:
-                t = _ratio([abs(th), beta.value(n)], [beta.value(L)])
-            last3 = (last3 + [_safe_float(t)])[-3:]
-            terms.append(t)
-        if _natural_power_cut(phi, n, L_max) and not _decayed(last3):
-            inner_ok = False
-        if space.sup_mode:
-            agg = max(terms, default=0)
-            contribution = _pow(agg, space.p if isinstance(space.p, int) else float(space.p))
-        else:
-            qe = _whole_exponent(q)
-            inner = [_pow(t, qe) for t in terms if t != 0]
-            s = sum(inner, 0) if all(isinstance(v, Rational) for v in inner) \
-                else math.fsum(_safe_float(v) for v in inner)
-            pq = _whole_exponent(Fraction(p) / Fraction(q)) if (
-                isinstance(p, Rational) and isinstance(q, Rational)
-            ) else float(p) / float(q)
-            contribution = _pow(s, pq)
-        upper.add(n, contribution)
-    upper_cert = _finalize(
-        upper, kind="upper", space=space, cap=req.cap,
-        outer_exponent=Fraction(1, 1) / Fraction(p) if isinstance(p, Rational) else 1.0 / float(p),
-        sum_scan=True, inner_ok=inner_ok,
-        notes=("power-coefficient sum bound",),
+    p = space.p
+    table = _build_table(phi, degree_bound=N, max_power=max(req.power_limit, N))
+    # At p = 1 only an int p keeps the rows exact; a Fraction p is taken as float.
+    e = (p if isinstance(p, int) else float(p)) if space.sup_mode else _exponent(p, space.q)
+    upper_cert = _power_sum_upper(
+        req, table, 0,
+        term=lambda n, L, th: _ratio([abs(th), beta.value(n)], [beta.value(L)]),
+        row=lambda n, j, agg: _pow(agg, e),
+        note="power-coefficient sum bound",
     )
-
-    lower = _SupScan()
-    pf = float(p)
-    for n in range(N + 1):
-        total = []
-        if n <= table.max_power:
-            for j, th in table.row_nonzeros(n):
-                x = abs(_safe_float(th)) * beta.as_float(j)
-                try:
-                    total.append(x ** pf)
-                except OverflowError:
-                    total.append(math.inf)
-        s = math.fsum(total) if total else 0.0
-        contribution = (s ** (1.0 / pf) if not math.isinf(s) else math.inf)
-        lower.add(n, contribution / beta.as_float(n))
-    lower_cert = _finalize(
-        lower, kind="lower", space=space, cap=req.cap,
-        notes=("monomial image ratios, rows truncated at the scan degree",),
+    lower_cert = _column_lower(
+        req, lambda n: ((th, beta.as_float(j)) for j, th in table.row_nonzeros(n)),
+        "monomial image ratios, rows truncated at the scan degree",
     )
     return upper_cert, lower_cert
 
@@ -447,67 +423,22 @@ def substitution_bounds_monomial_symbol(req: CriterionRequest
     u = req.u if req.u is not None else TruncatedSeries.unity(0)
     beta, delta, space = req.beta, req.delta, req.space
     N = space.truncation_degree
-    p, q = space.p, space.q
-    unorm = norm(u, beta, float(p))
+    unorm = norm(u, beta, float(space.p))
     if unorm == 0.0:
         zero = _zero_certificate("upper", space, "zero multiplier series")
         return zero, _zero_certificate("lower", space, "zero multiplier series")
 
-    upper = _SupScan()
-    for n in range(N + 1):
-        terms = []
-        for k in stride_offsets(n, m):
-            t = _ratio(
-                [delta.value(n), beta.value(n)],
-                [delta.value(k), delta.value(n - k), beta.value(k),
-                 beta.value((n - k) // m)],
-            )
-            terms.append(t)
-        if space.sup_mode:
-            contribution = max(terms, default=0)
-        else:
-            qe = _whole_exponent(q)
-            pows = [_pow(t, qe) for t in terms if t != 0]
-            contribution = sum(pows, 0) if all(isinstance(v, Rational) for v in pows) \
-                else math.fsum(_safe_float(v) for v in pows)
-        upper.add(n, contribution)
-    q_inv = 1 if space.sup_mode else (
-        Fraction(1, 1) / Fraction(q) if isinstance(q, Rational) else 1.0 / float(q)
-    )
-    upper_cert = _finalize(
-        upper, kind="upper", space=space, cap=req.cap,
-        outer_exponent=q_inv, scale=unorm,
-        notes=("stride-offset kernel supremum times the multiplier norm",),
-    )
+    upper_cert = _kernel_sup(
+        req, m, unorm, "stride-offset kernel supremum times the multiplier norm")
 
-    lower = _SupScan()
-    pf = float(p)
-    u_top = max((i for i, c in enumerate(u.coeffs) if c != 0), default=0)
-    for l in range(N + 1):
+    def column(l):
         base = m * l
-        total = []
-        if base <= N:
-            for k in range(0, min(u_top, N - base) + 1):
-                c = u.coeffs[k] if k < len(u.coeffs) else 0
-                if c == 0:
-                    continue
-                n = base + k
-                t = _ratio(
-                    [delta.value(n), beta.value(n), abs(c)],
-                    [delta.value(base), delta.value(k)],
-                )
-                tf = _safe_float(t)
-                try:
-                    total.append(tf ** pf)
-                except OverflowError:
-                    total.append(math.inf)
-        s = math.fsum(total) if total else 0.0
-        contribution = (s ** (1.0 / pf) if not math.isinf(s) else math.inf)
-        lower.add(l, contribution / beta.as_float(l))
-    lower_cert = _finalize(
-        lower, kind="lower", space=space, cap=req.cap,
-        notes=("shifted-column ratios from the multiplier coefficients",),
-    )
+        return ((_ratio([delta.value(base + k), beta.value(base + k), abs(c)],
+                        [delta.value(base), delta.value(k)]), 1.0)
+                for k, c in enumerate(u.coeffs[:max(N - base + 1, 0)]) if c != 0)
+
+    lower_cert = _column_lower(
+        req, column, "shifted-column ratios from the multiplier coefficients")
     return upper_cert, lower_cert
 
 
@@ -518,33 +449,7 @@ def multiplier_algebra_bound(req: CriterionRequest) -> BoundCertificate:
     make the space a unital commutative normed algebra under the diamond
     product (after scaling by the constant).
     """
-    beta, delta, space = req.beta, req.delta, req.space
-    N = space.truncation_degree
-    q = space.q
-    scan = _SupScan()
-    for n in range(N + 1):
-        terms = []
-        for k in range(n + 1):
-            t = _ratio(
-                [delta.value(n), beta.value(n)],
-                [delta.value(k), delta.value(n - k), beta.value(k), beta.value(n - k)],
-            )
-            terms.append(t)
-        if space.sup_mode:
-            contribution = max(terms, default=0)
-        else:
-            qe = _whole_exponent(q)
-            pows = [_pow(t, qe) for t in terms if t != 0]
-            contribution = sum(pows, 0) if all(isinstance(v, Rational) for v in pows) \
-                else math.fsum(_safe_float(v) for v in pows)
-        scan.add(n, contribution)
-    q_inv = 1 if space.sup_mode else (
-        Fraction(1, 1) / Fraction(q) if isinstance(q, Rational) else 1.0 / float(q)
-    )
-    return _finalize(
-        scan, kind="upper", space=space, cap=req.cap, outer_exponent=q_inv,
-        notes=("diamond-kernel weight supremum (algebra constant)",),
-    )
+    return _kernel_sup(req, 1, 1.0, "diamond-kernel weight supremum (algebra constant)")
 
 
 def substitution_bounds_monomial_multiplier(req: CriterionRequest
@@ -558,76 +463,26 @@ def substitution_bounds_monomial_multiplier(req: CriterionRequest
     phi = _phi_of(req)
     beta, delta, space = req.beta, req.delta, req.space
     N = space.truncation_degree
-    L_max = req.power_limit
-    p, q = space.p, space.q
-    row_top = max(N - shift, 0)
-    table = _build_table(phi, degree_bound=row_top, max_power=max(L_max, N))
+    p = space.p
+    table = _build_table(phi, degree_bound=max(N - shift, 0),
+                         max_power=max(req.power_limit, N))
+    pe = _exponent(p)
+    e = pe if space.sup_mode else _exponent(p, space.q)
 
-    inner_ok = True
-    upper = _SumScan()
-    for n in range(N + 1):
-        if n < shift:
-            upper.add(n)
-            continue
-        j = n - shift
-        rng = table.power_range(j)
-        last3: list[float] = []
-        terms = []
-        for L in rng:
-            if L > L_max:
-                break
-            th = table.theta(j, L)
-            t = 0 if th == 0 else _ratio([abs(th)], [beta.value(L)])
-            last3 = (last3 + [_safe_float(t)])[-3:]
-            terms.append(t)
-        if _natural_power_cut(phi, j, L_max) and not _decayed(last3):
-            inner_ok = False
-        kern = _ratio(
-            [delta.value(n), beta.value(n)], [delta.value(shift), delta.value(j)]
-        )
-        pe = _whole_exponent(p)
-        if space.sup_mode:
-            agg = max(terms, default=0)
-            contribution = _pow(kern, pe) * _pow(agg, pe) if agg != 0 else 0
-        else:
-            qe = _whole_exponent(q)
-            pows = [_pow(t, qe) for t in terms if t != 0]
-            s = sum(pows, 0) if all(isinstance(v, Rational) for v in pows) \
-                else math.fsum(_safe_float(v) for v in pows)
-            pq = _whole_exponent(Fraction(p) / Fraction(q)) if (
-                isinstance(p, Rational) and isinstance(q, Rational)
-            ) else float(p) / float(q)
-            contribution = _pow(kern, pe) * _pow(s, pq) if s != 0 else 0
-        upper.add(n, contribution)
-    upper_cert = _finalize(
-        upper, kind="upper", space=space, cap=req.cap,
-        outer_exponent=Fraction(1, 1) / Fraction(p) if isinstance(p, Rational) else 1.0 / float(p),
-        sum_scan=True, inner_ok=inner_ok,
-        notes=("shifted power-coefficient sum bound",),
+    def row(n, j, agg):
+        kern = _ratio([delta.value(n), beta.value(n)], [delta.value(shift), delta.value(j)])
+        return _pow(kern, pe) * _pow(agg, e) if agg != 0 else 0
+
+    upper_cert = _power_sum_upper(
+        req, table, shift,
+        term=lambda n, L, th: _ratio([abs(th)], [beta.value(L)]), row=row,
+        note="shifted power-coefficient sum bound",
     )
-
-    lower = _SupScan()
-    pf = float(p)
-    for l in range(N + 1):
-        total = []
-        if l <= table.max_power:
-            for j, th in table.row_nonzeros(l):
-                n = j + shift
-                t = _ratio(
-                    [delta.value(n), beta.value(n), abs(th)],
-                    [delta.value(shift), delta.value(j)],
-                )
-                tf = _safe_float(t)
-                try:
-                    total.append(tf ** pf)
-                except OverflowError:
-                    total.append(math.inf)
-        s = math.fsum(total) if total else 0.0
-        contribution = (s ** (1.0 / pf) if not math.isinf(s) else math.inf)
-        lower.add(l, contribution / beta.as_float(l))
-    lower_cert = _finalize(
-        lower, kind="lower", space=space, cap=req.cap,
-        notes=("shifted monomial-image ratios",),
+    lower_cert = _column_lower(
+        req, lambda l: ((_ratio([delta.value(j + shift), beta.value(j + shift), abs(th)],
+                                [delta.value(shift), delta.value(j)]), 1.0)
+                        for j, th in table.row_nonzeros(l)),
+        "shifted monomial-image ratios",
     )
     return upper_cert, lower_cert
 
@@ -650,23 +505,16 @@ def substitution_bounds_monomial_pair(req: CriterionRequest
     beta, delta, space = req.beta, req.delta, req.space
     N = space.truncation_degree
 
-    upper, lower = _SupScan(), _SupScan()
-    for m in range(N + 1):
-        n = m1 + m * m2
-        t = _ratio(
-            [delta.value(n), beta.value(n)],
-            [delta.value(m1), delta.value(m * m2), beta.value(m)],
-        )
-        for gap in range(len(upper.traj), n):
-            upper.add(gap)
-        upper.add(n, t)
-        lower.add(m, t)
-    upper_cert = _finalize(
-        upper, kind="upper", space=space, cap=req.cap,
-        notes=("progression ratio supremum by output degree",),
+    ratios = [
+        _ratio([delta.value(m1 + m * m2), beta.value(m1 + m * m2)],
+               [delta.value(m1), delta.value(m * m2), beta.value(m)])
+        for m in range(N + 1)
+    ]
+    by_output = [None] * (m1 + m2 * N + 1)
+    by_output[m1::m2] = ratios
+    return (
+        _certify(by_output, kind="upper", space=space, cap=req.cap,
+                 notes=("progression ratio supremum by output degree",)),
+        _certify(ratios, kind="lower", space=space, cap=req.cap,
+                 notes=("progression ratio supremum by input degree",)),
     )
-    lower_cert = _finalize(
-        lower, kind="lower", space=space, cap=req.cap,
-        notes=("progression ratio supremum by input degree",),
-    )
-    return upper_cert, lower_cert

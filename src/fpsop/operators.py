@@ -20,17 +20,17 @@ load them; the ``np`` / ``sp`` annotations are never evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from numbers import Rational
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .combinatorics import PowerTable
 from .series import (
     EXACT,
     FLOAT,
     PolynomialSymbol,
     TruncatedSeries,
-    cauchy_product,
+    _float_pnorm,
+    _safe_float,
 )
 from .weights import DeltaSequence, ValidationError, WeightSequence
 
@@ -55,13 +55,6 @@ CERTIFICATE_KINDS = ("lower", "upper", "exact")
 
 class ResourceLimitError(RuntimeError):
     """A requested build exceeds the configured size guard."""
-
-
-def _safe_float(value) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -199,25 +192,6 @@ def _u_support(u: TruncatedSeries) -> list[tuple[int, object]]:
     return [(k, c) for k, c in enumerate(u.coeffs) if c != 0]
 
 
-def _power_nonzeros(phi: PolynomialSymbol, n_rows: int, n_cols: int):
-    """Yield, for L = 0..n_cols, the nonzeros of ``phi**L`` truncated at n_rows."""
-    mono = phi.monomial_degree()
-    unit = 1.0 if phi.mode == FLOAT else 1
-    if mono is not None:
-        for L in range(n_cols + 1):
-            pos = mono * L
-            yield [(pos, unit)] if pos <= n_rows else []
-        return
-    base = phi.as_series()
-    power = TruncatedSeries.unity(0)
-    if phi.mode == FLOAT:
-        power = power.to_float()
-    for L in range(n_cols + 1):
-        yield [(i, c) for i, c in enumerate(power.coeffs) if c != 0]
-        if L < n_cols:
-            power = cauchy_product(power, base, n_rows)
-
-
 def build_matrix(kind: str, u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
                  delta: DeltaSequence, n_rows: int, n_cols: int) -> OperatorMatrix:
     """Assemble the truncated matrix of a composition / diamond-mult /
@@ -253,9 +227,8 @@ def build_matrix(kind: str, u: Optional[TruncatedSeries], phi: Optional[Polynomi
         needed = phi_deg * n_cols
         if phi.monomial_degree() is None:
             _guard((n_rows + 1) * (n_cols + 1), "dense composition build")
-        columns = tuple(
-            tuple(nz) for nz in _power_nonzeros(phi, n_rows, n_cols)
-        )
+        powers = PowerTable(phi, degree_bound=n_rows, max_power=n_cols)
+        columns = tuple(tuple(powers.row_nonzeros(L)) for L in range(n_cols + 1))
     elif kind == "diamond-mult":
         needed = n_cols + u_top
         support = _u_support(u)
@@ -277,10 +250,11 @@ def build_matrix(kind: str, u: Optional[TruncatedSeries], phi: Optional[Polynomi
             _guard((n_rows + 1) * (n_cols + 1), "dense substitution build")
         else:
             _guard(max(len(support), 1) * (n_cols + 1), "substitution build")
+        powers = PowerTable(phi, degree_bound=n_rows, max_power=n_cols)
         cols = []
-        for nz in _power_nonzeros(phi, n_rows, n_cols):
+        for L in range(n_cols + 1):
             acc: dict[int, object] = {}
-            for j, pc in nz:
+            for j, pc in powers.row_nonzeros(L):
                 for k, c in support:
                     row = j + k
                     if row > n_rows:
@@ -348,16 +322,8 @@ def column_lower_bound(T: OperatorMatrix, beta: WeightSequence, p,
     best, attained = -1.0, None
     trajectory = []
     for L in range(T.n_cols + 1):
-        terms = []
-        for row, value in T.columns[L]:
-            x = abs(_safe_float(value)) * beta.as_float(row)
-            try:
-                terms.append(x ** pf)
-            except OverflowError:
-                terms.append(math.inf)
-        total = math.fsum(terms) if terms else 0.0
-        ratio = (total ** (1.0 / pf) if not math.isinf(total) else math.inf)
-        ratio = ratio / beta.as_float(L)
+        column = ((value, beta.as_float(row)) for row, value in T.columns[L])
+        ratio = _float_pnorm(column, pf) / beta.as_float(L)
         if ratio > best:
             best, attained = ratio, L
         trajectory.append(best)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .weights import DeltaSequence, ValidationError, WeightSequence
 
@@ -228,29 +227,39 @@ class PolynomialSymbol:
         return TruncatedSeries.from_coeffs(self.alphas, degree_bound)
 
 
+def _safe_float(value) -> float:
+    """``float(value)``, with an exact value beyond float range as ``inf``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _float_pnorm(pairs: Iterable[tuple], pf: float) -> float:
+    """``(sum |c * w|^p)^(1/p)`` in floats over ``(coefficient, float weight)``
+    pairs; a coefficient, term or sum beyond float range makes it ``inf``."""
+    powers = []
+    for c, w in pairs:
+        x = abs(_safe_float(c)) * w
+        try:
+            powers.append(x ** pf)
+        except OverflowError:
+            powers.append(math.inf)
+    total = math.fsum(powers)
+    return math.inf if math.isinf(total) else total ** (1.0 / pf)
+
+
 def norm(f: TruncatedSeries, beta: WeightSequence, p) -> float:
     """The weighted p-norm ``(sum |c_n|^p w(n)^p)^(1/p)`` as a float.
 
-    Exact coefficients are converted to float before the root is taken.
+    Exact coefficients are converted to float before the root is taken; one
+    beyond float range makes the norm ``inf``.
     """
     pf = float(p)
     if not math.isfinite(pf) or pf < 1:
         raise ValidationError(f"norm exponent must satisfy 1 <= p < inf, got {p!r}")
-    terms = []
-    for n, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        x = abs(float(c)) * beta.as_float(n)
-        try:
-            terms.append(x ** pf)
-        except OverflowError:
-            return math.inf
-    if not terms:
-        return 0.0
-    total = math.fsum(terms)
-    if math.isinf(total):
-        return math.inf
-    return total ** (1.0 / pf)
+    return _float_pnorm(
+        ((c, beta.as_float(n)) for n, c in enumerate(f.coeffs) if c != 0), pf)
 
 
 def cauchy_product(f: TruncatedSeries, g: TruncatedSeries, degree_bound: int
@@ -303,20 +312,6 @@ def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence
     return TruncatedSeries(tuple(out))
 
 
-def _convolve(a: list, b: Sequence, degree_bound: int, zero) -> list:
-    out_len = min(len(a) + len(b) - 1, degree_bound + 1)
-    out = [zero] * out_len
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        top = min(len(b), out_len - i)
-        for j in range(top):
-            y = b[j]
-            if y:
-                out[i + j] += x * y
-    return out
-
-
 def compose(f: TruncatedSeries, phi: PolynomialSymbol, degree_bound: int
             ) -> TruncatedSeries:
     """Substitute the polynomial ``phi`` into ``f``, truncating the result.
@@ -326,20 +321,22 @@ def compose(f: TruncatedSeries, phi: PolynomialSymbol, degree_bound: int
     """
     float_mode = f.mode == FLOAT or phi.mode == FLOAT
     zero = 0.0 if float_mode else 0
-    alphas = [float(a) for a in phi.alphas] if float_mode else list(phi.alphas)
+    base = phi.as_series()
+    power = TruncatedSeries.unity(0)
+    if float_mode:
+        base, power = base.to_float(), power.to_float()
     fc = f.as_floats() if float_mode else f.coeffs
     acc = [zero] * (degree_bound + 1)
     acc[0] = fc[0]
-    power = [1.0 if float_mode else 1]
     min_deg = phi.min_degree()
     for exp in range(1, len(fc)):
         if min_deg is None or min_deg * exp > degree_bound:
             break
-        power = _convolve(power, alphas, degree_bound, zero)
+        power = cauchy_product(power, base, min(power.degree_bound + phi.degree, degree_bound))
         c = fc[exp]
         if not c:
             continue
-        for n, x in enumerate(power):
+        for n, x in enumerate(power.coeffs):
             if x:
                 acc[n] += c * x
     return TruncatedSeries(tuple(acc))

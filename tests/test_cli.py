@@ -266,6 +266,53 @@ class TestConflictingSymbolKeys:
             named["progression-ratio-upper"]["value"]
 
 
+class TestBeyondFloatRange:
+    """An exact coefficient too large for a float makes a norm ``inf``, not a crash."""
+
+    def test_norm_reports_inf(self, capsys):
+        code, out = run_main(capsys, "norm", "--quiet", "--config",
+                             '{"f": {"coeffs": ["1e400", 1]}}')
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == "inf"
+
+    def test_thm23_with_such_a_multiplier_reports_inf(self, capsys):
+        code, out = run_main(capsys, "bound", "--theorem", "thm23", "--quiet", "--config",
+                             '{"u": {"coeffs": ["1e400", 1]}, "phi": {"monomial": 2},'
+                             ' "truncation": {"degree": 12}}')
+        assert code == 0
+        named = {c["name"]: c for c in json.loads(out)["certificates"]}
+        assert named["substitution-stride-upper"]["value"] == "inf"
+        assert named["substitution-stride-upper"]["converged"] is False
+
+
+class TestSizeGuard:
+    """A power table or matrix above 10,000,000 entries exits 3 before it is built."""
+
+    HALVES = '{"phi": {"coeffs": ["1/2", "1/2"]}, "truncation": {"degree": 3200}}'
+
+    def assert_guarded(self, capsys, *argv, label):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert f"resource guard: {label} needs ~" in captured.err
+        assert "the guard allows 10000000" in captured.err
+
+    def test_thm22_power_table(self, capsys):
+        self.assert_guarded(capsys, "bound", "--theorem", "thm22", "--config", self.HALVES,
+                            label="power table")
+
+    def test_estimate_matrix(self, capsys):
+        self.assert_guarded(capsys, "estimate", "--config", self.HALVES,
+                            label="dense composition build")
+
+    def test_thm25_power_table(self, capsys):
+        self.assert_guarded(capsys, "bound", "--theorem", "thm25", "--config",
+                            '{"u": {"monomial": 1}, "phi": {"coeffs": [0, "1/2", "1/2"]},'
+                            ' "truncation": {"degree": 3200}}',
+                            label="power table")
+
+
 _IMPORT_GUARD = textwrap.dedent("""
     import contextlib, io, sys
     import fpsop, fpsop.cli
