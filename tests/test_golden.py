@@ -1,9 +1,12 @@
-"""Golden ``--quiet`` reports: the shipped configs and a ``bound`` grid.
+"""Golden ``--quiet`` reports: the shipped configs and two ``bound`` grids.
 
-``golden_reports.json`` holds the report text each case printed when it was
-last written on purpose.  The test compares today's text byte for byte, so a
-refactor that changes any printed digit, note or flag fails here.  After a
-deliberate report change, rewrite the data file with
+``golden_reports.json`` holds the report text of the shipped configs and of
+the preset-weight grid, ``golden_weight_reports.json`` that of the
+weight-kind grid (huge exact weights: explicit and geometric lists,
+factorials, power laws), each as printed when it was last written on
+purpose.  The test compares today's text byte for byte, so a refactor that
+changes any printed digit, note or flag fails here.  After a deliberate
+report change, rewrite both data files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -23,10 +26,23 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DATA_PATH = os.path.join(REPO_ROOT, "tests", "golden_reports.json")
 
+WEIGHT_DATA_PATH = os.path.join(REPO_ROOT, "tests", "golden_weight_reports.json")
+
 GRID_P = (1, "1", "3/2", 2, 2.5, 3)
 GRID_BETA = ("hardy", "bergman", "dirichlet")
 GRID_DELTA = ("ones", "inverse-factorial")
 GRID_DEGREE = 24
+
+WEIGHT_GRID_P = (1, "3/2", 2, 3)
+# The explicit list reaches cor26's top output degree shift + stride*N.
+WEIGHT_GRID_BETA = {
+    "geometric-list": {"values": ["1"] + [f"1/{2 ** n}" for n in range(1, 2 * GRID_DEGREE + 2)]},
+    "power-0.3": {"power": -0.3},
+}
+WEIGHT_GRID_DELTA = {
+    "factorial": "factorial",
+    "geometric-1/2": {"preset": "geometric", "ratio": "1/2"},
+}
 
 # One operator per evaluator code, shaped so the code applies.
 GRID_OPERATORS = {
@@ -58,16 +74,26 @@ def shipped_cases():
         yield f"configs/{name}", [_config_command(path), "--config", path]
 
 
-def grid_cases():
-    """``(case id, argv)`` for the p x beta x delta x evaluator ``bound`` grid."""
-    for p in GRID_P:
-        for beta in GRID_BETA:
-            for delta in GRID_DELTA:
+def _bound_grid(prefix, ps, betas, deltas):
+    for p in ps:
+        for beta_name, beta in betas.items():
+            for delta_name, delta in deltas.items():
                 for code, operator in GRID_OPERATORS.items():
                     doc = {"p": p, "beta": beta, "delta": delta, **operator,
                            "truncation": {"degree": GRID_DEGREE}}
-                    case = f"grid/{code}/p={json.dumps(p)}/{beta}/{delta}"
+                    case = f"{prefix}/{code}/p={json.dumps(p)}/{beta_name}/{delta_name}"
                     yield case, ["bound", "--theorem", code, "--config", json.dumps(doc)]
+
+
+def grid_cases():
+    """``(case id, argv)`` for the p x beta x delta x evaluator ``bound`` grid."""
+    yield from _bound_grid("grid", GRID_P, {b: b for b in GRID_BETA},
+                           {d: d for d in GRID_DELTA})
+
+
+def weight_grid_cases():
+    """``(case id, argv)`` for the p x weight-kind x evaluator ``bound`` grid."""
+    yield from _bound_grid("weights", WEIGHT_GRID_P, WEIGHT_GRID_BETA, WEIGHT_GRID_DELTA)
 
 
 def quiet_report(argv):
@@ -78,8 +104,8 @@ def quiet_report(argv):
     return code, out.getvalue()
 
 
-def _load():
-    with open(DATA_PATH, encoding="utf-8") as fh:
+def _load(path=DATA_PATH):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -109,18 +135,28 @@ def test_bound_grid_reports_match_golden():
     assert not failures, failures
 
 
-def write_golden():
+def test_weight_golden_covers_every_case():
+    assert set(_load(WEIGHT_DATA_PATH)) == {case for case, _ in weight_grid_cases()}
+
+
+def test_weight_grid_reports_match_golden():
+    failures = _mismatches(weight_grid_cases(), _load(WEIGHT_DATA_PATH))
+    assert not failures, failures
+
+
+def write_golden(path, cases):
     golden = {}
-    for case, argv in list(shipped_cases()) + list(grid_cases()):
+    for case, argv in cases:
         code, text = quiet_report(argv)
         if code != 0:
             raise SystemExit(f"{case}: exit {code}")
         golden[case] = text
-    with open(DATA_PATH, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(golden)} reports to {DATA_PATH}", file=sys.stderr)
+    print(f"wrote {len(golden)} reports to {path}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    write_golden()
+    write_golden(DATA_PATH, list(shipped_cases()) + list(grid_cases()))
+    write_golden(WEIGHT_DATA_PATH, weight_grid_cases())
