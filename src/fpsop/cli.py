@@ -21,7 +21,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from . import criteria, operators
 from .combinatorics import power_coefficient
@@ -82,11 +83,25 @@ def _render_scalar(value):
     raise ConfigError(f"cannot render {type(value).__name__}")
 
 
-def _normalize_weight_spec(spec, what: str) -> dict:
+def _parse_once(value, what: str):
+    """``(echo, scalar)`` of one finite weight scalar, parsed once: its
+    rendered echo and the value the weights are built from, a whole Fraction
+    as an int, as parsing the echo again would give."""
+    scalar = _parse_scalar(value, what)
+    if isinstance(scalar, float) and not math.isfinite(scalar):
+        raise ConfigError(f"{what} entries must be finite, got {value!r}")
+    echo = _render_scalar(scalar)
+    return echo, (scalar if isinstance(echo, str) else echo)
+
+
+def _normalize_weight_spec(spec, what: str) -> tuple[dict, Callable]:
+    """``(echo, build)``: the normalized weight spec and a thunk that builds
+    the weights from the scalars parsed for the echo."""
+    make = make_delta if what == "delta" else make_beta
     if spec is None:
-        return {"preset": "ones"} if what == "delta" else {"preset": "hardy"}
+        spec = "ones" if what == "delta" else "hardy"
     if isinstance(spec, str):
-        return {"preset": spec}
+        return {"preset": spec}, partial(make, spec)
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} spec must be an object, got {type(spec).__name__}")
     keys = set(spec)
@@ -95,18 +110,20 @@ def _normalize_weight_spec(spec, what: str) -> dict:
         if not keys <= allowed:
             raise ConfigError(f"unexpected keys in {what} spec: {sorted(keys - allowed)}")
         out = {"preset": spec["preset"]}
-        if "ratio" in spec:
-            out["ratio"] = _render_scalar(_parse_scalar(spec["ratio"], f"{what} ratio"))
-        return out
+        if "ratio" not in spec:
+            return out, partial(make, spec["preset"])
+        out["ratio"], ratio = _parse_once(spec["ratio"], f"{what} ratio")
+        return out, partial(make, spec["preset"], ratio=ratio)
     if "values" in keys:
         if keys != {"values"}:
             raise ConfigError(f"unexpected keys in {what} spec: {sorted(keys - {'values'})}")
-        values = [_render_scalar(_parse_scalar(v, what)) for v in spec["values"]]
-        return {"values": values}
+        pairs = [_parse_once(v, what) for v in spec["values"]]
+        return {"values": [echo for echo, _ in pairs]}, partial(make, [v for _, v in pairs])
     if "power" in keys and what == "beta":
         if keys != {"power"}:
             raise ConfigError(f"unexpected keys in beta spec: {sorted(keys - {'power'})}")
-        return {"power": _render_scalar(_parse_scalar(spec["power"], "beta power"))}
+        echo, power = _parse_once(spec["power"], "beta power")
+        return {"power": echo}, partial(make_beta, power)
     raise ConfigError(f"{what} spec needs 'preset', 'values'"
                       + (" or 'power'" if what == "beta" else ""))
 
@@ -128,21 +145,6 @@ def _normalize_series_spec(spec, what: str) -> Optional[dict]:
             return {"coeffs": [_render_scalar(_parse_scalar(v, what)) for v in coeffs]}
         raise ConfigError(f"{what} spec needs exactly 'monomial' or 'coeffs', got {sorted(keys)}")
     raise ConfigError(f"{what} spec must be an object, got {type(spec).__name__}")
-
-
-def _build_weight(norm_spec: dict, what: str):
-    if what == "beta":
-        if "preset" in norm_spec:
-            return make_beta(norm_spec["preset"])
-        if "power" in norm_spec:
-            return make_beta(_parse_scalar(norm_spec["power"], "beta power"))
-        return make_beta([_parse_scalar(v, "beta") for v in norm_spec["values"]])
-    if "preset" in norm_spec:
-        ratio = norm_spec.get("ratio")
-        if ratio is not None:
-            ratio = _parse_scalar(ratio, "delta ratio")
-        return make_delta(norm_spec["preset"], ratio=ratio)
-    return make_delta([_parse_scalar(v, "delta") for v in norm_spec["values"]])
 
 
 def _build_series(norm_spec: Optional[dict], default_unity: bool = False
@@ -257,10 +259,12 @@ def parse_config(source) -> Config:
     if theorem is not None and theorem not in CRITERION_CODES:
         raise ConfigError(f"unknown theorem code {theorem!r}; expected one of {CRITERION_CODES}")
 
+    beta_spec, build_beta = _normalize_weight_spec(raw.get("beta"), "beta")
+    delta_spec, build_delta = _normalize_weight_spec(raw.get("delta"), "delta")
     normalized = {
         "p": _render_scalar(p),
-        "beta": _normalize_weight_spec(raw.get("beta"), "beta"),
-        "delta": _normalize_weight_spec(raw.get("delta"), "delta"),
+        "beta": beta_spec,
+        "delta": delta_spec,
         "u": _normalize_series_spec(raw.get("u"), "u"),
         "phi": _normalize_series_spec(raw.get("phi"), "phi"),
         "f": _normalize_series_spec(raw.get("f"), "f"),
@@ -281,8 +285,8 @@ def parse_config(source) -> Config:
     }
 
     try:
-        beta = _build_weight(normalized["beta"], "beta")
-        delta = _build_weight(normalized["delta"], "delta")
+        beta = build_beta()
+        delta = build_delta()
         u = _build_series(normalized["u"], default_unity=True)
         phi = _build_symbol(normalized["phi"])
         space = SpaceConfig(p=p, truncation_degree=degree,

@@ -21,12 +21,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .combinatorics import PowerTable, stride_offsets
 from .operators import BoundCertificate, _guard, _tail_stats
-from .series import PolynomialSymbol, TruncatedSeries, _float_pnorm, _safe_float, norm
+from .series import PolynomialSymbol, TruncatedSeries, _float_pnorm, norm
 from .weights import (
     DeltaSequence,
     SpaceConfig,
     ValidationError,
     WeightSequence,
+    _safe_float,
 )
 
 __all__ = [
@@ -96,7 +97,9 @@ def _gt(a, b) -> bool:
 
 def _pow(x, e):
     """x**e for nonnegative x; exact when x is rational and e a whole number."""
-    if isinstance(e, int) and e >= 0 and isinstance(x, Rational):
+    t = type(x)
+    if t is not float and isinstance(e, int) and e >= 0 and (
+            t is int or t is Fraction or isinstance(x, Rational)):
         return x ** e
     xf = _safe_float(x)
     ef = float(e)
@@ -113,23 +116,38 @@ def _pow(x, e):
 def _ratio(nums: Sequence, dens: Sequence):
     """Product ratio of positive factors; exact when every factor is rational.
 
-    Rational factors are collapsed exactly first, so huge or tiny exact
-    weights (factorials and their reciprocals) cancel before any float is
-    touched; only genuinely non-rational factors go through float products.
+    Rational factors are collapsed into one integer numerator and one
+    integer denominator, so huge or tiny exact weights (factorials and their
+    reciprocals) cancel before any float is touched; only genuinely
+    non-rational factors go through float products.  Integer true division
+    is correctly rounded, so the result has the bits of ``float(Fraction)``.
     """
-    exact = Fraction(1)
+    en = ed = 1
     num, den = 1.0, 1.0
     for v in nums:
-        if isinstance(v, Rational):
-            exact *= Fraction(v)
+        t = type(v)
+        if t is float:
+            num *= v
+        elif t is int:
+            en *= v
+        elif t is Fraction or isinstance(v, Rational):
+            en *= v.numerator
+            ed *= v.denominator
         else:
             num *= _safe_float(v)
     for v in dens:
-        if isinstance(v, Rational):
-            exact /= Fraction(v)
+        t = type(v)
+        if t is float:
+            den *= v
+        elif t is int:
+            ed *= v
+        elif t is Fraction or isinstance(v, Rational):
+            en *= v.denominator
+            ed *= v.numerator
         else:
             den *= _safe_float(v)
     if num == 1.0 and den == 1.0:
+        exact = Fraction(en, ed)
         return int(exact) if exact.denominator == 1 else exact
     if den == 0.0 or (math.isinf(num) and math.isinf(den)):
         raise ValidationError(
@@ -137,11 +155,27 @@ def _ratio(nums: Sequence, dens: Sequence):
         )
     scale = num / den
     if math.isinf(scale):
-        return math.inf if exact > 0 else 0.0
+        return math.inf if en > 0 else 0.0
     try:
-        return float(exact) * scale
+        return en / ed * scale
     except OverflowError:
         return math.inf
+
+
+class _ReadOnce(dict):
+    """``reads[i]`` is ``read(i)``, called only the first time a scan needs
+    index ``i``: weights are read once per scan, in the order the scan first
+    reaches them, while the scan revisits indices out of order."""
+
+    __slots__ = ("_read",)
+
+    def __init__(self, read: Callable):
+        super().__init__()
+        self._read = read
+
+    def __missing__(self, i):
+        v = self[i] = self._read(i)
+        return v
 
 
 def _exponent(a, b=1):
@@ -157,7 +191,7 @@ def _exact_or_fsum(values: list):
     """The exact sum when every value is rational, else their float fsum."""
     if all(isinstance(v, Rational) for v in values):
         return sum(values, 0)
-    return math.fsum(_safe_float(v) for v in values)
+    return math.fsum(map(_safe_float, values))
 
 
 def _q_aggregate(terms: list, qe):
@@ -257,17 +291,20 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
     ``d(n) w(n) / (d(k) d(n-k) w(k) w((n-k)/stride))``, ``stride | n-k``."""
     beta, delta, space = req.beta, req.delta, req.space
     qe = None if space.sup_mode else _exponent(space.q)
-    rows = (
-        _q_aggregate([
-            _ratio([delta.value(n), beta.value(n)],
-                   [delta.value(k), delta.value(n - k), beta.value(k),
-                    beta.value((n - k) // stride)])
-            for k in stride_offsets(n, stride)
-        ], qe)
-        for n in range(space.truncation_degree + 1)
-    )
+
+    def rows():
+        # Row n reads no index above n, so each weight is read once, in order.
+        d, w = [], []
+        for n in range(space.truncation_degree + 1):
+            d.append(delta.value(n))
+            w.append(beta.value(n))
+            yield _q_aggregate([
+                _ratio([d[n], w[n]], [d[k], d[n - k], w[k], w[(n - k) // stride]])
+                for k in stride_offsets(n, stride)
+            ], qe)
+
     return _certify(
-        rows, kind="upper", space=space, cap=req.cap,
+        rows(), kind="upper", space=space, cap=req.cap,
         outer_exponent=1 if space.sup_mode else _exponent(1, space.q),
         scale=scale, notes=(note,),
     )
@@ -396,14 +433,15 @@ def composition_bounds_polynomial(req: CriterionRequest
     table = _build_table(phi, degree_bound=N, max_power=max(req.power_limit, N))
     # At p = 1 only an int p keeps the rows exact; a Fraction p is taken as float.
     e = (p if isinstance(p, int) else float(p)) if space.sup_mode else _exponent(p, space.q)
+    w, wf = _ReadOnce(beta.value), _ReadOnce(beta.as_float)
     upper_cert = _power_sum_upper(
         req, table, 0,
-        term=lambda n, L, th: _ratio([abs(th), beta.value(n)], [beta.value(L)]),
+        term=lambda n, L, th: _ratio([abs(th), w[n]], [w[L]]),
         row=lambda n, j, agg: _pow(agg, e),
         note="power-coefficient sum bound",
     )
     lower_cert = _column_lower(
-        req, lambda n: ((th, beta.as_float(j)) for j, th in table.row_nonzeros(n)),
+        req, lambda n: ((th, wf[j]) for j, th in table.row_nonzeros(n)),
         "monomial image ratios, rows truncated at the scan degree",
     )
     return upper_cert, lower_cert
@@ -431,10 +469,11 @@ def substitution_bounds_monomial_symbol(req: CriterionRequest
     upper_cert = _kernel_sup(
         req, m, unorm, "stride-offset kernel supremum times the multiplier norm")
 
+    d, w = _ReadOnce(delta.value), _ReadOnce(beta.value)
+
     def column(l):
         base = m * l
-        return ((_ratio([delta.value(base + k), beta.value(base + k), abs(c)],
-                        [delta.value(base), delta.value(k)]), 1.0)
+        return ((_ratio([d[base + k], w[base + k], abs(c)], [d[base], d[k]]), 1.0)
                 for k, c in enumerate(u.coeffs[:max(N - base + 1, 0)]) if c != 0)
 
     lower_cert = _column_lower(
@@ -469,18 +508,19 @@ def substitution_bounds_monomial_multiplier(req: CriterionRequest
     pe = _exponent(p)
     e = pe if space.sup_mode else _exponent(p, space.q)
 
+    d, w = _ReadOnce(delta.value), _ReadOnce(beta.value)
+
     def row(n, j, agg):
-        kern = _ratio([delta.value(n), beta.value(n)], [delta.value(shift), delta.value(j)])
+        kern = _ratio([d[n], w[n]], [d[shift], d[j]])
         return _pow(kern, pe) * _pow(agg, e) if agg != 0 else 0
 
     upper_cert = _power_sum_upper(
         req, table, shift,
-        term=lambda n, L, th: _ratio([abs(th)], [beta.value(L)]), row=row,
+        term=lambda n, L, th: _ratio([abs(th)], [w[L]]), row=row,
         note="shifted power-coefficient sum bound",
     )
     lower_cert = _column_lower(
-        req, lambda l: ((_ratio([delta.value(j + shift), beta.value(j + shift), abs(th)],
-                                [delta.value(shift), delta.value(j)]), 1.0)
+        req, lambda l: ((_ratio([d[j + shift], w[j + shift], abs(th)], [d[shift], d[j]]), 1.0)
                         for j, th in table.row_nonzeros(l)),
         "shifted monomial-image ratios",
     )

@@ -30,9 +30,8 @@ from .series import (
     PolynomialSymbol,
     TruncatedSeries,
     _float_pnorm,
-    _safe_float,
 )
-from .weights import DeltaSequence, ValidationError, WeightSequence
+from .weights import DeltaSequence, ValidationError, WeightSequence, _safe_float
 
 __all__ = [
     "BoundCertificate",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .weights import DeltaSequence, ValidationError, WeightSequence
+from .weights import DeltaSequence, ValidationError, WeightSequence, _safe_float
 
 __all__ = [
     "EXACT",
@@ -225,14 +225,6 @@ class PolynomialSymbol:
 
     def as_series(self, degree_bound: Optional[int] = None) -> TruncatedSeries:
         return TruncatedSeries.from_coeffs(self.alphas, degree_bound)
-
-
-def _safe_float(value) -> float:
-    """``float(value)``, with an exact value beyond float range as ``inf``."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
 
 
 def _float_pnorm(pairs: Iterable[tuple], pf: float) -> float:

@@ -41,6 +41,14 @@ class ValidationError(ValueError):
     """A weight, exponent, or truncation parameter violates its constraints."""
 
 
+def _safe_float(value) -> float:
+    """``float(value)``, with an exact value beyond float range as ``inf``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _check_positive(value: Scalar, n: int, what: str) -> Scalar:
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{what}({n}) is not finite")
@@ -101,10 +109,7 @@ class _LazySequence:
 
     def as_float(self, n: int) -> float:
         """Float view of value(n); huge exact values overflow to inf."""
-        try:
-            return float(self.value(n))
-        except OverflowError:
-            return math.inf
+        return _safe_float(self.value(n))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.label!r})"
@@ -161,10 +166,7 @@ class DeltaSequence(_LazySequence):
         return out
 
     def kernel_float(self, n: int, k: int) -> float:
-        try:
-            return float(self.kernel(n, k))
-        except OverflowError:
-            return math.inf
+        return _safe_float(self.kernel(n, k))
 
 
 def _explicit_fn(values: tuple, what: str) -> Callable[[int], Scalar]:

@@ -2,7 +2,7 @@
 
 Everything here is written directly from the defining formulas with plain
 loops and exact rational arithmetic, deliberately sharing no code with the
-package under test.
+package under test (``ratio_reference`` borrows only its error type).
 """
 
 from __future__ import annotations
@@ -10,6 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from numbers import Rational
+
+from fpsop.weights import ValidationError
 
 
 def conv_reference(a, b, n_max):
@@ -122,3 +125,41 @@ def rand_symbol_coeffs(rng, max_deg, num_max=8, den_max=8):
     while top == 0:
         top = rand_rational(rng, num_max, den_max)
     return coeffs + [top]
+
+
+def _safe_float_reference(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def ratio_reference(nums, dens):
+    """The weight-ratio product as ``criteria._ratio`` computed it through
+    ``Fraction`` factors: kept verbatim, it is the bit-for-bit reference for
+    the integer-collapsing version."""
+    exact = Fraction(1)
+    num, den = 1.0, 1.0
+    for v in nums:
+        if isinstance(v, Rational):
+            exact *= Fraction(v)
+        else:
+            num *= _safe_float_reference(v)
+    for v in dens:
+        if isinstance(v, Rational):
+            exact /= Fraction(v)
+        else:
+            den *= _safe_float_reference(v)
+    if num == 1.0 and den == 1.0:
+        return int(exact) if exact.denominator == 1 else exact
+    if den == 0.0 or (math.isinf(num) and math.isinf(den)):
+        raise ValidationError(
+            "ratio of weights is numerically indeterminate; use exact weight lists"
+        )
+    scale = num / den
+    if math.isinf(scale):
+        return math.inf if exact > 0 else 0.0
+    try:
+        return float(exact) * scale
+    except OverflowError:
+        return math.inf

@@ -313,6 +313,52 @@ class TestSizeGuard:
                             label="power table")
 
 
+class TestExplicitWeightLists:
+    """Explicit weight lists: parsed once, and a list too short for a scan
+    exits 2 naming the first index out of range."""
+
+    @pytest.mark.parametrize("code, config, message", [
+        ("cor24", '{"beta": {"values": ["1", "1/2", "1/4"]}, "truncation": {"degree": 12}}',
+         "explicit beta list has 3 entries; index 3 is out of range"),
+        ("thm23", '{"beta": {"values": ["1", "1/2", "1/4", "1/8"]},'
+                  ' "delta": {"values": [1, 1, 1]}, "phi": {"monomial": 2},'
+                  ' "truncation": {"degree": 12}}',
+         "explicit delta list has 3 entries; index 3 is out of range"),
+        ("thm22", '{"beta": {"values": ["1", "1/2", "1/4"]},'
+                  ' "phi": {"coeffs": ["1/4", "1/4"]}, "truncation": {"degree": 12}}',
+         "explicit beta list has 3 entries; index 3 is out of range"),
+        ("thm25", '{"beta": {"values": ["1", "1/2", "1/4"]}, "u": {"monomial": 1},'
+                  ' "phi": {"coeffs": [0, "1/2", "1/2"]}, "truncation": {"degree": 12}}',
+         "explicit beta list has 3 entries; index 3 is out of range"),
+        ("thm25", '{"beta": {"values": ["1", "1/2", "1/4", "1/8"]},'
+                  ' "delta": {"values": [1, 1, 1]}, "u": {"monomial": 1},'
+                  ' "phi": {"coeffs": [0, "1/2", "1/2"]}, "truncation": {"degree": 12}}',
+         "explicit delta list has 3 entries; index 3 is out of range"),
+    ])
+    def test_short_list_exits_two(self, capsys, code, config, message):
+        assert main(["bound", "--theorem", code, "--quiet", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fpsop: error: {message}\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ('"beta": {"values": [1, Infinity]}', "beta entries must be finite, got inf"),
+        ('"delta": {"values": [1, -Infinity]}', "delta entries must be finite, got -inf"),
+    ])
+    def test_non_finite_entry_exits_two(self, capsys, spec, message):
+        config = '{%s, "phi": {"coeffs": ["1/4", "1/4"]}, "truncation": {"degree": 12}}' % spec
+        assert main(["bound", "--theorem", "thm22", "--quiet", "--config", config]) == 2
+        assert capsys.readouterr().err == f"fpsop: error: {message}\n"
+
+    def test_entries_built_as_their_echo_reads(self):
+        cfg = parse_config('{"beta": {"values": ["1", "4/2", "1/3", 0.5, 3]},'
+                           ' "truncation": {"degree": 4, "tail_window": 1}}')
+        assert cfg.normalized["beta"] == {"values": [1, 2, "1/3", 0.5, 3]}
+        built = [cfg.beta.value(n) for n in range(5)]
+        assert built == [1, 2, Fraction(1, 3), Fraction(1, 2), 3]
+        assert [type(v) for v in built] == [int, int, Fraction, Fraction, int]
+
+
 _IMPORT_GUARD = textwrap.dedent("""
     import contextlib, io, sys
     import fpsop, fpsop.cli

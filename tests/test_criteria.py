@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fpsop.criteria import (
     CriterionRequest,
+    _ratio,
     composition_bounds_polynomial,
     composition_norm_monomial,
     multiplier_algebra_bound,
@@ -18,7 +19,7 @@ from fpsop.criteria import (
 from fpsop.series import PolynomialSymbol, TruncatedSeries
 from fpsop.weights import SpaceConfig, ValidationError, make_beta, make_delta
 
-from oracles import rand_symbol_coeffs
+from oracles import rand_symbol_coeffs, ratio_reference
 
 ones = make_delta("ones")
 hardy = make_beta("hardy")
@@ -303,3 +304,66 @@ class TestConflictingSymbolKeys:
         req = request(hardy, ones, phi=PolynomialSymbol.monomial(2), stride=2,
                       u=TruncatedSeries((0, 1)), shift=1)
         assert substitution_bounds_monomial_pair(req)[0].value == 1.0
+
+
+def _outcome(fn, nums, dens):
+    """``("value", type, bits)`` of a ratio, or ``("error", type, text)``."""
+    try:
+        v = fn(nums, dens)
+    except (ValidationError, ArithmeticError) as exc:
+        return "error", type(exc), str(exc)
+    return "value", type(v), v.hex() if isinstance(v, float) else v
+
+
+_HUGE_INTS = [math.factorial(k) for k in (20, 170, 171, 400)] + [10 ** 400]
+
+_RATIO_FACTORS = st.one_of(
+    st.integers(1, 60),
+    st.sampled_from(_HUGE_INTS),
+    st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
+    st.builds(lambda n, d: Fraction(n, d), st.sampled_from(_HUGE_INTS),
+              st.sampled_from(_HUGE_INTS + [1, 3, 7])),
+    st.builds(lambda n, d: Fraction(n, d), st.integers(1, 9), st.sampled_from(_HUGE_INTS)),
+    st.floats(min_value=5e-324, max_value=1.7e308),
+    st.sampled_from([1.0, 0.5, 2.0 ** -1074, 1e-300, 1e300, math.inf]),
+)
+
+
+class TestRatioMatchesFractionReference:
+    """``_ratio`` collapses rational factors into two integers; the result
+    must keep the type and bits of the reference that multiplied
+    ``Fraction`` factors, or raise the same error."""
+
+    @pytest.mark.parametrize("nums, dens, expected", [
+        # both float products are 1.0: the exact rational is returned
+        ([Fraction(1, 3), 1.0], [2], Fraction(1, 6)),
+        ([6, 1.0], [Fraction(3, 1), 1.0], 2),
+        ([math.factorial(400)], [math.factorial(399)], 400),
+        # overflow to inf: the rational part or the float scale
+        ([math.factorial(400), 0.5], [1], math.inf),
+        ([1e300, 1e300], [3], math.inf),
+        ([math.inf], [Fraction(1, 2)], math.inf),
+        # underflow to 0.0
+        ([Fraction(1, math.factorial(400)), 0.5], [1], 0.0),
+        ([1e-300, Fraction(1, 7)], [1e300], 0.0),
+        ([Fraction(1, 3), 0.5], [math.inf], 0.0),
+    ])
+    def test_edge_values(self, nums, dens, expected):
+        got = _ratio(nums, dens)
+        assert _outcome(_ratio, nums, dens) == _outcome(ratio_reference, nums, dens)
+        assert type(got) is type(expected) and got == expected
+
+    @pytest.mark.parametrize("nums, dens", [
+        ([1], [2.0 ** -1074, 2.0 ** -1074]),
+        ([math.inf, 2], [math.inf]),
+        ([Fraction(1, 3)], [0.0]),
+    ])
+    def test_numerically_indeterminate(self, nums, dens):
+        with pytest.raises(ValidationError, match="numerically indeterminate"):
+            _ratio(nums, dens)
+        assert _outcome(_ratio, nums, dens) == _outcome(ratio_reference, nums, dens)
+
+    @given(st.lists(_RATIO_FACTORS, max_size=5), st.lists(_RATIO_FACTORS, max_size=5))
+    @settings(max_examples=500, deadline=None)
+    def test_random_factor_mixes(self, nums, dens):
+        assert _outcome(_ratio, nums, dens) == _outcome(ratio_reference, nums, dens)
