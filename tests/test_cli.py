@@ -341,6 +341,22 @@ class TestExplicitWeightLists:
         assert captured.out == ""
         assert captured.err == f"fpsop: error: {message}\n"
 
+    @pytest.mark.parametrize("config, message", [
+        ('{"delta": {"values": [1, 1, 1]}, "f": {"coeffs": [1, 1]},'
+         ' "g": {"coeffs": [0, 1, 1]}, "truncation": {"degree": 6, "tail_window": 1}}',
+         "explicit delta list has 3 entries; index 3 is out of range"),
+        # Degrees 4 and 5 carry no term of the product, so the first index
+        # read beyond the list is 6.
+        ('{"delta": {"values": [1, 1, 1, 1, 1]}, "f": {"coeffs": [1, 0, 0, 0, 1]},'
+         ' "g": {"coeffs": [0, 0, 1]}, "truncation": {"degree": 6, "tail_window": 1}}',
+         "explicit delta list has 5 entries; index 6 is out of range"),
+    ])
+    def test_short_delta_list_in_a_product_exits_two(self, capsys, config, message):
+        assert main(["product", "--quiet", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fpsop: error: {message}\n"
+
     @pytest.mark.parametrize("spec, message", [
         ('"beta": {"values": [1, Infinity]}', "beta entries must be finite, got inf"),
         ('"delta": {"values": [1, -Infinity]}', "delta entries must be finite, got -inf"),
