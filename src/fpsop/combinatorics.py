@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .series import PolynomialSymbol, TruncatedSeries, cauchy_product
+from .series import PolynomialSymbol, _exact, _float_convolve, _int_convolve, _scaled
 from .weights import ValidationError
 
 __all__ = [
@@ -116,7 +116,9 @@ class PowerTable:
 
     - ``"direct"``: unit-monomial symbols only; entries come from arithmetic
       on the degree, no storage.
-    - ``"powers"``: iterated truncated convolution, one row from the last.
+    - ``"powers"``: iterated truncated convolution, one row from the last;
+      exact rows are kept as integer numerators over a power of the common
+      denominator of ``phi``.
     - ``"enumerate"``: every entry via :func:`power_coefficient`; slow, kept
       as an independent route for cross-checks.
     - ``"auto"`` (default): ``"direct"`` when the symbol is a unit monomial,
@@ -148,15 +150,22 @@ class PowerTable:
             self._rows = self._build_enumerate()
 
     def _build_powers(self) -> list[tuple]:
-        one = TruncatedSeries.unity(0)
+        n = self.degree_bound
         if self.phi.mode == "float":
-            one = one.to_float()
-        base = self.phi.as_series()
-        rows = [one.truncate(self.degree_bound).coeffs]
-        current = one
+            row = (1.0,) + (0.0,) * n
+            rows = [row]
+            for _ in range(self.max_power):
+                row = tuple(_float_convolve(row, self.phi.alphas, n))
+                rows.append(row)
+            return rows
+        # Row L is (D*phi)**L in integers over D**L, D the LCM of phi's denominators.
+        base, lcm = _scaled(self.phi.alphas)
+        nums, den = [1] + [0] * n, 1
+        rows = [tuple(nums)]
         for _ in range(self.max_power):
-            current = cauchy_product(current, base, self.degree_bound)
-            rows.append(current.coeffs)
+            nums = _int_convolve(nums, base, n)
+            den *= lcm
+            rows.append(tuple(_exact(x, den) for x in nums))
         return rows
 
     def _build_enumerate(self) -> list[tuple]:

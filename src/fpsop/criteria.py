@@ -21,7 +21,15 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .combinatorics import PowerTable, stride_offsets
 from .operators import BoundCertificate, _guard, _tail_stats
-from .series import PolynomialSymbol, TruncatedSeries, _float_pnorm, norm
+from .series import (
+    PolynomialSymbol,
+    TruncatedSeries,
+    _exact,
+    _float_pnorm,
+    _nonneg_fsum,
+    _scaled,
+    norm,
+)
 from .weights import (
     DeltaSequence,
     SpaceConfig,
@@ -188,10 +196,12 @@ def _exponent(a, b=1):
 
 
 def _exact_or_fsum(values: list):
-    """The exact sum when every value is rational, else their float fsum."""
+    """The sum of nonnegative values: exact, over one common denominator, when
+    every value is rational, else their float fsum (``inf`` beyond float range)."""
     if all(isinstance(v, Rational) for v in values):
-        return sum(values, 0)
-    return math.fsum(map(_safe_float, values))
+        nums, den = _scaled(values)
+        return _exact(sum(nums), den)
+    return _nonneg_fsum(map(_safe_float, values))
 
 
 def _q_aggregate(terms: list, qe):
@@ -512,7 +522,12 @@ def substitution_bounds_monomial_multiplier(req: CriterionRequest
 
     def row(n, j, agg):
         kern = _ratio([d[n], w[n]], [d[shift], d[j]])
-        return _pow(kern, pe) * _pow(agg, e) if agg != 0 else 0
+        if agg == 0:
+            return 0
+        try:
+            return _pow(kern, pe) * _pow(agg, e)
+        except OverflowError:  # an exact kernel power beyond float range times a float
+            return math.inf
 
     upper_cert = _power_sum_upper(
         req, table, shift,

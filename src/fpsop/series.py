@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from numbers import Rational
+from typing import Iterable, Optional, Sequence, Union
 
 from .weights import DeltaSequence, ValidationError, WeightSequence, _safe_float
 
@@ -227,6 +228,15 @@ class PolynomialSymbol:
         return TruncatedSeries.from_coeffs(self.alphas, degree_bound)
 
 
+def _nonneg_fsum(values: Iterable[float]) -> float:
+    """``math.fsum`` of nonnegative floats; a sum beyond float range is ``inf``
+    (``fsum`` raises on such an intermediate overflow)."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def _float_pnorm(pairs: Iterable[tuple], pf: float) -> float:
     """``(sum |c * w|^p)^(1/p)`` in floats over ``(coefficient, float weight)``
     pairs; a coefficient, term or sum beyond float range makes it ``inf``."""
@@ -237,7 +247,7 @@ def _float_pnorm(pairs: Iterable[tuple], pf: float) -> float:
             powers.append(x ** pf)
         except OverflowError:
             powers.append(math.inf)
-    total = math.fsum(powers)
+    total = _nonneg_fsum(powers)
     return math.inf if math.isinf(total) else total ** (1.0 / pf)
 
 
@@ -254,22 +264,62 @@ def norm(f: TruncatedSeries, beta: WeightSequence, p) -> float:
         ((c, beta.as_float(n)) for n, c in enumerate(f.coeffs) if c != 0), pf)
 
 
+def _scaled(values: Sequence) -> tuple[list[int], int]:
+    """Exact ``values`` as integer numerators over the LCM of their denominators."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _exact(num: int, den: int):
+    """``num / den``: an int when ``den`` is 1 or ``num`` is 0, else a Fraction."""
+    return num if den == 1 or not num else Fraction(num, den)
+
+
+def _int_convolve(a: Sequence[int], b: Sequence[int], degree_bound: int) -> list[int]:
+    """Plain convolution of integer lists, ``degree_bound + 1`` entries long.
+
+    The exact products run on this: their operands are scaled to integer
+    numerators over one common denominator (``_scaled``), so a term costs one
+    integer multiply-add, and each output entry is reduced to a ``Fraction``
+    once, at the end (Knuth, TAOCP vol. 2, 4.5.1, on delaying gcd reductions).
+    """
+    size = max(degree_bound + 1, 0)
+    out = [0] * size
+    if len(a) < len(b):
+        a, b = b, a
+    for j, y in enumerate(b[:size]):
+        if y:
+            seg = a[:size - j]
+            end = j + len(seg)
+            out[j:end] = [o + x * y for o, x in zip(out[j:end], seg)]
+    return out
+
+
+def _float_convolve(a: Sequence[float], b: Sequence[float], degree_bound: int
+                    ) -> list[float]:
+    """Plain convolution of float lists, truncated at ``degree_bound``: each
+    output entry adds its nonzero terms in order of the index into ``a``."""
+    out = []
+    for n in range(degree_bound + 1):
+        lo, hi = max(0, n - len(b) + 1), min(n, len(a) - 1)
+        acc = 0.0
+        for k in range(lo, hi + 1):
+            x, y = a[k], b[n - k]
+            if x and y:
+                acc += x * y
+        out.append(acc)
+    return out
+
+
 def cauchy_product(f: TruncatedSeries, g: TruncatedSeries, degree_bound: int
                    ) -> TruncatedSeries:
     """Plain convolution of two series, truncated at ``degree_bound``."""
-    mode = _require_same_mode(f, g)
-    zero = 0.0 if mode == FLOAT else 0
-    fc, gc = f.coeffs, g.coeffs
-    out = []
-    for n in range(degree_bound + 1):
-        lo, hi = max(0, n - len(gc) + 1), min(n, len(fc) - 1)
-        acc = zero
-        for k in range(lo, hi + 1):
-            a, b = fc[k], gc[n - k]
-            if a and b:
-                acc += a * b
-        out.append(acc)
-    return TruncatedSeries(tuple(out))
+    if _require_same_mode(f, g) == FLOAT:
+        return TruncatedSeries(tuple(_float_convolve(f.coeffs, g.coeffs, degree_bound)))
+    fn, fd = _scaled(f.coeffs[:degree_bound + 1])
+    gn, gd = _scaled(g.coeffs[:degree_bound + 1])
+    den = fd * gd
+    return TruncatedSeries(tuple(_exact(x, den) for x in _int_convolve(fn, gn, degree_bound)))
 
 
 def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence,
@@ -279,20 +329,19 @@ def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence
     With all-ones convolution weights this is the plain Cauchy product.  The
     operation is commutative, associative, and bilinear, with the constant
     series one as its unity; in exact mode those identities hold exactly.
+
+    Exact mode computes ``d · ((f/d) * (g/d))``: one integer convolution of
+    the operands divided by ``d``, each output degree ``n`` then multiplied by
+    ``d(n)``.  ``d(n)`` is read for the degrees that carry a nonzero term, in
+    ascending order, before the ``d(k)`` of the operands, so a short explicit
+    list fails at the first such degree beyond it.  A ``d`` value that is not
+    rational (only a custom ``DeltaSequence`` yields one) makes the product a
+    float product of the operands converted to float.
     """
     mode = _require_same_mode(f, g)
     fc, gc = f.coeffs, g.coeffs
-    out = []
-    if mode == EXACT:
-        for n in range(degree_bound + 1):
-            lo, hi = max(0, n - len(gc) + 1), min(n, len(fc) - 1)
-            acc = 0
-            for k in range(lo, hi + 1):
-                a, b = fc[k], gc[n - k]
-                if a and b:
-                    acc += delta.kernel(n, k) * a * b
-            out.append(acc)
-    else:
+    if mode == FLOAT:
+        out = []
         for n in range(degree_bound + 1):
             lo, hi = max(0, n - len(gc) + 1), min(n, len(fc) - 1)
             terms = []
@@ -301,37 +350,78 @@ def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence
                 if a and b:
                     terms.append(delta.kernel_float(n, k) * a * b)
             out.append(math.fsum(terms) if terms else 0.0)
-    return TruncatedSeries(tuple(out))
+        return TruncatedSeries(tuple(out))
+    size = degree_bound + 1
+    fs = [k for k, a in enumerate(fc[:size]) if a]
+    gs = [j for j, b in enumerate(gc[:size]) if b]
+    live, fmask = 0, sum(1 << k for k in fs)
+    for j in gs:
+        live |= fmask << j
+    d = {n: delta.value(n) for n in range(size) if live >> n & 1}
+    # Only operand degrees that reach an output degree <= degree_bound.
+    fs = [k for k in fs if k + gs[0] < size] if gs else []
+    gs = [j for j in gs if j + fs[0] < size] if fs else []
+    for i in fs + gs:
+        if i not in d:
+            d[i] = delta.value(i)
+    if not all(isinstance(v, Rational) for v in d.values()):
+        return diamond_product(f.to_float(), g.to_float(), delta, degree_bound)
+    a, b = [0] * size, [0] * size
+    for k in fs:
+        a[k] = Fraction(fc[k]) / d[k]
+    for j in gs:
+        b[j] = Fraction(gc[j]) / d[j]
+    an, ad = _scaled(a)
+    bn, bd = _scaled(b)
+    den = ad * bd
+    return TruncatedSeries(tuple(
+        _exact(d[n].numerator * c, d[n].denominator * den) if c else 0
+        for n, c in enumerate(_int_convolve(an, bn, degree_bound))))
 
 
 def compose(f: TruncatedSeries, phi: PolynomialSymbol, degree_bound: int
             ) -> TruncatedSeries:
     """Substitute the polynomial ``phi`` into ``f``, truncating the result.
 
-    Computed by accumulating running powers of ``phi``; linear in ``f``.  The
-    result is float whenever either operand is float.
+    Linear in ``f``.  The result is float whenever either operand is float;
+    floats accumulate running powers of ``phi``, while exact operands are
+    evaluated by Horner's rule in integers scaled by the denominators of
+    ``f`` and ``phi``.
     """
-    float_mode = f.mode == FLOAT or phi.mode == FLOAT
-    zero = 0.0 if float_mode else 0
-    base = phi.as_series()
-    power = TruncatedSeries.unity(0)
-    if float_mode:
-        base, power = base.to_float(), power.to_float()
-    fc = f.as_floats() if float_mode else f.coeffs
-    acc = [zero] * (degree_bound + 1)
-    acc[0] = fc[0]
     min_deg = phi.min_degree()
-    for exp in range(1, len(fc)):
-        if min_deg is None or min_deg * exp > degree_bound:
-            break
-        power = cauchy_product(power, base, min(power.degree_bound + phi.degree, degree_bound))
-        c = fc[exp]
-        if not c:
-            continue
-        for n, x in enumerate(power.coeffs):
-            if x:
-                acc[n] += c * x
-    return TruncatedSeries(tuple(acc))
+    if min_deg is None:
+        top = 0
+    elif min_deg == 0:
+        top = len(f.coeffs) - 1
+    else:
+        top = min(len(f.coeffs) - 1, degree_bound // min_deg)
+    if f.mode == FLOAT or phi.mode == FLOAT:
+        base, fc = tuple(float(a) for a in phi.alphas), f.as_floats()
+        acc = [0.0] * (degree_bound + 1)
+        acc[0] = fc[0]
+        power: Sequence[float] = (1.0,)
+        for exp in range(1, top + 1):
+            power = _float_convolve(power, base, min(len(power) - 1 + phi.degree,
+                                                     degree_bound))
+            c = fc[exp]
+            if not c:
+                continue
+            for n, x in enumerate(power):
+                if x:
+                    acc[n] += c * x
+        return TruncatedSeries(tuple(acc))
+    fc = f.coeffs
+    while top and not fc[top]:
+        top -= 1
+    fn, fd = _scaled(fc[:top + 1])
+    pn, pd = _scaled(phi.alphas)
+    acc, scale = [fn[top]] + [0] * degree_bound, 1
+    for exp in range(top - 1, -1, -1):
+        acc = _int_convolve(acc, pn, degree_bound)
+        scale *= pd
+        acc[0] += fn[exp] * scale
+    den = fd * scale
+    return TruncatedSeries(tuple(_exact(x, den) for x in acc))
 
 
 def diamond_substitute(u: TruncatedSeries, f: TruncatedSeries, phi: PolynomialSymbol,

@@ -201,9 +201,15 @@ def make_beta(spec, max_cached: int = 4096) -> WeightSequence:
         exponent = float(spec)
         if not math.isfinite(exponent):
             raise ValidationError("power-law exponent must be finite")
-        return WeightSequence(
-            lambda n: (n + 1) ** exponent, label=f"power({exponent:g})", max_cached=max_cached
-        )
+
+        def power(n: int) -> float:
+            try:
+                return (n + 1) ** exponent
+            except OverflowError:
+                raise ValidationError(
+                    f"beta({n}) = {n + 1}**{exponent:g} is beyond float range") from None
+
+        return WeightSequence(power, label=f"power({exponent:g})", max_cached=max_cached)
     if isinstance(spec, (list, tuple)):
         if not spec:
             raise ValidationError("explicit beta list needs at least one entry")

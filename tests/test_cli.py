@@ -285,6 +285,31 @@ class TestBeyondFloatRange:
         assert named["substitution-stride-upper"]["converged"] is False
 
 
+    def test_norm_of_a_sum_beyond_float_range_is_inf(self, capsys):
+        code, out = run_main(capsys, "norm", "--quiet", "--config",
+                             '{"p": 1, "f": {"coeffs": [1e308, 1e308]}}')
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == "inf"
+
+    def test_power_law_beta_beyond_float_range_exits_two(self, capsys):
+        code = main(["bound", "--theorem", "cor24", "--quiet", "--config",
+                     '{"beta": {"power": 300}, "truncation": {"degree": 12}}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "fpsop: error: beta(10) = 11**300 is beyond float range\n"
+
+    def test_thm25_exact_kernel_beyond_float_range_gives_inf_upper(self, capsys):
+        code, out = run_main(capsys, "bound", "--theorem", "thm25", "--quiet", "--config",
+                             '{"beta": {"values": [1, 1, "1e200", "1e200", "1e200"]},'
+                             ' "u": {"monomial": 2}, "phi": {"coeffs": [0, 0.5]},'
+                             ' "truncation": {"degree": 4, "tail_window": 1}}')
+        assert code == 0
+        named = {c["name"]: c for c in json.loads(out)["certificates"]}
+        assert named["substitution-shift-upper"]["value"] == "inf"
+        assert named["substitution-shift-upper"]["converged"] is False
+
+
 class TestSizeGuard:
     """A power table or matrix above 10,000,000 entries exits 3 before it is built."""
 

@@ -150,6 +150,34 @@ class TestPowerTable:
             for big_l in range(5):
                 assert list(t_pow.row(big_l)) == list(t_enum.row(big_l))
 
+    @given(st.lists(st.one_of(
+               st.integers(-9, 9),
+               st.fractions(min_value=Fraction(-9), max_value=Fraction(9),
+                            max_denominator=10 ** 12)), min_size=2, max_size=4),
+           st.booleans(), st.integers(0, 8), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_enumeration(self, alphas, vanishing, degree_bound, max_power):
+        # Mixed, large and unit denominators, and phi(0) zero or not.
+        if vanishing:
+            alphas[0] = 0
+        phi = PolynomialSymbol.from_coeffs(alphas)
+        table = PowerTable(phi, degree_bound, max_power, method="powers")
+        for big_l in range(max_power + 1):
+            assert list(table.row(big_l)) == [
+                power_coefficient(phi, n, big_l) for n in range(degree_bound + 1)]
+
+    @given(st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=4),
+           st.integers(0, 10), st.integers(0, 6))
+    @settings(max_examples=40)
+    def test_float_rows_keep_the_bits_of_repeated_products(self, alphas, degree_bound,
+                                                           max_power):
+        phi = PolynomialSymbol.from_coeffs(alphas + [0.5])
+        table = PowerTable(phi, degree_bound, max_power)
+        for big_l in range(max_power + 1):
+            expected = [float(power_coeff_reference(list(phi.alphas), n, big_l))
+                        for n in range(degree_bound + 1)]
+            assert [x.hex() for x in table.row(big_l)] == [x.hex() for x in expected]
+
     def test_bounds_checked(self):
         table = PowerTable(PolynomialSymbol.monomial(1), 4, 4)
         with pytest.raises(ValidationError):

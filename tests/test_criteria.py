@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fpsop.criteria import (
     CriterionRequest,
+    _exact_or_fsum,
     _ratio,
     composition_bounds_polynomial,
     composition_norm_monomial,
@@ -367,3 +368,19 @@ class TestRatioMatchesFractionReference:
     @settings(max_examples=500, deadline=None)
     def test_random_factor_mixes(self, nums, dens):
         assert _outcome(_ratio, nums, dens) == _outcome(ratio_reference, nums, dens)
+
+
+class TestExactOrFsum:
+    """Rational values are summed as integers over one common denominator."""
+
+    @given(st.lists(st.one_of(
+        st.integers(0, 10 ** 30),
+        st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 15),
+        st.builds(Fraction, st.integers(0, 60), st.sampled_from(_HUGE_INTS)),
+    ), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_fraction_sum(self, values):
+        assert _exact_or_fsum(values) == sum(values, 0)
+
+    def test_float_sum_beyond_float_range_is_inf(self):
+        assert _exact_or_fsum([1e308, Fraction(1, 3), 1e308]) == math.inf

@@ -8,9 +8,10 @@ purpose.  The test compares today's text byte for byte, so a refactor that
 changes any printed digit, note or flag fails here.  After a deliberate
 report change, rewrite both data files with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --rewrite
 
-and review its diff.
+and review its diff.  Without ``--rewrite`` the script writes nothing and
+only says how to rewrite, so a stray run cannot replace the pinned reports.
 """
 
 import contextlib
@@ -158,5 +159,8 @@ def write_golden(path, cases):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--rewrite"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --rewrite\n"
+                         "rewrites both golden data files from today's reports")
     write_golden(DATA_PATH, list(shipped_cases()) + list(grid_cases()))
     write_golden(WEIGHT_DATA_PATH, weight_grid_cases())

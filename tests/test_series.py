@@ -16,7 +16,7 @@ from fpsop.series import (
     diamond_substitute,
     norm,
 )
-from fpsop.weights import ValidationError, make_beta, make_delta
+from fpsop.weights import DeltaSequence, ValidationError, make_beta, make_delta
 
 from oracles import (
     compose_reference,
@@ -24,13 +24,46 @@ from oracles import (
     diamond_reference,
     norm_reference,
     rand_coeffs,
-    rand_symbol_coeffs,
     substitute_reference,
 )
 
 rationals = st.fractions(min_value=Fraction(-8), max_value=Fraction(8),
                          max_denominator=8)
 coeff_lists = st.lists(rationals, min_size=1, max_size=12)
+# The exact products scale their operands to integers over the LCM of the
+# denominators: draw small, large and mixed denominators, and int-only lists.
+exact_scalars = st.one_of(
+    rationals,
+    st.integers(-10 ** 20, 10 ** 20),
+    st.fractions(min_value=Fraction(-10 ** 6), max_value=Fraction(10 ** 6),
+                 max_denominator=10 ** 15),
+)
+exact_lists = st.one_of(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+    st.lists(exact_scalars, min_size=1, max_size=12),
+)
+
+
+@st.composite
+def symbol_coeffs(draw):
+    """Coefficients of a symbol of degree 1..3, with ``phi(0)`` zero or not."""
+    alphas = draw(st.lists(exact_scalars, min_size=2, max_size=4))
+    if draw(st.booleans()):
+        alphas[0] = 0
+    if alphas[-1] == 0:
+        alphas[-1] = 1
+    return alphas
+
+
+# Every delta preset, a geometric delta with a rational ratio, and explicit
+# lists long enough for the degrees drawn below.
+deltas = st.one_of(
+    st.sampled_from(["ones", "factorial", "inverse-factorial"]).map(make_delta),
+    st.sampled_from(["3/2", "2/7"]).map(lambda r: make_delta("geometric", ratio=r)),
+    st.lists(st.fractions(min_value=Fraction(1, 50), max_value=Fraction(100),
+                          max_denominator=50), min_size=24, max_size=24)
+    .map(lambda values: make_delta([1] + values)),
+)
 
 
 class TestTruncatedSeries:
@@ -127,13 +160,22 @@ class TestCauchyProduct:
         out = cauchy_product(f, f, 1)
         assert out.coeffs == (1, 2)
 
-    @given(coeff_lists, coeff_lists, st.integers(0, 24))
+    @given(exact_lists, exact_lists, st.integers(0, 24))
     @settings(max_examples=80)
     def test_matches_double_loop(self, a, b, n_max):
         f = TruncatedSeries.from_coeffs(a)
         g = TruncatedSeries.from_coeffs(b)
         out = cauchy_product(f, g, n_max)
         assert list(out.coeffs) == conv_reference(a, b, n_max)
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12),
+           st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12), st.integers(0, 24))
+    @settings(max_examples=60)
+    def test_float_bits_match_double_loop(self, a, b, n_max):
+        out = cauchy_product(TruncatedSeries.from_coeffs(a),
+                             TruncatedSeries.from_coeffs(b), n_max)
+        expected = [float(x) for x in conv_reference(a, b, n_max)]
+        assert [x.hex() for x in out.coeffs] == [x.hex() for x in expected]
 
 
 class TestDiamondProduct:
@@ -158,15 +200,27 @@ class TestDiamondProduct:
         out = diamond_product(f, one, make_delta("inverse-factorial"), 2)
         assert out.coeffs == f.coeffs
 
-    @given(coeff_lists, coeff_lists, st.integers(0, 20))
-    @settings(max_examples=60)
-    def test_matches_double_sum(self, a, b, n_max):
-        delta = make_delta("inverse-factorial")
+    @given(exact_lists, exact_lists, deltas, st.integers(0, 20))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_double_sum(self, a, b, delta, n_max):
         f = TruncatedSeries.from_coeffs(a)
         g = TruncatedSeries.from_coeffs(b)
         out = diamond_product(f, g, delta, n_max)
         dv = [delta.value(n) for n in range(n_max + 1)]
         assert list(out.coeffs) == diamond_reference(a, b, dv, n_max)
+
+    def test_non_rational_delta_gives_the_float_product(self):
+        # Only a custom DeltaSequence yields such a value; the exact operands
+        # are then multiplied in float mode.
+        delta = DeltaSequence(lambda n: 1.5 ** n)
+        a, b = [1, Fraction(1, 3), 2], [Fraction(1, 2), 1]
+        f, g = TruncatedSeries.from_coeffs(a), TruncatedSeries.from_coeffs(b)
+        out = diamond_product(f, g, delta, 4)
+        assert out.mode == "float"
+        assert out.coeffs == diamond_product(f.to_float(), g.to_float(), delta, 4).coeffs
+        dv = [1.5 ** n for n in range(5)]
+        assert list(out.coeffs) == pytest.approx(
+            [float(x) for x in diamond_reference(a, b, dv, 4)], rel=1e-15)
 
     @given(coeff_lists, coeff_lists)
     @settings(max_examples=40)
@@ -194,11 +248,9 @@ class TestCompose:
         out = compose(f, PolynomialSymbol.from_coeffs([1, 1]), 3)
         assert out.coeffs == (1, 3, 3, 1)
 
-    @given(coeff_lists, st.integers(0, 16))
-    @settings(max_examples=50)
-    def test_matches_reference(self, a, n_max):
-        rng = random.Random(sum(hash(c) for c in a) & 0xFFFF)
-        alphas = rand_symbol_coeffs(rng, 3)
+    @given(exact_lists, symbol_coeffs(), st.integers(0, 16))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, a, alphas, n_max):
         f = TruncatedSeries.from_coeffs(a)
         phi = PolynomialSymbol.from_coeffs(alphas)
         out = compose(f, phi, n_max)
@@ -231,12 +283,9 @@ class TestDiamondSubstitute:
         out = diamond_substitute(u, f, phi, delta, 2)
         assert out.coeffs == (0, 0, 2)
 
-    @given(coeff_lists, coeff_lists, st.integers(0, 12))
-    @settings(max_examples=40)
-    def test_matches_reference(self, uc, fc, n_max):
-        rng = random.Random((len(uc) * 31 + len(fc)) & 0xFFFF)
-        alphas = rand_symbol_coeffs(rng, 3)
-        delta = make_delta("inverse-factorial")
+    @given(exact_lists, exact_lists, symbol_coeffs(), deltas, st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, uc, fc, alphas, delta, n_max):
         u = TruncatedSeries.from_coeffs(uc)
         f = TruncatedSeries.from_coeffs(fc)
         phi = PolynomialSymbol.from_coeffs(alphas)
