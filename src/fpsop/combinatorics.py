@@ -156,6 +156,8 @@ class PowerTable:
             rows = [row]
             for _ in range(self.max_power):
                 row = tuple(_float_convolve(row, self.phi.alphas, n))
+                if not all(map(math.isfinite, row)):
+                    raise ValidationError("coefficients must be finite")
                 rows.append(row)
             return rows
         # Row L is (D*phi)**L in integers over D**L, D the LCM of phi's denominators.

@@ -178,6 +178,10 @@ class TestPowerTable:
                         for n in range(degree_bound + 1)]
             assert [x.hex() for x in table.row(big_l)] == [x.hex() for x in expected]
 
+    def test_float_row_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="coefficients must be finite"):
+            PowerTable(PolynomialSymbol.from_coeffs([0.5, 1e200]), 4, 4)
+
     def test_bounds_checked(self):
         table = PowerTable(PolynomialSymbol.monomial(1), 4, 4)
         with pytest.raises(ValidationError):
