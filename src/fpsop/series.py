@@ -399,7 +399,7 @@ def compose(f: TruncatedSeries, phi: PolynomialSymbol, degree_bound: int
         base, fc = tuple(float(a) for a in phi.alphas), f.as_floats()
         acc = [0.0] * (degree_bound + 1)
         acc[0] = fc[0]
-        power: Sequence[float] = (1.0,)
+        power = (1.0,)
         for exp in range(1, top + 1):
             power = _float_convolve(power, base, min(len(power) - 1 + phi.degree,
                                                      degree_bound))
