@@ -284,7 +284,6 @@ class TestBeyondFloatRange:
         assert named["substitution-stride-upper"]["value"] == "inf"
         assert named["substitution-stride-upper"]["converged"] is False
 
-
     def test_norm_of_a_sum_beyond_float_range_is_inf(self, capsys):
         code, out = run_main(capsys, "norm", "--quiet", "--config",
                              '{"p": 1, "f": {"coeffs": [1e308, 1e308]}}')
