@@ -34,6 +34,8 @@ Scalar = Union[int, Fraction, float]
 BETA_PRESETS = ("hardy", "bergman", "dirichlet")
 DELTA_PRESETS = ("ones", "factorial", "inverse-factorial", "geometric")
 
+_KERNEL_CACHE_LIMIT = 2048
+
 
 class ValidationError(ValueError):
     """A weight, exponent, or truncation parameter violates its constraints."""
@@ -139,17 +141,29 @@ class DeltaSequence(_LazySequence):
         first = self.value(0)
         if first != 1:
             raise ValidationError(f"delta(0) must equal 1, got {first!r}")
+        self._kernel_cache: dict[tuple[int, int], Scalar] = {}
 
     def kernel(self, n: int, k: int) -> Scalar:
         """The factor ``d(n) / (d(k) d(n-k))`` for the k-th convolution term."""
         if not 0 <= k <= n:
             raise ValidationError(f"kernel index k={k} outside 0..{n}")
+        if n <= _KERNEL_CACHE_LIMIT:
+            with self._lock:
+                hit = self._kernel_cache.get((n, k))
+            if hit is not None:
+                return hit
         num = self.value(n)
         den = self.value(k) * self.value(n - k)
         if isinstance(num, Rational) and isinstance(den, Rational):
-            out = Fraction(num) / Fraction(den)
-            return int(out) if out.denominator == 1 else out
-        return num / den
+            out: Scalar = Fraction(num) / Fraction(den)
+            if out.denominator == 1:
+                out = int(out)
+        else:
+            out = num / den
+        if n <= _KERNEL_CACHE_LIMIT:
+            with self._lock:
+                self._kernel_cache[(n, k)] = out
+        return out
 
     def kernel_float(self, n: int, k: int) -> float:
         return _safe_float(self.kernel(n, k))
