@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .series import PolynomialSymbol, _exact, _float_convolve, _int_convolve, _scaled
+from .series import PolynomialSymbol, _power_rows
 from .weights import ValidationError
 
 __all__ = [
@@ -145,30 +145,9 @@ class PowerTable:
         self._mono = mono if method == "direct" else None
         self._rows: Optional[list[tuple]] = None
         if method == "powers":
-            self._rows = self._build_powers()
+            self._rows = _power_rows(phi, self.degree_bound, self.max_power)
         elif method == "enumerate":
             self._rows = self._build_enumerate()
-
-    def _build_powers(self) -> list[tuple]:
-        n = self.degree_bound
-        if self.phi.mode == "float":
-            row = (1.0,) + (0.0,) * n
-            rows = [row]
-            for _ in range(self.max_power):
-                row = tuple(_float_convolve(row, self.phi.alphas, n))
-                if not all(map(math.isfinite, row)):
-                    raise ValidationError("coefficients must be finite")
-                rows.append(row)
-            return rows
-        # Row L is (D*phi)**L in integers over D**L, D the LCM of phi's denominators.
-        base, lcm = _scaled(self.phi.alphas)
-        nums, den = [1] + [0] * n, 1
-        rows = [tuple(nums)]
-        for _ in range(self.max_power):
-            nums = _int_convolve(nums, base, n)
-            den *= lcm
-            rows.append(tuple(_exact(x, den) for x in nums))
-        return rows
 
     def _build_enumerate(self) -> list[tuple]:
         rows = []

@@ -34,6 +34,8 @@ FLOAT = "float"
 
 Scalar = Union[int, Fraction, float]
 
+_NOT_FINITE = "coefficients must be finite"
+
 
 class ModeMismatchError(ValidationError):
     """Two operands mix exact and float scalars."""
@@ -49,7 +51,7 @@ def _normalize(coeffs) -> tuple[tuple, str]:
             raise ValidationError(f"coefficients must be numbers, got {type(c).__name__}")
         if isinstance(c, float):
             if not math.isfinite(c):
-                raise ValidationError("coefficients must be finite")
+                raise ValidationError(_NOT_FINITE)
             has_float = True
     if has_float:
         return tuple(float(c) for c in out), FLOAT
@@ -311,6 +313,42 @@ def _float_convolve(a: Sequence[float], b: Sequence[float], degree_bound: int
     return out
 
 
+def _float_power_step(power: Sequence[float], alphas: Sequence[float],
+                      degree_bound: int) -> list[float]:
+    """The next float power of a symbol, ``power * alphas`` truncated at
+    ``degree_bound``; a power that leaves float range is rejected, as a series
+    with such a coefficient is."""
+    out = _float_convolve(power, alphas, degree_bound)
+    if not all(map(math.isfinite, out)):
+        raise ValidationError(_NOT_FINITE)
+    return out
+
+
+def _power_rows(phi: "PolynomialSymbol", degree_bound: int, max_power: int
+                ) -> list[tuple]:
+    """Coefficients of ``phi**L`` up to ``degree_bound`` for ``L = 0..max_power``.
+
+    Float rows are running float products.  Exact row ``L`` is ``(D*phi)**L``
+    in integers over ``D**L``, ``D`` the LCM of the denominators of ``phi``,
+    reduced to one ``int`` or ``Fraction`` per entry.
+    """
+    if phi.mode == FLOAT:
+        row = [1.0] + [0.0] * degree_bound
+        rows = [tuple(row)]
+        for _ in range(max_power):
+            row = _float_power_step(row, phi.alphas, degree_bound)
+            rows.append(tuple(row))
+        return rows
+    base, lcm = _scaled(phi.alphas)
+    nums, den = [1] + [0] * degree_bound, 1
+    rows = [tuple(nums)]
+    for _ in range(max_power):
+        nums = _int_convolve(nums, base, degree_bound)
+        den *= lcm
+        rows.append(tuple(_exact(x, den) for x in nums))
+    return rows
+
+
 def cauchy_product(f: TruncatedSeries, g: TruncatedSeries, degree_bound: int
                    ) -> TruncatedSeries:
     """Plain convolution of two series, truncated at ``degree_bound``."""
@@ -384,8 +422,9 @@ def compose(f: TruncatedSeries, phi: PolynomialSymbol, degree_bound: int
     """Substitute the polynomial ``phi`` into ``f``, truncating the result.
 
     Linear in ``f``.  The result is float whenever either operand is float;
-    floats accumulate running powers of ``phi``, while exact operands are
-    evaluated by Horner's rule in integers scaled by the denominators of
+    floats accumulate running powers of ``phi`` (a power beyond float range
+    is rejected, even at a zero coefficient of ``f``), while exact operands
+    are evaluated by Horner's rule in integers scaled by the denominators of
     ``f`` and ``phi``.
     """
     min_deg = phi.min_degree()
@@ -401,8 +440,8 @@ def compose(f: TruncatedSeries, phi: PolynomialSymbol, degree_bound: int
         acc[0] = fc[0]
         power = (1.0,)
         for exp in range(1, top + 1):
-            power = _float_convolve(power, base, min(len(power) - 1 + phi.degree,
-                                                     degree_bound))
+            power = _float_power_step(power, base, min(len(power) - 1 + phi.degree,
+                                                        degree_bound))
             c = fc[exp]
             if not c:
                 continue

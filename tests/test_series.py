@@ -256,6 +256,12 @@ class TestCompose:
         out = compose(f, phi, n_max)
         assert list(out.coeffs) == compose_reference(a, alphas, n_max)
 
+    def test_float_power_beyond_float_range_rejected(self):
+        # phi**2 = 1e400 z**2 leaves float range although f has no z**2 term.
+        f = TruncatedSeries.from_coeffs([1.0, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="coefficients must be finite"):
+            compose(f, PolynomialSymbol.from_coeffs([0, 1e200]), 2)
+
 
 class TestDiamondSubstitute:
     def test_unity_multiplier_reduces_to_compose(self):
