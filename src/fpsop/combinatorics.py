@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .series import PolynomialSymbol, _power_rows
+from .series import PolynomialSymbol, _exact, _power_rows
 from .weights import ValidationError
 
 __all__ = [
@@ -118,7 +118,9 @@ class PowerTable:
       on the degree, no storage.
     - ``"powers"``: iterated truncated convolution, one row from the last;
       exact rows are kept as integer numerators over a power of the common
-      denominator of ``phi``.
+      denominator of ``phi`` and reduced only when read.  The bound scans
+      read the numerators and the denominator unreduced, through
+      :meth:`theta_scaled` and :meth:`row_nonzeros_scaled`.
     - ``"enumerate"``: every entry via :func:`power_coefficient`; slow, kept
       as an independent route for cross-checks.
     - ``"auto"`` (default): ``"direct"`` when the symbol is a unit monomial,
@@ -143,17 +145,17 @@ class PowerTable:
             raise ValidationError("direct tables need a unit-monomial symbol")
         self.method = method
         self._mono = mono if method == "direct" else None
-        self._rows: Optional[list[tuple]] = None
+        self._rows: Optional[list[tuple[tuple, int]]] = None
         if method == "powers":
             self._rows = _power_rows(phi, self.degree_bound, self.max_power)
         elif method == "enumerate":
             self._rows = self._build_enumerate()
 
-    def _build_enumerate(self) -> list[tuple]:
+    def _build_enumerate(self) -> list[tuple[tuple, int]]:
         rows = []
         for L in range(self.max_power + 1):
-            rows.append(tuple(power_coefficient(self.phi, n, L)
-                              for n in range(self.degree_bound + 1)))
+            rows.append((tuple(power_coefficient(self.phi, n, L)
+                               for n in range(self.degree_bound + 1)), 1))
         return rows
 
     def _check_bounds(self, n: int, L: int) -> None:
@@ -164,12 +166,17 @@ class PowerTable:
         if L > self.max_power:
             raise ValidationError(f"L={L} exceeds table max power {self.max_power}")
 
-    def theta(self, n: int, L: int):
-        """The ``z**n`` coefficient of ``phi**L``."""
+    def theta_scaled(self, n: int, L: int) -> tuple:
+        """``theta(n, L)`` as an unreduced ``(numerator, denominator)``."""
         self._check_bounds(n, L)
         if self._mono is not None:
-            return 1 if n == self._mono * L else 0
-        return self._rows[L][n]
+            return (1 if n == self._mono * L else 0), 1
+        nums, den = self._rows[L]
+        return nums[n], den
+
+    def theta(self, n: int, L: int):
+        """The ``z**n`` coefficient of ``phi**L``."""
+        return _exact(*self.theta_scaled(n, L))
 
     def row(self, L: int) -> tuple:
         """All coefficients of ``phi**L`` up to the degree bound."""
@@ -180,19 +187,24 @@ class PowerTable:
             if pos <= self.degree_bound:
                 out[pos] = 1
             return tuple(out)
-        return self._rows[L]
+        nums, den = self._rows[L]
+        return nums if den == 1 else tuple(_exact(x, den) for x in nums)
 
     def row_nonzeros(self, L: int) -> Iterator[tuple[int, object]]:
         """The nonzero ``(degree, coefficient)`` pairs of ``phi**L``."""
+        pairs, den = self.row_nonzeros_scaled(L)
+        for n, value in pairs:
+            yield (n, _exact(value, den))
+
+    def row_nonzeros_scaled(self, L: int) -> tuple[list[tuple[int, object]], object]:
+        """The nonzero ``(degree, numerator)`` pairs of ``phi**L`` and their
+        common denominator, unreduced."""
         self._check_bounds(0, L)
         if self._mono is not None:
             pos = self._mono * L
-            if pos <= self.degree_bound:
-                yield (pos, 1)
-            return
-        for n, value in enumerate(self._rows[L]):
-            if value != 0:
-                yield (n, value)
+            return ([(pos, 1)] if pos <= self.degree_bound else []), 1
+        nums, den = self._rows[L]
+        return [(n, value) for n, value in enumerate(nums) if value != 0], den
 
     def power_range(self, n: int) -> range:
         """Powers ``L`` whose ``theta(n, L)`` can be nonzero, as a range."""

@@ -98,9 +98,23 @@ class CriterionRequest:
 
 
 def _gt(a, b) -> bool:
+    if type(a) is tuple and type(b) is tuple:
+        return a[0] * b[1] > b[0] * a[1]
     if isinstance(a, Rational) and isinstance(b, Rational):
         return a > b
-    return _safe_float(a) > _safe_float(b)
+    return _as_float(a) > _as_float(b)
+
+
+def _as_float(v) -> float:
+    """A scan value as a float, ``inf`` beyond float range.  An exact pair
+    ``(en, ed)`` is ``en / ed``: integer true division is correctly rounded,
+    so it has the bits of ``float(Fraction(en, ed))``."""
+    if type(v) is tuple:
+        try:
+            return v[0] / v[1]
+        except OverflowError:
+            return math.inf
+    return _safe_float(v)
 
 
 def _pow(x, e):
@@ -121,14 +135,23 @@ def _pow(x, e):
         return math.inf
 
 
-def _ratio(nums: Sequence, dens: Sequence):
-    """Product ratio of positive factors; exact when every factor is rational.
+def _reduced(en: int, ed: int):
+    """The exact pair ``(en, ed)`` as an int or a reduced Fraction."""
+    exact = Fraction(en, ed)
+    return int(exact) if exact.denominator == 1 else exact
+
+
+def _pair(nums: Sequence, dens: Sequence):
+    """Product ratio of positive factors: the unreduced integer pair
+    ``(en, ed)`` when every factor is rational, else a float.
 
     Rational factors are collapsed into one integer numerator and one
     integer denominator, so huge or tiny exact weights (factorials and their
     reciprocals) cancel before any float is touched; only genuinely
     non-rational factors go through float products.  Integer true division
-    is correctly rounded, so the result has the bits of ``float(Fraction)``.
+    is correctly rounded, so the float has the bits of ``float(Fraction)``
+    times the float scale.  The scans keep pairs unreduced and reduce once
+    per row or certificate (Knuth, TAOCP vol. 2, 4.5.1).
     """
     en = ed = 1
     num, den = 1.0, 1.0
@@ -155,8 +178,7 @@ def _ratio(nums: Sequence, dens: Sequence):
         else:
             den *= _safe_float(v)
     if num == 1.0 and den == 1.0:
-        exact = Fraction(en, ed)
-        return int(exact) if exact.denominator == 1 else exact
+        return en, ed
     if den == 0.0 or (math.isinf(num) and math.isinf(den)):
         raise ValidationError(
             "ratio of weights is numerically indeterminate; use exact weight lists"
@@ -168,6 +190,13 @@ def _ratio(nums: Sequence, dens: Sequence):
         return en / ed * scale
     except OverflowError:
         return math.inf
+
+
+def _ratio(nums: Sequence, dens: Sequence):
+    """Product ratio of positive factors; exact (an int or a reduced
+    Fraction) when every factor is rational, else the float of :func:`_pair`."""
+    r = _pair(nums, dens)
+    return _reduced(*r) if type(r) is tuple else r
 
 
 class _ReadOnce(dict):
@@ -211,6 +240,35 @@ def _q_aggregate(terms: list, qe):
     return _exact_or_fsum([_pow(t, qe) for t in terms if t != 0])
 
 
+def _q_pairs(terms: list, qe):
+    """:func:`_q_aggregate` of scan terms given as exact pairs or floats.
+
+    When every term is a pair and ``qe`` is None or whole, the pairs are
+    compared by cross-multiplication, or their ``en**q`` summed per distinct
+    ``ed**q`` and over the LCM of those, so the row is reduced once.  A
+    fractional ``qe`` takes every power in floats, where a pair is its
+    correctly rounded ``en / ed``.  A row with a float term reduces its
+    pairs.  Those two go through :func:`_q_aggregate`.
+    """
+    if qe is not None and type(qe) is not int:
+        return _q_aggregate([_as_float(t) for t in terms], qe)
+    if not all(type(t) is tuple for t in terms):
+        return _q_aggregate([_reduced(*t) if type(t) is tuple else t for t in terms], qe)
+    if qe is None:
+        best = (0, 1)
+        for t in terms:
+            if t[0] * best[1] > best[0] * t[1]:
+                best = t
+        return _reduced(*best)
+    sums: dict = {}
+    for en, ed in terms:
+        if en:
+            sums[ed] = sums.get(ed, 0) + en ** qe
+    dens = [ed ** qe for ed in sums]
+    den = math.lcm(*dens)
+    return _reduced(sum(s * (den // d) for s, d in zip(sums.values(), dens)), den)
+
+
 def _decayed(last3: Sequence[float]) -> bool:
     """Geometric-decay test on the trailing inner-sum terms."""
     if last3 and last3[-1] == 0.0:
@@ -226,7 +284,9 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
              inner_ok: bool = True, notes: Iterable[str] = ()) -> BoundCertificate:
     """Certify the running supremum (or, ``summed``, sum) of the contributions.
 
-    One contribution per outer index, ``None`` for an empty one.  The value
+    One contribution per outer index, ``None`` for an empty one; a sup scan
+    also takes exact pairs ``(en, ed)`` and compares them by
+    cross-multiplication, so no pair is reduced.  The value
     and its trajectory are raised to ``outer_exponent`` and multiplied by
     ``scale``; the final window (``_tail_stats``) decides convergence and
     divergence.
@@ -250,10 +310,10 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
         best, level = None, 0.0
         for i, v in enumerate(contributions):
             if v is not None and (best is None or _gt(v, best)):
-                best, level, attained = v, _safe_float(v), i
+                best, level, attained = v, _as_float(v), i
             traj.append(tf(level))
         total = 0 if best is None else best
-    value = tf(_safe_float(total))
+    value = tf(_as_float(total))
     note_list = list(notes)
     tol = space.tolerance
     tail_delta, settled = _tail_stats(traj, space.tail_window, tol)
@@ -308,8 +368,8 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
         for n in range(space.truncation_degree + 1):
             d.append(delta.value(n))
             w.append(beta.value(n))
-            yield _q_aggregate([
-                _ratio([d[n], w[n]], [d[k], d[n - k], w[k], w[(n - k) // stride]])
+            yield _q_pairs([
+                _pair([d[n], w[n]], [d[k], d[n - k], w[k], w[(n - k) // stride]])
                 for k in stride_offsets(n, stride)
             ], qe)
 
@@ -323,7 +383,8 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
 def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int,
                      term: Callable, row: Callable, note: str) -> BoundCertificate:
     """The p-summed bound: row ``n >= shift`` contributes ``row(n, j, agg)``,
-    ``agg`` the q-aggregate of ``term(n, L, theta(j, L))``, ``j = n - shift``."""
+    ``agg`` the q-aggregate of ``term(n, L, num, den)``, ``j = n - shift``,
+    where ``theta(j, L) = num / den`` with ``num`` nonzero."""
     space, L_max = req.space, req.power_limit
     qe = None if space.sup_mode else _exponent(space.q)
     inner_ok = True
@@ -334,12 +395,12 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int,
         for L in table.power_range(j):
             if L > L_max:
                 break
-            th = table.theta(j, L)
-            terms.append(0 if th == 0 else term(n, L, th))
+            num, den = table.theta_scaled(j, L)
+            terms.append((0, 1) if num == 0 else term(n, L, num, den))
         if _natural_power_cut(table.phi, j, L_max) and not _decayed(
-                [_safe_float(t) for t in terms[-3:]]):
+                [_as_float(t) for t in terms[-3:]]):
             inner_ok = False
-        rows.append(row(n, j, _q_aggregate(terms, qe)))
+        rows.append(row(n, j, _q_pairs(terms, qe)))
     return _certify(
         rows, kind="upper", space=space, cap=req.cap, summed=True,
         outer_exponent=_exponent(1, space.p), inner_ok=inner_ok, notes=(note,),
@@ -420,7 +481,7 @@ def composition_norm_monomial(req: CriterionRequest) -> BoundCertificate:
         )
     beta, space = req.beta, req.space
     return _certify(
-        (_ratio([beta.value(n * m)], [beta.value(n)])
+        (_pair([beta.value(n * m)], [beta.value(n)])
          for n in range(space.truncation_degree + 1)),
         kind="exact", space=space, cap=req.cap,
         notes=(f"weight-ratio supremum for the degree-{m} monomial symbol",),
@@ -446,14 +507,17 @@ def composition_bounds_polynomial(req: CriterionRequest
     w, wf = _ReadOnce(beta.value), _ReadOnce(beta.as_float)
     upper_cert = _power_sum_upper(
         req, table, 0,
-        term=lambda n, L, th: _ratio([abs(th), w[n]], [w[L]]),
+        term=lambda n, L, num, den: _pair([abs(num), w[n]], [den, w[L]]),
         row=lambda n, j, agg: _pow(agg, e),
         note="power-coefficient sum bound",
     )
+
+    def column(n):
+        pairs, den = table.row_nonzeros_scaled(n)
+        return ((_as_float((x, den)), wf[j]) for j, x in pairs)
+
     lower_cert = _column_lower(
-        req, lambda n: ((th, wf[j]) for j, th in table.row_nonzeros(n)),
-        "monomial image ratios, rows truncated at the scan degree",
-    )
+        req, column, "monomial image ratios, rows truncated at the scan degree")
     return upper_cert, lower_cert
 
 
@@ -483,7 +547,7 @@ def substitution_bounds_monomial_symbol(req: CriterionRequest
 
     def column(l):
         base = m * l
-        return ((_ratio([d[base + k], w[base + k], abs(c)], [d[base], d[k]]), 1.0)
+        return ((_as_float(_pair([d[base + k], w[base + k], abs(c)], [d[base], d[k]])), 1.0)
                 for k, c in enumerate(u.coeffs[:max(N - base + 1, 0)]) if c != 0)
 
     lower_cert = _column_lower(
@@ -531,14 +595,16 @@ def substitution_bounds_monomial_multiplier(req: CriterionRequest
 
     upper_cert = _power_sum_upper(
         req, table, shift,
-        term=lambda n, L, th: _ratio([abs(th)], [w[L]]), row=row,
+        term=lambda n, L, num, den: _pair([abs(num)], [den, w[L]]), row=row,
         note="shifted power-coefficient sum bound",
     )
-    lower_cert = _column_lower(
-        req, lambda l: ((_ratio([d[j + shift], w[j + shift], abs(th)], [d[shift], d[j]]), 1.0)
-                        for j, th in table.row_nonzeros(l)),
-        "shifted monomial-image ratios",
-    )
+
+    def column(l):
+        pairs, den = table.row_nonzeros_scaled(l)
+        return ((_as_float(_pair([d[j + shift], w[j + shift], abs(x)], [d[shift], d[j], den])),
+                 1.0) for j, x in pairs)
+
+    lower_cert = _column_lower(req, column, "shifted monomial-image ratios")
     return upper_cert, lower_cert
 
 
@@ -561,8 +627,8 @@ def substitution_bounds_monomial_pair(req: CriterionRequest
     N = space.truncation_degree
 
     ratios = [
-        _ratio([delta.value(m1 + m * m2), beta.value(m1 + m * m2)],
-               [delta.value(m1), delta.value(m * m2), beta.value(m)])
+        _pair([delta.value(m1 + m * m2), beta.value(m1 + m * m2)],
+              [delta.value(m1), delta.value(m * m2), beta.value(m)])
         for m in range(N + 1)
     ]
     by_output = [None] * (m1 + m2 * N + 1)

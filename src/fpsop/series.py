@@ -325,27 +325,28 @@ def _float_power_step(power: Sequence[float], alphas: Sequence[float],
 
 
 def _power_rows(phi: "PolynomialSymbol", degree_bound: int, max_power: int
-                ) -> list[tuple]:
-    """Coefficients of ``phi**L`` up to ``degree_bound`` for ``L = 0..max_power``.
+                ) -> list[tuple[tuple, int]]:
+    """Coefficients of ``phi**L`` up to ``degree_bound`` for ``L = 0..max_power``,
+    as ``(numerators, denominator)`` per row.
 
-    Float rows are running float products.  Exact row ``L`` is ``(D*phi)**L``
-    in integers over ``D**L``, ``D`` the LCM of the denominators of ``phi``,
-    reduced to one ``int`` or ``Fraction`` per entry.
+    Float rows are running float products over 1.  Exact row ``L`` is
+    ``(D*phi)**L`` in integers over ``D**L``, ``D`` the LCM of the
+    denominators of ``phi``, left unreduced.
     """
     if phi.mode == FLOAT:
         row = [1.0] + [0.0] * degree_bound
-        rows = [tuple(row)]
+        rows = [(tuple(row), 1)]
         for _ in range(max_power):
             row = _float_power_step(row, phi.alphas, degree_bound)
-            rows.append(tuple(row))
+            rows.append((tuple(row), 1))
         return rows
     base, lcm = _scaled(phi.alphas)
     nums, den = [1] + [0] * degree_bound, 1
-    rows = [tuple(nums)]
+    rows = [(tuple(nums), den)]
     for _ in range(max_power):
         nums = _int_convolve(nums, base, degree_bound)
         den *= lcm
-        rows.append(tuple(_exact(x, den) for x in nums))
+        rows.append((tuple(nums), den))
     return rows
 
 

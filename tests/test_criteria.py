@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from fpsop.criteria import (
     CriterionRequest,
+    _certify,
     _exact_or_fsum,
+    _pair,
+    _q_aggregate,
+    _q_pairs,
     _ratio,
     composition_bounds_polynomial,
     composition_norm_monomial,
@@ -18,7 +22,7 @@ from fpsop.criteria import (
     substitution_bounds_monomial_symbol,
 )
 from fpsop.series import PolynomialSymbol, TruncatedSeries
-from fpsop.weights import SpaceConfig, ValidationError, make_beta, make_delta
+from fpsop.weights import SpaceConfig, ValidationError, _safe_float, make_beta, make_delta
 
 from oracles import rand_symbol_coeffs, ratio_reference
 
@@ -368,6 +372,63 @@ class TestRatioMatchesFractionReference:
     @settings(max_examples=500, deadline=None)
     def test_random_factor_mixes(self, nums, dens):
         assert _outcome(_ratio, nums, dens) == _outcome(ratio_reference, nums, dens)
+
+
+_EXACT_FACTORS = st.one_of(
+    st.integers(1, 60),
+    st.sampled_from(_HUGE_INTS),
+    st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
+    st.builds(lambda n, d: Fraction(n, d), st.integers(1, 9), st.sampled_from(_HUGE_INTS)),
+)
+
+# Numerators may be zero; denominators are positive, as weights are.
+_TERM = st.tuples(
+    st.lists(st.one_of(_EXACT_FACTORS, st.sampled_from([0, Fraction(0)])), max_size=3),
+    st.lists(_EXACT_FACTORS, max_size=3),
+)
+
+_FLOAT_FACTORS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.sampled_from([0.0, 1.0, 0.5, 2.0 ** -1074, 1e300]),
+)
+
+# Few distinct values, so a scan has ties and a float among exact pairs.
+_TIED_FACTORS = st.sampled_from([1, 2, 3, 4, Fraction(1, 2), Fraction(3, 2), 2.0, 0.5])
+
+
+class TestPairAggregation:
+    """The scans carry exact ratios as unreduced pairs; aggregating pairs must
+    give what aggregating the reduced ratios of ``_ratio`` gives."""
+
+    @given(st.lists(_TERM, max_size=6),
+           st.lists(st.tuples(st.integers(0, 5), _FLOAT_FACTORS), max_size=2),
+           st.sampled_from([None, 1, 2, 3, 1.5]))
+    @settings(max_examples=400, deadline=None)
+    def test_q_pairs_matches_q_aggregate(self, row, floats, qe):
+        # a float factor joins a term's numerator; a row with one takes the float path
+        row = [(list(nums), dens) for nums, dens in row]
+        for i, f in floats:
+            if row:
+                row[i % len(row)][0].append(f)
+        got = _q_pairs([_pair(nums, dens) for nums, dens in row], qe)
+        want = _q_aggregate([_ratio(nums, dens) for nums, dens in row], qe)
+        assert got == want
+        assert _safe_float(got).hex() == _safe_float(want).hex()
+
+    @given(st.lists(st.one_of(st.none(), st.tuples(st.lists(_TIED_FACTORS, max_size=3),
+                                                   st.lists(_TIED_FACTORS, max_size=3))),
+                    min_size=1, max_size=12),
+           st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_sup_over_pairs_matches_sup_over_reduced_values(self, rows, window):
+        space = SpaceConfig(p=2, truncation_degree=max(len(rows) - 1, window),
+                            tail_window=window)
+
+        def cert(ratio):
+            return _certify([None if r is None else ratio(*r) for r in rows],
+                            kind="exact", space=space, cap=1e12)
+
+        assert cert(_pair) == cert(_ratio)
 
 
 class TestExactOrFsum:
