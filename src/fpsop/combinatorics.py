@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .series import PolynomialSymbol, _exact, _power_rows
+from .series import _NOT_FINITE, PolynomialSymbol, _exact, _power_rows
 from .weights import ValidationError
 
 __all__ = [
@@ -87,7 +87,8 @@ def power_coefficient(phi: PolynomialSymbol, n: int, num_parts: int):
 
     Exact when the polynomial is exact.  Sums, over exponent vectors from
     :func:`weighted_compositions` on the support of ``phi``, the multinomial
-    count times the product of the supported coefficients.
+    count times the product of the supported coefficients.  A float term or
+    sum beyond float range is rejected, as a float ``PowerTable`` row is.
     """
     _check_index(n, "n")
     _check_index(num_parts, "num_parts")
@@ -99,12 +100,20 @@ def power_coefficient(phi: PolynomialSymbol, n: int, num_parts: int):
         term = _multinomial(num_parts, vec)
         for d, l in zip(support, vec):
             if l:
-                term *= phi.alphas[d] ** l
+                try:
+                    term *= phi.alphas[d] ** l
+                except OverflowError:
+                    raise ValidationError(_NOT_FINITE) from None
         acc.append(term)
     if not acc:
         return 0.0 if phi.mode == "float" else 0
     if phi.mode == "float":
-        return math.fsum(acc)
+        if not all(map(math.isfinite, acc)):
+            raise ValidationError(_NOT_FINITE)
+        try:
+            return math.fsum(acc)
+        except OverflowError:
+            raise ValidationError(_NOT_FINITE) from None
     return sum(acc)
 
 

@@ -387,10 +387,22 @@ def _power_top(A: sp.csr_matrix, max_iters: int, tol: float):
     often oscillate), two fixed probe starts briefly iterate afterwards, and
     whichever probe beats the primary value continues to a full run.
     Returns ``(sigma, iterations, converged, delta, notes)``.
+
+    An iteration squares its entries twice (``norm(A.T @ A @ x)``), so a
+    matrix whose entries could take that past float range is first scaled
+    by a power of two, which is exact; ``tol`` and the probe margin scale
+    with it, and the results are scaled back.
     """
     import numpy as np
 
     cols = A.shape[1]
+    margin = max(tol, 1e-13)
+    top = float(np.abs(A.data).max(initial=0.0))
+    exp2 = 0
+    if top * math.sqrt(A.nnz) > 2.0 ** 250:
+        exp2 = math.frexp(top)[1]
+        A = A * math.ldexp(1.0, -exp2)
+        tol, margin = math.ldexp(tol, -exp2), math.ldexp(margin, -exp2)
     ones = np.full(cols, 1.0 / math.sqrt(cols))
     sigma, iterations, converged, delta, _ = _power_run(A, ones, max_iters, tol)
     total_iters = iterations
@@ -406,7 +418,7 @@ def _power_top(A: sp.csr_matrix, max_iters: int, tol: float):
         p_sigma, p_iters, _, _, p_x = _power_run(
             A, probe / n_probe, probe_iters, tol)
         total_iters += p_iters
-        if p_sigma > sigma + max(tol, 1e-13):
+        if p_sigma > sigma + margin:
             r_sigma, r_iters, r_conv, r_delta, _ = _power_run(
                 A, p_x, max_iters, tol)
             total_iters += r_iters
@@ -414,7 +426,7 @@ def _power_top(A: sp.csr_matrix, max_iters: int, tol: float):
                 sigma, converged, delta = r_sigma, r_conv, r_delta
                 if "restarted from a dominating probe start" not in notes:
                     notes.append("restarted from a dominating probe start")
-    return sigma, total_iters, converged, delta, notes
+    return math.ldexp(sigma, exp2), total_iters, converged, math.ldexp(delta, exp2), notes
 
 
 def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence,

@@ -54,7 +54,11 @@ def _normalize(coeffs) -> tuple[tuple, str]:
                 raise ValidationError(_NOT_FINITE)
             has_float = True
     if has_float:
-        return tuple(float(c) for c in out), FLOAT
+        if any(type(c) is not float for c in out):
+            out = [_safe_float(c) for c in out]
+            if math.inf in out:  # an exact entry beyond float range
+                raise ValidationError(_NOT_FINITE)
+        return tuple(out), FLOAT
     return tuple(out), EXACT
 
 

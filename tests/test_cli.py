@@ -308,6 +308,35 @@ class TestBeyondFloatRange:
         assert named["substitution-shift-upper"]["value"] == "inf"
         assert named["substitution-shift-upper"]["converged"] is False
 
+    def test_mixed_list_with_an_exact_entry_beyond_float_range_exits_two(self, capsys):
+        code = main(["norm", "--quiet", "--config", '{"f": {"coeffs": ["1e400", 1.5]}}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "fpsop: error: coefficients must be finite\n"
+
+    def test_float_theta_beyond_float_range_exits_two(self, capsys):
+        code = main(["theta", "--quiet", "--config",
+                     '{"phi": {"coeffs": [0.5, 1e200]}, "n": 3, "power": 5}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "fpsop: error: coefficients must be finite\n"
+
+    def test_estimate_with_scaled_entries_near_float_range(self, capsys):
+        # beta entries of 1e-100 put 1e+100 into the scaled matrix, so its
+        # power iteration squares them past float range unless it rescales
+        code, out = run_main(capsys, "estimate", "--quiet", "--config",
+                             '{"beta": {"values": [1, 1, 1, 1e-100, 1e-100, 1, 1e-100,'
+                             ' 1, 1, 1, 1, 1, 1, 1, 1]}, "u": {"coeffs": [1, 1]},'
+                             ' "truncation": {"degree": 6, "tail_window": 1}}')
+        assert code == 0
+        report = json.loads(out)
+        estimate = report["oracle"]["estimate"]
+        named = {c["name"]: c["value"] for c in report["certificates"]}
+        assert math.isfinite(estimate)
+        assert named["monomial-column-lower"] <= estimate <= named["multiplier-algebra-upper"]
+
 
 class TestSizeGuard:
     """A power table or matrix above 10,000,000 entries exits 3 before it is built."""

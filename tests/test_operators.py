@@ -269,6 +269,18 @@ class TestLoneColumnSplit:
         assert f"iterations={iterations}" in cert.notes
         assert not any("lone" in note for note in cert.notes)
 
+    def test_entries_near_float_range_are_scaled_by_a_power_of_two(self):
+        # the scaling is exact, so the run on 2**400 * A with tolerance
+        # 2**400 * tol is the run on A, scaled
+        beta = make_beta("bergman")
+        u = TruncatedSeries.from_coeffs([1.0, -0.5, 0.25, 2.0])
+        A = _finite_scaled(build_matrix("diamond-mult", u, None, ones, 24, 20), beta)
+        small = _power_top(A, 50_000, 1e-12)
+        big = _power_top(A * 2.0 ** 400, 50_000, math.ldexp(1e-12, 400))
+        assert big[0] == math.ldexp(small[0], 400)
+        assert big[1:3] == small[1:3]
+        assert big[3] == math.ldexp(small[3], 400)
+
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
        st.integers(1, 6),
