@@ -109,7 +109,10 @@ def _as_float(v) -> float:
     """A scan value as a float, ``inf`` beyond float range.  An exact pair
     ``(en, ed)`` is ``en / ed``: integer true division is correctly rounded,
     so it has the bits of ``float(Fraction(en, ed))``."""
-    if type(v) is tuple:
+    t = type(v)
+    if t is float:
+        return v
+    if t is tuple:
         try:
             return v[0] / v[1]
         except OverflowError:
@@ -118,8 +121,12 @@ def _as_float(v) -> float:
 
 
 def _pow(x, e):
-    """x**e for nonnegative x; exact when x is rational and e a whole number."""
+    """x**e for nonnegative x; exact when x is rational and e a whole number.
+    An exact pair ``(en, ed)`` is reduced first."""
     t = type(x)
+    if t is tuple:
+        x = _reduced(*x)
+        t = type(x)
     if t is not float and isinstance(e, int) and e >= 0 and (
             t is int or t is Fraction or isinstance(x, Rational)):
         return x ** e
@@ -243,17 +250,17 @@ def _q_aggregate(terms: list, qe):
 def _q_pairs(terms: list, qe):
     """:func:`_q_aggregate` of scan terms given as exact pairs or floats.
 
-    When every term is a pair and ``qe`` is None or whole, the pairs are
-    compared by cross-multiplication, or their ``en**q`` summed per distinct
-    ``ed**q`` and over the LCM of those, so the row is reduced once.  A
-    fractional ``qe`` takes every power in floats, where a pair is its
-    correctly rounded ``en / ed``.  A row with a float term reduces its
-    pairs.  Those two go through :func:`_q_aggregate`.
+    A row of pairs with ``qe`` None or whole is reduced once: its max by
+    cross-multiplication, or its ``en**q`` summed per distinct ``ed**q`` over
+    the LCM of those.  A fractional ``qe`` takes each pair as ``en / ed``; a
+    row with a float term reduces its pairs (``_pow`` does for a whole ``qe``).
     """
     if qe is not None and type(qe) is not int:
         return _q_aggregate([_as_float(t) for t in terms], qe)
     if not all(type(t) is tuple for t in terms):
-        return _q_aggregate([_reduced(*t) if type(t) is tuple else t for t in terms], qe)
+        if qe is None:
+            terms = [_reduced(*t) if type(t) is tuple else t for t in terms]
+        return _q_aggregate(terms, qe)
     if qe is None:
         best = (0, 1)
         for t in terms:
