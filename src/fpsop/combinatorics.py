@@ -202,8 +202,7 @@ class PowerTable:
     def row_nonzeros(self, L: int) -> Iterator[tuple[int, object]]:
         """The nonzero ``(degree, coefficient)`` pairs of ``phi**L``."""
         pairs, den = self.row_nonzeros_scaled(L)
-        for n, value in pairs:
-            yield (n, _exact(value, den))
+        return iter(pairs) if den == 1 else ((n, _exact(x, den)) for n, x in pairs)
 
     def row_nonzeros_scaled(self, L: int) -> tuple[list[tuple[int, object]], object]:
         """The nonzero ``(degree, numerator)`` pairs of ``phi**L`` and their

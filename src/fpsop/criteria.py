@@ -521,7 +521,7 @@ def composition_bounds_polynomial(req: CriterionRequest
 
     def column(n):
         pairs, den = table.row_nonzeros_scaled(n)
-        return ((_as_float((x, den)), wf[j]) for j, x in pairs)
+        return ((x if den == 1 else _as_float((x, den)), wf[j]) for j, x in pairs)
 
     lower_cert = _column_lower(
         req, column, "monomial image ratios, rows truncated at the scan degree")
