@@ -97,12 +97,17 @@ class CriterionRequest:
         return self.space.truncation_degree
 
 
-def _gt(a, b) -> bool:
+def _gt(a, b, bf: float) -> bool:
+    """Whether ``a`` beats the best ``b`` so far, whose float is ``bf``: exact
+    values, and exact pairs by cross-multiplication, compare exactly with
+    their own kind; anything else compares as a float."""
+    if type(a) is float:
+        return a > bf
     if type(a) is tuple and type(b) is tuple:
         return a[0] * b[1] > b[0] * a[1]
     if isinstance(a, Rational) and isinstance(b, Rational):
         return a > b
-    return _as_float(a) > _as_float(b)
+    return _as_float(a) > bf
 
 
 def _as_float(v) -> float:
@@ -124,12 +129,13 @@ def _pow(x, e):
     """x**e for nonnegative x; exact when x is rational and e a whole number.
     An exact pair ``(en, ed)`` is reduced first."""
     t = type(x)
-    if t is tuple:
-        x = _reduced(*x)
-        t = type(x)
-    if t is not float and isinstance(e, int) and e >= 0 and (
-            t is int or t is Fraction or isinstance(x, Rational)):
-        return x ** e
+    if t is not float:
+        if t is tuple:
+            x = _reduced(*x)
+            t = type(x)
+        if isinstance(e, int) and e >= 0 and (
+                t is int or t is Fraction or isinstance(x, Rational)):
+            return x ** e
     xf = _safe_float(x)
     ef = float(e)
     if xf == 0.0:
@@ -316,7 +322,7 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
     else:
         best, level = None, 0.0
         for i, v in enumerate(contributions):
-            if v is not None and (best is None or _gt(v, best)):
+            if v is not None and (best is None or _gt(v, best, level)):
                 best, level, attained = v, _as_float(v), i
             traj.append(tf(level))
         total = 0 if best is None else best
