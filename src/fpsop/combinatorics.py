@@ -96,25 +96,19 @@ def power_coefficient(phi: PolynomialSymbol, n: int, num_parts: int):
     if not support:
         return (1 if n == 0 and num_parts == 0 else 0)
     acc = []
-    for vec in _compositions(n, num_parts, support, ()):
-        term = _multinomial(num_parts, vec)
-        for d, l in zip(support, vec):
-            if l:
-                try:
+    try:
+        for vec in _compositions(n, num_parts, support, ()):
+            term = _multinomial(num_parts, vec)
+            for d, l in zip(support, vec):
+                if l:
                     term *= phi.alphas[d] ** l
-                except OverflowError:
-                    raise ValidationError(_NOT_FINITE) from None
-        acc.append(term)
-    if not acc:
-        return 0.0 if phi.mode == "float" else 0
-    if phi.mode == "float":
-        if not all(map(math.isfinite, acc)):
-            raise ValidationError(_NOT_FINITE)
-        try:
-            return math.fsum(acc)
-        except OverflowError:
-            raise ValidationError(_NOT_FINITE) from None
-    return sum(acc)
+            acc.append(term)
+        total = math.fsum(acc) if phi.mode == "float" else sum(acc)
+    except (OverflowError, ValueError):  # ValueError: fsum of an inf and a -inf term
+        total = math.inf
+    if phi.mode == "float" and not math.isfinite(total):
+        raise ValidationError(_NOT_FINITE)
+    return total
 
 
 class PowerTable:

@@ -154,8 +154,9 @@ def _reduced(en: int, ed: int):
     return int(exact) if exact.denominator == 1 else exact
 
 
-def _pair(nums: Sequence, dens: Sequence):
-    """Product ratio of positive factors: the unreduced integer pair
+def _pair(nums: Sequence, dens: Sequence, divisor: int = 1):
+    """Product ratio of positive factors over the integer ``divisor`` (the
+    denominator of a power-table row): the unreduced integer pair
     ``(en, ed)`` when every factor is rational, else a float.
 
     Rational factors are collapsed into one integer numerator and one
@@ -166,7 +167,7 @@ def _pair(nums: Sequence, dens: Sequence):
     times the float scale.  The scans keep pairs unreduced and reduce once
     per row or certificate (Knuth, TAOCP vol. 2, 4.5.1).
     """
-    en = ed = 1
+    en, ed = 1, divisor
     num, den = 1.0, 1.0
     for v in nums:
         t = type(v)
@@ -520,7 +521,7 @@ def composition_bounds_polynomial(req: CriterionRequest
     w, wf = _ReadOnce(beta.value), _ReadOnce(beta.as_float)
     upper_cert = _power_sum_upper(
         req, table, 0,
-        term=lambda n, L, num, den: _pair([abs(num), w[n]], [den, w[L]]),
+        term=lambda n, L, num, den: _pair([abs(num), w[n]], [w[L]], den),
         row=lambda n, j, agg: _pow(agg, e),
         note="power-coefficient sum bound",
     )
@@ -608,13 +609,13 @@ def substitution_bounds_monomial_multiplier(req: CriterionRequest
 
     upper_cert = _power_sum_upper(
         req, table, shift,
-        term=lambda n, L, num, den: _pair([abs(num)], [den, w[L]]), row=row,
+        term=lambda n, L, num, den: _pair([abs(num)], [w[L]], den), row=row,
         note="shifted power-coefficient sum bound",
     )
 
     def column(l):
         pairs, den = table.row_nonzeros_scaled(l)
-        return ((_as_float(_pair([d[j + shift], w[j + shift], abs(x)], [d[shift], d[j], den])),
+        return ((_as_float(_pair([d[j + shift], w[j + shift], abs(x)], [d[shift], d[j]], den)),
                  1.0) for j, x in pairs)
 
     lower_cert = _column_lower(req, column, "shifted monomial-image ratios")
