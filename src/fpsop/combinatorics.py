@@ -162,6 +162,9 @@ class PowerTable:
         return rows
 
     def _check_bounds(self, n: int, L: int) -> None:
+        if (type(n) is int and type(L) is int  # the common case, without the messages
+                and 0 <= n <= self.degree_bound and 0 <= L <= self.max_power):
+            return
         _check_index(n, "n")
         _check_index(L, "L")
         if n > self.degree_bound:
