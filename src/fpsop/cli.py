@@ -57,18 +57,50 @@ class ConfigError(ValueError):
 
 
 def _parse_scalar(value, what: str):
+    if isinstance(value, str):
+        return _parse_text(value, what)[1]
     if isinstance(value, bool):
         raise ConfigError(f"{what} must be a number, got a boolean")
-    if isinstance(value, int):
+    if isinstance(value, (int, float)):
         return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad {what} entry {value!r}: {exc}") from exc
     raise ConfigError(f"{what} must be a number or 'num/den' string, got {type(value).__name__}")
+
+
+def _parse_text(text: str, what: str):
+    """``(echo, Fraction)`` of an exact-scalar string.
+
+    A canonical ``a/b`` (an optional ``-``, then ASCII digits with no leading
+    zero on either side) is read with one ``int()`` per part and one gcd, and
+    is its own echo when the gcd leaves ``b`` as it is and ``b != 1``: the
+    text is then ``str(Fraction)``.  ``isascii`` is O(1), so with the end
+    characters of each part checked and no ``_``, ``int()`` accepts only
+    digits.  Any other text goes through ``Fraction(text)``.  An echo with
+    more digits than the interpreter writes an integer with is rejected, as a
+    literal that long is.
+    """
+    if text.isascii() and "_" not in text:
+        num, _, den = text.partition("/")
+        lead = num[1:2] if num[:1] == "-" else num[:1]
+        if ("1" <= lead <= "9" and "1" <= den[:1] <= "9"
+                and "0" <= num[-1:] <= "9" and "0" <= den[-1:] <= "9"):
+            try:
+                d = int(den)
+                value = Fraction(int(num), d)
+            except ValueError:
+                pass  # an inner sign, blank or "/", or a part past the digit limit
+            else:
+                if value.denominator == d != 1:
+                    return text, value
+                return _render_scalar(value), value
+    try:
+        value = Fraction(text)
+        echo = _render_scalar(value)  # str() of a fraction past the digit limit raises
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if isinstance(echo, int) and limit and echo.bit_length() > 3 * limit:
+            str(echo)  # and so does a whole number's, which a report writes
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad {what} entry {text!r}: {exc}") from exc
+    return echo, value
 
 
 def _render_scalar(value):
@@ -83,14 +115,22 @@ def _render_scalar(value):
     raise ConfigError(f"cannot render {type(value).__name__}")
 
 
+def _parse_echo(value, what: str):
+    """``(echo, scalar)`` of one config scalar: its rendered echo and its
+    parsed value."""
+    if isinstance(value, str):
+        return _parse_text(value, what)
+    scalar = _parse_scalar(value, what)
+    return _render_scalar(scalar), scalar
+
+
 def _parse_once(value, what: str):
     """``(echo, scalar)`` of one finite weight scalar, parsed once: its
     rendered echo and the value the weights are built from, a whole Fraction
     as an int, as parsing the echo again would give."""
-    scalar = _parse_scalar(value, what)
+    echo, scalar = _parse_echo(value, what)
     if isinstance(scalar, float) and not math.isfinite(scalar):
         raise ConfigError(f"{what} entries must be finite, got {value!r}")
-    echo = _render_scalar(scalar)
     return echo, (scalar if isinstance(echo, str) else echo)
 
 
@@ -142,7 +182,7 @@ def _normalize_series_spec(spec, what: str) -> Optional[dict]:
             coeffs = spec["coeffs"]
             if not isinstance(coeffs, list) or not coeffs:
                 raise ConfigError(f"{what} coeffs must be a nonempty list")
-            return {"coeffs": [_render_scalar(_parse_scalar(v, what)) for v in coeffs]}
+            return {"coeffs": [_parse_echo(v, what)[0] for v in coeffs]}
         raise ConfigError(f"{what} spec needs exactly 'monomial' or 'coeffs', got {sorted(keys)}")
     raise ConfigError(f"{what} spec must be an object, got {type(spec).__name__}")
 

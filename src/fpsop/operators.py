@@ -460,8 +460,15 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence,
     n_lone = int(A.shape[1] - coupled.sum())
     lone_best = 0.0
     if n_lone:
-        sq = np.bincount(A.indices, weights=A.data * A.data, minlength=A.shape[1])
-        lone_best = float(np.sqrt(sq[~coupled].max()))
+        # Entries whose squares could sum past float range are scaled by a
+        # power of two first, which is exact, and the norm scaled back.
+        top = float(np.abs(A.data).max(initial=0.0))
+        scale = 1.0
+        if top * math.sqrt(A.nnz) > 2.0 ** 500:
+            scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+        data = A.data / scale
+        sq = np.bincount(A.indices, weights=data * data, minlength=A.shape[1])
+        lone_best = float(np.sqrt(sq[~coupled].max())) * scale
 
     head, notes = [], []
     sigma, iterations, converged, delta = 0.0, 0, True, 0.0

@@ -392,7 +392,10 @@ def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence
                 a, b = fc[k], gc[n - k]
                 if a and b:
                     terms.append(delta.kernel_float(n, k) * a * b)
-            out.append(math.fsum(terms) if terms else 0.0)
+            try:
+                out.append(math.fsum(terms) if terms else 0.0)
+            except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+                raise ValidationError(_NOT_FINITE) from None
         return TruncatedSeries(tuple(out))
     size = degree_bound + 1
     fs = [k for k, a in enumerate(fc[:size]) if a]

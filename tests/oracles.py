@@ -2,7 +2,8 @@
 
 Everything here is written directly from the defining formulas with plain
 loops and exact rational arithmetic, deliberately sharing no code with the
-package under test (``ratio_reference`` borrows only its error type).
+package under test (``ratio_reference`` and ``parse_once_reference``
+borrow only their error types).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
+from fpsop.cli import ConfigError
 from fpsop.weights import ValidationError
 
 
@@ -163,3 +165,41 @@ def ratio_reference(nums, dens):
         return float(exact) * scale
     except OverflowError:
         return math.inf
+
+
+def _parse_scalar_reference(value, what: str):
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got a boolean")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad {what} entry {value!r}: {exc}") from exc
+    raise ConfigError(f"{what} must be a number or 'num/den' string, got {type(value).__name__}")
+
+
+def _render_scalar_reference(value):
+    if isinstance(value, bool):
+        raise ConfigError("booleans are not scalars")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction):
+        return str(value) if value.denominator != 1 else int(value)
+    if isinstance(value, float):
+        return "inf" if math.isinf(value) else value
+    raise ConfigError(f"cannot render {type(value).__name__}")
+
+
+def parse_once_reference(value, what: str):
+    """``cli._parse_once`` as it parsed every string through ``Fraction(str)``
+    and rendered the echo with ``str(Fraction)``: kept verbatim, it is the
+    reference for the route that reads canonical ``a/b`` text itself."""
+    scalar = _parse_scalar_reference(value, what)
+    if isinstance(scalar, float) and not math.isfinite(scalar):
+        raise ConfigError(f"{what} entries must be finite, got {value!r}")
+    echo = _render_scalar_reference(scalar)
+    return echo, (scalar if isinstance(echo, str) else echo)

@@ -7,8 +7,13 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpsop.cli import COMMANDS, Config, ConfigError, main, parse_config, run
+from fpsop.cli import (COMMANDS, Config, ConfigError, _parse_once, _parse_scalar, main,
+                       parse_config, run)
+
+from oracles import parse_once_reference
 
 MINIMAL = '{"p": 2, "beta": {"preset": "dirichlet"}, "phi": {"monomial": 2}}'
 
@@ -338,6 +343,29 @@ class TestBeyondFloatRange:
         assert named["monomial-column-lower"] <= estimate <= named["multiplier-algebra-upper"]
 
 
+    @pytest.mark.parametrize("f, g", [
+        ("[1e308, 1e308]", "[1.0, 1.0]"),      # fsum's intermediate overflow
+        ("[1e308, -1e308]", "[1e308, 1e308]"),  # inf - inf
+    ])
+    def test_float_product_beyond_float_range_exits_two(self, capsys, f, g):
+        code = main(["product", "--quiet", "--config",
+                     '{"f": {"coeffs": %s}, "g": {"coeffs": %s}, "delta": "factorial"}'
+                     % (f, g)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "fpsop: error: coefficients must be finite\n"
+
+    def test_estimate_with_a_lone_column_whose_square_overflows(self, capsys):
+        code, out = run_main(capsys, "estimate", "--quiet", "--config",
+                             '{"u": {"coeffs": [1e200]},'
+                             ' "truncation": {"degree": 3, "tail_window": 1}}')
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert oracle["estimate"] == pytest.approx(1e200, rel=1e-12)
+        assert oracle["converged"] is True
+
+
 class TestSizeGuard:
     """A power table or matrix above 10,000,000 entries exits 3 before it is built."""
 
@@ -419,13 +447,154 @@ class TestExplicitWeightLists:
         assert main(["bound", "--theorem", "thm22", "--quiet", "--config", config]) == 2
         assert capsys.readouterr().err == f"fpsop: error: {message}\n"
 
-    def test_entries_built_as_their_echo_reads(self):
-        cfg = parse_config('{"beta": {"values": ["1", "4/2", "1/3", 0.5, 3]},'
-                           ' "truncation": {"degree": 4, "tail_window": 1}}')
-        assert cfg.normalized["beta"] == {"values": [1, 2, "1/3", 0.5, 3]}
-        built = [cfg.beta.value(n) for n in range(5)]
-        assert built == [1, 2, Fraction(1, 3), Fraction(1, 2), 3]
-        assert [type(v) for v in built] == [int, int, Fraction, Fraction, int]
+    @pytest.mark.parametrize("entry, echo, built", [
+        ("4/2", 2, 2),
+        ("1/3", "1/3", Fraction(1, 3)),
+        ("6/4", "3/2", Fraction(3, 2)),
+        ("1/1", 1, 1),
+        ("01/3", "1/3", Fraction(1, 3)),
+        ("1/03", "1/3", Fraction(1, 3)),
+        ("+1/3", "1/3", Fraction(1, 3)),
+        (" 1/3\n", "1/3", Fraction(1, 3)),
+        ("\u0661/\u0663", "1/3", Fraction(1, 3)),
+        ("0.25", "1/4", Fraction(1, 4)),
+        ("2.5e1", 25, 25),
+        ("12", 12, 12),
+    ])
+    def test_entries_built_as_their_echo_reads(self, entry, echo, built):
+        cfg = parse_config(json.dumps({"beta": {"values": ["1", entry, "1/3", 0.5, 3]},
+                                       "truncation": {"degree": 4, "tail_window": 1}}))
+        assert cfg.normalized["beta"] == {"values": [1, echo, "1/3", 0.5, 3]}
+        values = [cfg.beta.value(n) for n in range(5)]
+        assert values == [1, built, Fraction(1, 3), Fraction(1, 2), 3]
+        assert [type(v) for v in values] == [int, type(built), Fraction, Fraction, int]
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+needs_digit_limit = pytest.mark.skipif(
+    not _DIGIT_LIMIT, reason="this interpreter converts integers of any length to text")
+
+
+@needs_digit_limit
+class TestEchoDigitLimit:
+    """An exact scalar whose echo has more digits than the interpreter writes
+    an integer with exits 2 naming the entry, with or without the echo."""
+
+    @pytest.mark.parametrize("quiet", [["--quiet"], []])
+    @pytest.mark.parametrize("argv, entry", [
+        (["norm", "--config", '{"f": {"coeffs": ["1e-%d"]}}' % _DIGIT_LIMIT], "f"),
+        (["bound", "--theorem", "cor24", "--config",
+          '{"beta": {"values": [1, "1e%d"]},'
+          ' "truncation": {"degree": 1, "tail_window": 1}}' % _DIGIT_LIMIT], "beta"),
+    ])
+    def test_exits_two(self, capsys, argv, entry, quiet):
+        code = main(argv + quiet)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"fpsop: error: bad {entry} entry '1e")
+        assert "sys.set_int_max_str_digits()" in captured.err
+
+    def test_limit_read_when_parsing(self):
+        config = '{"beta": {"values": [1, "1e%d"]}}'
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert parse_config(config % 639).normalized["beta"]["values"][1] == 10 ** 639
+            with pytest.raises(ConfigError, match="bad beta entry '1e640'"):
+                parse_config(config % 640)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                             "\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def _scalar_texts(draw):
+    """Config scalar strings: canonical ``a/b``, then one change each that
+    makes it reducible or a form only ``Fraction(text)`` reads or rejects."""
+    near_limit = ["7" * n for n in (_DIGIT_LIMIT - 1, _DIGIT_LIMIT, _DIGIT_LIMIT + 1) if n > 0]
+    part = st.one_of(st.integers(1, 40).map(str), st.integers(1, 10 ** 24).map(str),
+                     st.sampled_from(near_limit or ["7"]))
+    num, den = draw(part), draw(part)
+    sign = draw(st.sampled_from(["", "-"]))
+    base = f"{sign}{num}/{den}"
+    at = draw(st.integers(0, len(base)))
+    blank = st.sampled_from([" ", "\t", "\n"])
+    exponent = st.one_of(st.integers(-30, 30), st.sampled_from(
+        [e for n in near_limit for e in (len(n) - len(num), len(n) - len(num) + 1, -len(n))]))
+    forms = {
+        "canonical": lambda: base,
+        "reducible": lambda: f"{sign}{num}0/{den}0",
+        "over one": lambda: f"{sign}{num}/1",
+        "zero": lambda: f"{sign}0/{den}",
+        "zero denominator": lambda: f"{sign}{num}/0",
+        "whole": lambda: f"{sign}{num}",
+        "plus": lambda: f"+{num}/{den}",
+        "signed denominator": lambda: f"{num}/{draw(st.sampled_from(['-', '+']))}{den}",
+        "leading zero": lambda: draw(st.sampled_from([f"{sign}0{num}/{den}",
+                                                      f"{sign}{num}/0{den}"])),
+        "inserted": lambda: base[:at] + draw(st.sampled_from(
+            ["_", " ", "\t", "+", "-", "/", ".", "e", "\u0663", "\u00b2"])) + base[at:],
+        "blank ends": lambda: draw(st.sampled_from([draw(blank) + base, base + draw(blank)])),
+        "blank slash": lambda: draw(st.sampled_from([f"{sign}{num}{draw(blank)}/{den}",
+                                                     f"{sign}{num}/{draw(blank)}{den}"])),
+        "underscore": lambda: draw(st.sampled_from([f"{sign}{num}_7/{den}",
+                                                    f"{sign}{num}/{den}_7"])),
+        "non-ASCII digit": lambda: base[:at] + base[at:at + 1].translate(_ARABIC_INDIC)
+        + base[at + 1:],
+        "non-ASCII digits": lambda: base.translate(_ARABIC_INDIC),
+        "decimal": lambda: f"{sign}{num}.{den}",
+        "exponent": lambda: f"{sign}{num}{draw(st.sampled_from(['', '.5']))}e{draw(exponent)}",
+        "two slashes": lambda: f"{base}/{den}",
+        "special": lambda: draw(st.sampled_from(["", "/", "-", "-/3", "1/", "inf", "nan",
+                                                 "-0/3", "0/5", "1/1", "1/0"])),
+    }
+    return forms[draw(st.sampled_from(sorted(forms)))]()
+
+
+class TestScalarTextRoute:
+    """``a/b`` text read without ``Fraction(str)`` gives what ``Fraction(str)``
+    and ``str(Fraction)`` gave, in this interpreter (3.10 rejects ``_`` in a
+    numeral, later versions accept it)."""
+
+    @staticmethod
+    def assert_as_reference(text):
+        try:
+            echo, value = parse_once_reference(text, "beta")
+            if isinstance(echo, int):
+                str(echo)  # a report could not write a longer echo
+        except ConfigError as exc:
+            expected = str(exc)
+        except ValueError as exc:  # the echo has more digits than str() writes
+            expected = f"bad beta entry {text!r}: {exc}"
+        else:
+            got_echo, got_value = _parse_once(text, "beta")
+            assert (got_echo, type(got_echo)) == (echo, type(echo))
+            assert (got_value, type(got_value)) == (value, type(value))
+            scalar = _parse_scalar(text, "p")
+            assert scalar == value and type(scalar) is Fraction
+            return
+        with pytest.raises(ConfigError) as raised:
+            _parse_once(text, "beta")
+        assert str(raised.value) == expected
+
+    @given(_scalar_texts())
+    @settings(max_examples=600, deadline=None)
+    def test_same_echo_value_and_error_as_fraction_text(self, text):
+        self.assert_as_reference(text)
+
+    @pytest.mark.parametrize("text", [
+        "1/3", "-1/3", "12/18", "4/2", "1/1", "-0/3", "0/5", "1/0", "01/3", "1/03",
+        "+1/3", "1/+3", "1 /3", "1/ 3", " 1/3", "1/3\n", "1_0/3", "1/3_0",
+        "\u0661/\u0662", "1\u0661/3", "1.5", "1e3", "1e-3", "3", "-", "/", "-/3",
+        "1/", "", "inf", "nan", "1/2/3", "1-2/3", "--1/3", "1/-3",
+    ])
+    def test_edge_texts(self, text):
+        self.assert_as_reference(text)
 
 
 _IMPORT_GUARD = textwrap.dedent("""
