@@ -95,12 +95,18 @@ def _parse_text(text: str, what: str):
     try:
         value = Fraction(text)
         echo = _render_scalar(value)  # str() of a fraction past the digit limit raises
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        limit = _digit_limit()
         if isinstance(echo, int) and limit and echo.bit_length() > 3 * limit:
             str(echo)  # and so does a whole number's, which a report writes
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad {what} entry {text!r}: {exc}") from exc
     return echo, value
+
+
+def _digit_limit() -> int:
+    """The most digits the interpreter converts an integer to or from text
+    with, 0 where it has no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _render_scalar(value):
@@ -269,6 +275,9 @@ def parse_config(source) -> Config:
         raise ConfigError(
             f"config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ConfigError(f"config has an integer literal with more than {_digit_limit()}"
+                          f" digits, the most the interpreter reads: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
@@ -651,7 +660,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"fpsop: {args.command} took {elapsed_ms:.1f} ms", file=sys.stderr)
     if args.quiet:
         report.pop("config")
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        if "int_max_str_digits" not in str(exc):
+            raise
+        print(f"fpsop: error: a result has more than {_digit_limit()} digits,"
+              f" the most the interpreter writes an integer with: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -278,9 +278,14 @@ def _q_pairs(terms: list, qe):
     for en, ed in terms:
         if en:
             sums[ed] = sums.get(ed, 0) + en ** qe
-    dens = [ed ** qe for ed in sums]
-    den = math.lcm(*dens)
-    return _reduced(sum(s * (den // d) for s, d in zip(sums.values(), dens)), den)
+    return _reduced(*_lcm_sum({ed ** qe: s for ed, s in sums.items()}))
+
+
+def _lcm_sum(sums: dict) -> tuple:
+    """``sum s / d`` over ``{d: s}`` as the unreduced pair (numerator, LCM of
+    the ``d``)."""
+    den = math.lcm(*sums)
+    return sum(s * (den // d) for d, s in sums.items()), den
 
 
 def _decayed(last3: Sequence[float]) -> bool:
@@ -372,20 +377,45 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
 def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
                 ) -> BoundCertificate:
     """``scale`` times the sup over ``n`` of the q-aggregated kernel
-    ``d(n) w(n) / (d(k) d(n-k) w(k) w((n-k)/stride))``, ``stride | n-k``."""
+    ``d(n) w(n) / (d(k) d(n-k) w(k) w((n-k)/stride))``, ``stride | n-k``.
+
+    While the weights read are rational and ``q`` whole, row ``n`` is
+    ``c(n) sum 1 / (c(k) b(n-k))`` over the integer pairs ``c(i) = (d(i) w(i))**q``
+    and ``b(j) = (d(j) w(j/stride))**q``, powered once per index, summed per
+    denominator over their LCM (:func:`_lcm_sum`) and reduced once; any
+    other row takes the per-term :func:`_pair` route, to the same value.
+    """
     beta, delta, space = req.beta, req.delta, req.space
     qe = None if space.sup_mode else _exponent(space.q)
 
+    def powered(x, y):
+        return (x.numerator * y.numerator) ** qe, (x.denominator * y.denominator) ** qe
+
     def rows():
         # Row n reads no index above n, so each weight is read once, in order.
-        d, w = [], []
+        d, w, c, b = [], [], [], []
+        factored = type(qe) is int
         for n in range(space.truncation_degree + 1):
             d.append(delta.value(n))
             w.append(beta.value(n))
-            yield _q_pairs([
-                _pair([d[n], w[n]], [d[k], d[n - k], w[k], w[(n - k) // stride]])
-                for k in stride_offsets(n, stride)
-            ], qe)
+            offsets = stride_offsets(n, stride)
+            factored = factored and isinstance(d[n], Rational) and isinstance(w[n], Rational)
+            if not factored:
+                yield _q_pairs([
+                    _pair([d[n], w[n]], [d[k], d[n - k], w[k], w[(n - k) // stride]])
+                    for k in offsets
+                ], qe)
+                continue
+            c.append(powered(d[n], w[n]))
+            if n % stride == 0:
+                b.append(powered(d[n], w[n // stride]))
+            sums: dict = {}
+            for k in offsets:
+                (kn, kd), (jn, jd) = c[k], b[(n - k) // stride]
+                den = kn * jn
+                sums[den] = sums.get(den, 0) + kd * jd
+            num, den = _lcm_sum(sums)
+            yield _reduced(c[n][0] * num, c[n][1] * den)
 
     return _certify(
         rows(), kind="upper", space=space, cap=req.cap,

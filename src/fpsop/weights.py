@@ -10,7 +10,6 @@ choices and explicit value lists cover ad-hoc finite experiments.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -78,11 +77,13 @@ def _exact_scalar(value, what: str) -> Union[int, Fraction]:
 
 
 class _LazySequence:
-    """Deterministic index-to-scalar map with a bounded, lock-protected memo.
+    """Deterministic index-to-scalar map with a bounded memo.
 
     Values for indices up to ``max_cached`` are computed once and reused, so
     the evaluators' inner loops stay O(1) per index; larger indices are
-    recomputed on demand.  Reads are safe under concurrent access.
+    recomputed on demand.  The memo takes no lock: it is idempotent, since
+    the map is a deterministic function, so concurrent readers at worst
+    compute a value twice and store equal values.
     """
 
     def __init__(self, fn: Callable[[int], Scalar], label: str, max_cached: int, what: str):
@@ -91,18 +92,15 @@ class _LazySequence:
         self.max_cached = int(max_cached)
         self._what = what
         self._cache: dict[int, Scalar] = {}
-        self._lock = threading.Lock()
 
     def value(self, n: int) -> Scalar:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValidationError(f"{self._what} index must be a nonnegative integer, got {n!r}")
         if n <= self.max_cached:
-            with self._lock:
-                hit = self._cache.get(n)
-                if hit is None:
-                    hit = _check_positive(self._fn(n), n, self._what)
-                    self._cache[n] = hit
-                return hit
+            hit = self._cache.get(n)
+            if hit is None:
+                hit = self._cache[n] = _check_positive(self._fn(n), n, self._what)
+            return hit
         return _check_positive(self._fn(n), n, self._what)
 
     __call__ = value
@@ -148,8 +146,7 @@ class DeltaSequence(_LazySequence):
         if not 0 <= k <= n:
             raise ValidationError(f"kernel index k={k} outside 0..{n}")
         if n <= _KERNEL_CACHE_LIMIT:
-            with self._lock:
-                hit = self._kernel_cache.get((n, k))
+            hit = self._kernel_cache.get((n, k))
             if hit is not None:
                 return hit
         num = self.value(n)
@@ -161,8 +158,7 @@ class DeltaSequence(_LazySequence):
         else:
             out = num / den
         if n <= _KERNEL_CACHE_LIMIT:
-            with self._lock:
-                self._kernel_cache[(n, k)] = out
+            self._kernel_cache[(n, k)] = out
         return out
 
     def kernel_float(self, n: int, k: int) -> float:

@@ -3,7 +3,10 @@
 Everything here is written directly from the defining formulas with plain
 loops and exact rational arithmetic, deliberately sharing no code with the
 package under test (``ratio_reference`` and ``parse_once_reference``
-borrow only their error types).
+borrow only their error types).  ``kernel_rows_reference`` is the one
+exception: it keeps the per-term kernel route on the package's own ``_pair``
+and ``_q_pairs``, which ``test_criteria.py`` pins against ``ratio_reference``
+and ``_q_aggregate``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from fractions import Fraction
 from numbers import Rational
 
 from fpsop.cli import ConfigError
+from fpsop.combinatorics import stride_offsets
+from fpsop.criteria import _exponent, _pair, _q_pairs
 from fpsop.weights import ValidationError
 
 
@@ -203,3 +208,25 @@ def parse_once_reference(value, what: str):
         raise ConfigError(f"{what} entries must be finite, got {value!r}")
     echo = _render_scalar_reference(scalar)
     return echo, (scalar if isinstance(echo, str) else echo)
+
+
+def kernel_rows_reference(req, stride):
+    """The rows of ``criteria._kernel_sup`` as it built each one term by
+    term, every term through ``_pair`` and the row through ``_q_pairs``: kept
+    verbatim, it is the reference for the rows built from per-index powered
+    weight pairs."""
+    beta, delta, space = req.beta, req.delta, req.space
+    qe = None if space.sup_mode else _exponent(space.q)
+
+    def rows():
+        # Row n reads no index above n, so each weight is read once, in order.
+        d, w = [], []
+        for n in range(space.truncation_degree + 1):
+            d.append(delta.value(n))
+            w.append(beta.value(n))
+            yield _q_pairs([
+                _pair([d[n], w[n]], [d[k], d[n - k], w[k], w[(n - k) // stride]])
+                for k in stride_offsets(n, stride)
+            ], qe)
+
+    return rows()

@@ -508,6 +508,46 @@ class TestEchoDigitLimit:
             sys.set_int_max_str_digits(limit)
 
 
+@needs_digit_limit
+class TestIntegerTextPastDigitLimit:
+    """An integer literal in the config, or an exact result, with more digits
+    than the interpreter converts between int and text exits 2 naming the
+    limit, with or without the echo, and writes no report."""
+
+    @pytest.mark.parametrize("quiet", [["--quiet"], []])
+    def test_integer_literal_in_config(self, capsys, quiet):
+        config = '{"f": {"coeffs": [1%s]}}' % ("0" * _DIGIT_LIMIT)
+        assert main(["norm", "--config", config] + quiet) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"fpsop: error: config has an integer literal with more than {_DIGIT_LIMIT} digits")
+
+    def test_literal_limit_read_when_parsing(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            cfg = parse_config('{"f": {"coeffs": [1%s]}}' % ("0" * 639))
+            assert cfg.normalized["f"] == {"coeffs": [10 ** 639]}
+            with pytest.raises(ConfigError, match="literal with more than 640 digits"):
+                parse_config('{"f": {"coeffs": [1%s]}}' % ("0" * 640))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("quiet", [["--quiet"], []])
+    def test_exact_result(self, capsys, tmp_path, quiet):
+        # phi = 10**e z, so theta(5, 5) = 10**(5e) has more digits than the limit
+        config = ('{"phi": {"coeffs": [0, "1e%d"]}, "n": 5, "power": 5}'
+                  % (_DIGIT_LIMIT // 5 + 1))
+        out = tmp_path / "report.json"
+        assert main(["theta", "--config", config, "--out", str(out)] + quiet) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(
+            f"fpsop: error: a result has more than {_DIGIT_LIMIT} digits")
+        assert "sys.set_int_max_str_digits()" in captured.err
+
+
 _ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                                              "\u0665\u0666\u0667\u0668\u0669")
 

@@ -1,15 +1,18 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpsop import criteria
 from fpsop.criteria import (
     CriterionRequest,
     _certify,
     _exact_or_fsum,
+    _exponent,
     _pair,
     _q_aggregate,
     _q_pairs,
@@ -22,9 +25,10 @@ from fpsop.criteria import (
     substitution_bounds_monomial_symbol,
 )
 from fpsop.series import PolynomialSymbol, TruncatedSeries
-from fpsop.weights import SpaceConfig, ValidationError, _safe_float, make_beta, make_delta
+from fpsop.weights import (DeltaSequence, SpaceConfig, ValidationError, WeightSequence,
+                           _safe_float, make_beta, make_delta)
 
-from oracles import rand_symbol_coeffs, ratio_reference
+from oracles import kernel_rows_reference, rand_symbol_coeffs, ratio_reference
 
 ones = make_delta("ones")
 hardy = make_beta("hardy")
@@ -445,3 +449,101 @@ class TestExactOrFsum:
 
     def test_float_sum_beyond_float_range_is_inf(self):
         assert _exact_or_fsum([1e308, Fraction(1, 3), 1e308]) == math.inf
+
+
+class _Float(float):
+    """A float subclass, as a custom weight function may return."""
+
+
+def _reference_kernel_sup(req, stride, scale, note):
+    """``criteria._kernel_sup`` on the per-term reference rows."""
+    space = req.space
+    return _certify(
+        kernel_rows_reference(req, stride), kind="upper", space=space, cap=req.cap,
+        outer_exponent=1 if space.sup_mode else _exponent(1, space.q),
+        scale=scale, notes=(note,),
+    )
+
+
+def _kernel_outcomes(req):
+    """The cor24 and thm23 upper certificates, each as comparable fields, or
+    the error raised."""
+    out = []
+    for evaluate in (multiplier_algebra_bound,
+                     lambda r: substitution_bounds_monomial_symbol(r)[0]):
+        try:
+            c = evaluate(req)
+        except ValidationError as exc:
+            out.append(("error", str(exc)))
+            continue
+        out.append((float(c.value).hex(), c.attained_at, float(c.tail_delta).hex(),
+                    c.converged, c.notes))
+    return out
+
+
+def _unrelated_fractions(size):
+    return st.lists(st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6)),
+                    min_size=size, max_size=size)
+
+
+@st.composite
+def _kernel_requests(draw):
+    degree = draw(st.integers(1, 20))
+    # From index `switch` on, a custom weight returns float subclasses.
+    switch = draw(st.integers(0, degree + 1))
+    beta_kind = draw(st.sampled_from(["list", "hardy", "bergman", "geometric", "custom"]))
+    if beta_kind == "list":
+        beta = make_beta(draw(_unrelated_fractions(degree + 1)))
+    elif beta_kind == "geometric":
+        beta = geometric_beta(degree, draw(st.sampled_from([Fraction(1, 2), Fraction(7, 11)])))
+    elif beta_kind == "custom":
+        beta = WeightSequence(lambda n: Fraction(1, n + 1) if n < switch else _Float(1 / (n + 1)))
+    else:
+        beta = make_beta(beta_kind)
+    delta_kind = draw(st.sampled_from(
+        ["list", "ones", "factorial", "inverse-factorial", "geometric", "custom"]))
+    if delta_kind == "list":
+        delta = make_delta([1] + draw(_unrelated_fractions(degree)))
+    elif delta_kind == "geometric":
+        delta = make_delta("geometric", ratio=draw(st.sampled_from(["2/3", "7/11", "3"])))
+    elif delta_kind == "custom":
+        delta = DeltaSequence(lambda n: math.factorial(n) if n < switch
+                              else _Float(math.factorial(n)))
+    else:
+        delta = make_delta(delta_kind)
+    u = draw(st.sampled_from([None, TruncatedSeries((1, Fraction(1, 2))),
+                              TruncatedSeries((Fraction(2, 3), 0, 3))]))
+    space = SpaceConfig(p=draw(st.sampled_from([2, Fraction(3, 2), Fraction(4, 3), 3, 1])),
+                        truncation_degree=degree,
+                        tail_window=draw(st.integers(1, min(degree, 4))))
+    return CriterionRequest(beta=beta, delta=delta, space=space, u=u,
+                            stride=draw(st.integers(1, 3)))
+
+
+class TestKernelRowsMatchPerTermReference:
+    """``_kernel_sup`` builds rows of rational weights from per-index pairs
+    raised to q once; its certificates must equal those of the per-term
+    route it replaced, and a float weight must send rows to that route."""
+
+    @given(_kernel_requests())
+    @settings(max_examples=250, deadline=None)
+    def test_certificates_equal_the_reference(self, req):
+        got = _kernel_outcomes(req)
+        with mock.patch.object(criteria, "_kernel_sup", _reference_kernel_sup):
+            want = _kernel_outcomes(req)
+        assert got == want
+
+    @pytest.mark.parametrize("beta, delta, stride, message", [
+        (["1", "1/2", "1/4"], "ones", 1,
+         "explicit beta list has 3 entries; index 3 is out of range"),
+        (["1", "1/3", "1/9", "1/27"], [1, "1/2", "1/6"], 2,
+         "explicit delta list has 3 entries; index 3 is out of range"),
+        ([1, 1, 1, 1, 1], [1, "2/3", "4/9", "8/27", "16/81", "32/243", "64/729"], 3,
+         "explicit beta list has 5 entries; index 5 is out of range"),
+    ])
+    def test_short_list_fails_at_the_same_index(self, beta, delta, stride, message):
+        req = request(make_beta(beta), make_delta(delta), degree=12, stride=stride)
+        expected = [("error", message)] * 2
+        assert _kernel_outcomes(req) == expected
+        with mock.patch.object(criteria, "_kernel_sup", _reference_kernel_sup):
+            assert _kernel_outcomes(req) == expected

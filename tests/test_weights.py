@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -161,3 +162,27 @@ def test_kernel_symmetry(n_extra, k):
     n = k + n_extra
     delta = make_delta("inverse-factorial")
     assert delta.kernel(n, k) == delta.kernel(n, n - k)
+
+
+def test_concurrent_reads_get_equal_values():
+    """The memo takes no lock; it is idempotent, so threads that read the same
+    indices at once get equal values."""
+    delta = make_delta("inverse-factorial")
+    beta = make_beta([Fraction(1, n + 2) for n in range(200)])
+    start = threading.Barrier(4)
+    seen = [None] * 4
+
+    def read(slot):
+        start.wait()
+        seen[slot] = ([delta.value(n) for n in range(200)],
+                      [beta.value(n) for n in range(200)],
+                      [delta.kernel(n, k) for n in range(40) for k in range(n + 1)])
+
+    threads = [threading.Thread(target=read, args=(slot,)) for slot in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert seen[1:] == seen[:1] * 3
+    assert seen[0][0] == [Fraction(1, math.factorial(n)) for n in range(200)]
+    assert seen[0][2][-2:] == [Fraction(1, 39), 1]
