@@ -7,7 +7,6 @@ operators acting on sequence-weighted power series spaces.
 
 from .combinatorics import (
     PowerTable,
-    in_stride_set,
     power_coefficient,
     stride_offsets,
     weighted_compositions,
@@ -48,7 +47,6 @@ from .weights import (
     conjugate_exponent,
     make_beta,
     make_delta,
-    tilde_beta,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +73,6 @@ __all__ = [
     "conjugate_exponent",
     "diamond_product",
     "diamond_substitute",
-    "in_stride_set",
     "make_beta",
     "make_delta",
     "multiplier_algebra_bound",
@@ -87,7 +84,6 @@ __all__ = [
     "substitution_bounds_monomial_multiplier",
     "substitution_bounds_monomial_pair",
     "substitution_bounds_monomial_symbol",
-    "tilde_beta",
     "weighted_compositions",
     "__version__",
 ]

@@ -34,6 +34,7 @@ from .weights import (
     SpaceConfig,
     ValidationError,
     WeightSequence,
+    _safe_float,
     conjugate_exponent,
     make_beta,
     make_delta,
@@ -47,9 +48,6 @@ CRITERION_CODES = ("thm21", "thm22", "thm23", "cor24", "thm25", "cor26")
 
 _LAW_SAMPLES = 25
 _LAW_DEGREE = 12
-_ORACLE_MAX_ITERS = 50_000
-_ORACLE_TOL = 1e-12
-_SEARCH_BUDGET = 600
 
 
 class ConfigError(ValueError):
@@ -228,6 +226,16 @@ def _check_int(value, what: str, minimum: int = 0) -> int:
     return value
 
 
+def _check_positive(value, what: str) -> float:
+    """``value`` as a float, when it is a finite positive JSON number."""
+    out = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        out = _safe_float(value)  # an int beyond float range is inf
+    if not 0 < out < math.inf:
+        raise ConfigError(f"{what} must be a finite positive number, got {value!r}")
+    return out
+
+
 @dataclass
 class Config:
     """A validated configuration with constructed weight and series objects.
@@ -295,14 +303,9 @@ def parse_config(source) -> Config:
         raise ConfigError(f"unknown truncation keys: {sorted(bad)}")
     degree = _check_int(trunc.get("degree", 512), "truncation.degree")
     tail_window = _check_int(trunc.get("tail_window", 10), "truncation.tail_window", 1)
-    tolerance = trunc.get("tolerance", 1e-7)
-    if not (isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool)
-            and tolerance > 0):
-        raise ConfigError("truncation.tolerance must be a positive number")
+    tolerance = _check_positive(trunc.get("tolerance", 1e-7), "truncation.tolerance")
     power_limit = _check_int(trunc.get("power_limit", degree), "truncation.power_limit")
-    cap = trunc.get("cap", 1e12)
-    if not (isinstance(cap, (int, float)) and not isinstance(cap, bool) and cap > 0):
-        raise ConfigError("truncation.cap must be a positive number")
+    cap = _check_positive(trunc.get("cap", 1e12), "truncation.cap")
 
     theorem = raw.get("theorem")
     if theorem is not None and theorem not in CRITERION_CODES:
@@ -327,8 +330,8 @@ def parse_config(source) -> Config:
             "degree": degree,
             "power_limit": power_limit,
             "tail_window": tail_window,
-            "tolerance": float(tolerance),
-            "cap": float(cap),
+            "tolerance": tolerance,
+            "cap": cap,
         },
         "seed": _check_int(raw.get("seed", 0), "seed"),
     }
@@ -339,11 +342,11 @@ def parse_config(source) -> Config:
         u = _build_series(normalized["u"], default_unity=True)
         phi = _build_symbol(normalized["phi"])
         space = SpaceConfig(p=p, truncation_degree=degree,
-                            tail_window=tail_window, tolerance=float(tolerance))
+                            tail_window=tail_window, tolerance=tolerance)
         config = Config(
             normalized=normalized, p=p, beta=beta, delta=delta, u=u,
             u_given=normalized["u"] is not None, phi=phi, space=space,
-            power_limit=power_limit, cap=float(cap), seed=normalized["seed"],
+            power_limit=power_limit, cap=cap, seed=normalized["seed"],
         )
         config.request()  # rejects a stride or shift that disagrees with phi or u
     except ValidationError as exc:
@@ -435,13 +438,9 @@ def _estimate(config: Config) -> dict:
 
     warnings = list(T.warnings)
     if float(config.p) == 2.0:
-        oracle_cert = operators.norm_estimate_l2(
-            T, config.beta, max_iters=_ORACLE_MAX_ITERS, tol=_ORACLE_TOL
-        )
+        oracle_cert = operators.norm_estimate_l2(T, config.beta)
     else:
-        oracle_cert = operators.norm_lower_search(
-            T, config.beta, config.p, budget=_SEARCH_BUDGET, seed=config.seed
-        )
+        oracle_cert = operators.norm_lower_search(T, config.beta, config.p, seed=config.seed)
     iterations = 0
     for note in oracle_cert.notes:
         if note.startswith(("iterations=", "evaluations=")):

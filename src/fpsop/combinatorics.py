@@ -10,7 +10,6 @@ for the matrix builder, which reads its columns from the rows.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .series import _NOT_FINITE, PolynomialSymbol, _exact, _power_rows
@@ -18,7 +17,6 @@ from .weights import ValidationError
 
 __all__ = [
     "PowerTable",
-    "in_stride_set",
     "power_coefficient",
     "stride_offsets",
     "weighted_compositions",
@@ -115,23 +113,20 @@ class PowerTable:
     """Rows of coefficients of ``phi**L`` for ``L = 0..max_power``.
 
     Row ``L`` holds the truncated coefficient vector of ``phi**L``; entry
-    ``theta(n, L)`` is the ``z**n`` coefficient.  Construction strategies:
+    ``theta(n, L)`` is the ``z**n`` coefficient.  ``method`` names the route,
+    which follows from ``phi``:
 
-    - ``"direct"``: unit-monomial symbols only; entries come from arithmetic
+    - ``"direct"`` for a unit monomial ``z**m``: entries come from arithmetic
       on the degree, no storage.
-    - ``"powers"``: iterated truncated convolution, one row from the last;
-      exact rows are kept as integer numerators over a power of the common
-      denominator of ``phi`` and reduced only when read.  The bound scans
-      read the numerators and the denominator unreduced, through
+    - ``"powers"`` otherwise: iterated truncated convolution, one row from
+      the last; exact rows are kept as integer numerators over a power of the
+      common denominator of ``phi`` and reduced only when read.  The bound
+      scans read the numerators and the denominator unreduced, through
       :meth:`theta_scaled` and :meth:`row_nonzeros_scaled`.
-    - ``"enumerate"``: every entry via :func:`power_coefficient`; slow, kept
-      as an independent route for cross-checks.
-    - ``"auto"`` (default): ``"direct"`` when the symbol is a unit monomial,
-      ``"powers"`` otherwise.
     """
 
     def __init__(self, phi: PolynomialSymbol, degree_bound: int,
-                 max_power: Optional[int] = None, method: str = "auto"):
+                 max_power: Optional[int] = None):
         if not isinstance(phi, PolynomialSymbol):
             raise ValidationError("phi must be a PolynomialSymbol")
         self.phi = phi
@@ -139,27 +134,11 @@ class PowerTable:
         if max_power is None:
             max_power = degree_bound
         self.max_power = _check_index(max_power, "max_power")
-        mono = phi.monomial_degree()
-        if method == "auto":
-            method = "direct" if mono is not None else "powers"
-        if method not in ("direct", "powers", "enumerate"):
-            raise ValidationError(f"unknown table method {method!r}")
-        if method == "direct" and mono is None:
-            raise ValidationError("direct tables need a unit-monomial symbol")
-        self.method = method
-        self._mono = mono if method == "direct" else None
+        self._mono = phi.monomial_degree()
+        self.method = "powers" if self._mono is None else "direct"
         self._rows: Optional[list[tuple[tuple, int]]] = None
-        if method == "powers":
+        if self._mono is None:
             self._rows = _power_rows(phi, self.degree_bound, self.max_power)
-        elif method == "enumerate":
-            self._rows = self._build_enumerate()
-
-    def _build_enumerate(self) -> list[tuple[tuple, int]]:
-        rows = []
-        for L in range(self.max_power + 1):
-            rows.append((tuple(power_coefficient(self.phi, n, L)
-                               for n in range(self.degree_bound + 1)), 1))
-        return rows
 
     def _check_bounds(self, n: int, L: int) -> None:
         if (type(n) is int and type(L) is int  # the common case, without the messages
@@ -240,11 +219,3 @@ def stride_offsets(n: int, stride: int) -> range:
     _check_index(n, "n")
     _check_index(stride, "stride", minimum=1)
     return range(n % stride, n + 1, stride)
-
-
-def in_stride_set(n: int, offset: int, stride: int) -> bool:
-    """Whether ``n`` lies on the arithmetic progression ``offset + stride*N``."""
-    _check_index(n, "n")
-    _check_index(offset, "offset")
-    _check_index(stride, "stride", minimum=1)
-    return n >= offset and (n - offset) % stride == 0

@@ -82,8 +82,8 @@ class CriterionRequest:
                 continue
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
-        if not (isinstance(self.cap, (int, float)) and self.cap > 0):
-            raise ValidationError("cap must be a positive real")
+        if not (isinstance(self.cap, (int, float)) and 0 < self.cap < math.inf):
+            raise ValidationError("cap must be a finite positive real")
         for name, other in (("stride", "phi"), ("shift", "u")):
             given, series = getattr(self, name), getattr(self, other)
             if given is not None and series is not None and series.monomial_degree() != given:
@@ -206,13 +206,6 @@ def _pair(nums: Sequence, dens: Sequence, divisor: int = 1):
         return math.inf
 
 
-def _ratio(nums: Sequence, dens: Sequence):
-    """Product ratio of positive factors; exact (an int or a reduced
-    Fraction) when every factor is rational, else the float of :func:`_pair`."""
-    r = _pair(nums, dens)
-    return _reduced(*r) if type(r) is tuple else r
-
-
 class _ReadOnce(dict):
     """``reads[i]`` is ``read(i)``, called only the first time a scan needs
     index ``i``: weights are read once per scan, in the order the scan first
@@ -247,15 +240,9 @@ def _exact_or_fsum(values: list):
     return _nonneg_fsum(map(_safe_float, values))
 
 
-def _q_aggregate(terms: list, qe):
-    """``sum t**q`` over the nonzero terms, or their max when ``qe`` is None (p = 1)."""
-    if qe is None:
-        return max(terms, default=0)
-    return _exact_or_fsum([_pow(t, qe) for t in terms if t != 0])
-
-
 def _q_pairs(terms: list, qe):
-    """:func:`_q_aggregate` of scan terms given as exact pairs or floats.
+    """``sum t**q`` over the nonzero scan terms, exact pairs or floats, or
+    their max when ``qe`` is None (p = 1).
 
     A row of pairs with ``qe`` None or whole is reduced once: its max by
     cross-multiplication, or its ``en**q`` summed per distinct ``ed**q`` over
@@ -263,22 +250,22 @@ def _q_pairs(terms: list, qe):
     row with a float term reduces its pairs (``_pow`` does for a whole ``qe``).
     """
     if qe is not None and type(qe) is not int:
-        return _q_aggregate([_as_float(t) for t in terms], qe)
-    if not all(type(t) is tuple for t in terms):
+        terms = [_as_float(t) for t in terms]
+    elif all(type(t) is tuple for t in terms):
         if qe is None:
-            terms = [_reduced(*t) if type(t) is tuple else t for t in terms]
-        return _q_aggregate(terms, qe)
+            best = (0, 1)
+            for t in terms:
+                if t[0] * best[1] > best[0] * t[1]:
+                    best = t
+            return _reduced(*best)
+        sums: dict = {}
+        for en, ed in terms:
+            if en:
+                sums[ed] = sums.get(ed, 0) + en ** qe
+        return _reduced(*_lcm_sum({ed ** qe: s for ed, s in sums.items()}))
     if qe is None:
-        best = (0, 1)
-        for t in terms:
-            if t[0] * best[1] > best[0] * t[1]:
-                best = t
-        return _reduced(*best)
-    sums: dict = {}
-    for en, ed in terms:
-        if en:
-            sums[ed] = sums.get(ed, 0) + en ** qe
-    return _reduced(*_lcm_sum({ed ** qe: s for ed, s in sums.items()}))
+        return max((_reduced(*t) if type(t) is tuple else t for t in terms), default=0)
+    return _exact_or_fsum([_pow(t, qe) for t in terms if t != 0])
 
 
 def _lcm_sum(sums: dict) -> tuple:
@@ -629,7 +616,7 @@ def substitution_bounds_monomial_multiplier(req: CriterionRequest
     d, w = _ReadOnce(delta.value), _ReadOnce(beta.value)
 
     def row(n, j, agg):
-        kern = _ratio([d[n], w[n]], [d[shift], d[j]])
+        kern = _pair([d[n], w[n]], [d[shift], d[j]])
         if agg == 0:
             return 0
         try:

@@ -51,6 +51,13 @@ DENSE_ENTRY_LIMIT = 10_000_000
 
 CERTIFICATE_KINDS = ("lower", "upper", "exact")
 
+# Fixed oracle budgets: power iterations and tolerance of ``norm_estimate_l2``,
+# ratio evaluations and settling tolerance of ``norm_lower_search``.
+_L2_ITERATIONS = 50_000
+_L2_TOL = 1e-12
+_SEARCH_BUDGET = 600
+_SEARCH_TOL = 1e-9
+
 
 class ResourceLimitError(RuntimeError):
     """A requested build exceeds the configured size guard."""
@@ -125,9 +132,6 @@ class OperatorMatrix:
     n_cols: int
     columns: tuple
     mode: str
-    delta: DeltaSequence
-    u: Optional[TruncatedSeries] = None
-    phi: Optional[PolynomialSymbol] = None
     warnings: tuple = ()
 
     @property
@@ -137,21 +141,6 @@ class OperatorMatrix:
     @property
     def nnz(self) -> int:
         return sum(len(col) for col in self.columns)
-
-    def entry(self, n: int, L: int):
-        if not (0 <= n <= self.n_rows and 0 <= L <= self.n_cols):
-            raise ValidationError(f"entry ({n},{L}) outside shape {self.shape}")
-        for row, value in self.columns[L]:
-            if row == n:
-                return value
-        return 0.0 if self.mode == FLOAT else 0
-
-    def column_series(self, L: int) -> TruncatedSeries:
-        zero = 0.0 if self.mode == FLOAT else 0
-        out = [zero] * (self.n_rows + 1)
-        for row, value in self.columns[L]:
-            out[row] = value
-        return TruncatedSeries(tuple(out))
 
     def scaled_array(self, beta: WeightSequence) -> sp.csr_matrix:
         """Float matrix of the operator in norm-isometric coordinates.
@@ -273,10 +262,8 @@ def build_matrix(kind: str, u: Optional[TruncatedSeries], phi: Optional[Polynomi
         columns = tuple(
             tuple((r, float(v)) for r, v in col) for col in columns
         )
-    return OperatorMatrix(
-        kind=kind, n_rows=n_rows, n_cols=n_cols, columns=columns, mode=mode,
-        delta=delta, u=u, phi=phi, warnings=tuple(warnings),
-    )
+    return OperatorMatrix(kind=kind, n_rows=n_rows, n_cols=n_cols, columns=columns,
+                          mode=mode, warnings=tuple(warnings))
 
 
 def apply(T: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:
@@ -344,7 +331,7 @@ def _finite_scaled(T: OperatorMatrix, beta: WeightSequence) -> sp.csr_matrix:
     return A
 
 
-def _power_run(A: sp.csr_matrix, x: np.ndarray, max_iters: int, tol: float):
+def _power_run(A: sp.csr_matrix, x: np.ndarray, iter_limit: int, tol: float):
     """Power iteration on the normal matrix from a given start vector.
 
     Returns ``(sigma, iterations, converged, delta, final_x)``; ``sigma`` is
@@ -358,7 +345,7 @@ def _power_run(A: sp.csr_matrix, x: np.ndarray, max_iters: int, tol: float):
     delta = math.inf
     converged = False
     iterations = 0
-    for k in range(max_iters):
+    for k in range(iter_limit):
         iterations = k + 1
         z = A @ x
         rq = float(z @ z) / float(x @ x)
@@ -379,7 +366,7 @@ def _power_run(A: sp.csr_matrix, x: np.ndarray, max_iters: int, tol: float):
     return sigma, iterations, converged, delta, x
 
 
-def _power_top(A: sp.csr_matrix, max_iters: int, tol: float):
+def _power_top(A: sp.csr_matrix, iter_limit: int, tol: float):
     """Top singular value of ``A`` by power iteration with probe restarts.
 
     The primary run starts from the fixed all-ones vector; because that start
@@ -404,13 +391,13 @@ def _power_top(A: sp.csr_matrix, max_iters: int, tol: float):
         A = A * math.ldexp(1.0, -exp2)
         tol, margin = math.ldexp(tol, -exp2), math.ldexp(margin, -exp2)
     ones = np.full(cols, 1.0 / math.sqrt(cols))
-    sigma, iterations, converged, delta, _ = _power_run(A, ones, max_iters, tol)
+    sigma, iterations, converged, delta, _ = _power_run(A, ones, iter_limit, tol)
     total_iters = iterations
     notes = []
 
     alternating = ones * np.where(np.arange(cols) % 2 == 0, 1.0, -1.0)
     gaussian = np.random.default_rng(0).standard_normal(cols)
-    probe_iters = min(max_iters, 80)
+    probe_iters = min(iter_limit, 80)
     for probe in (alternating, gaussian):
         n_probe = float(np.linalg.norm(probe))
         if n_probe == 0.0:
@@ -420,7 +407,7 @@ def _power_top(A: sp.csr_matrix, max_iters: int, tol: float):
         total_iters += p_iters
         if p_sigma > sigma + margin:
             r_sigma, r_iters, r_conv, r_delta, _ = _power_run(
-                A, p_x, max_iters, tol)
+                A, p_x, iter_limit, tol)
             total_iters += r_iters
             if r_sigma > sigma:
                 sigma, converged, delta = r_sigma, r_conv, r_delta
@@ -429,9 +416,7 @@ def _power_top(A: sp.csr_matrix, max_iters: int, tol: float):
     return math.ldexp(sigma, exp2), total_iters, converged, math.ldexp(delta, exp2), notes
 
 
-def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence,
-                     max_iters: int = 50_000, tol: float = 1e-12
-                     ) -> BoundCertificate:
+def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence) -> BoundCertificate:
     """Largest singular value of the scaled matrix.
 
     Independent of the bound evaluators: works directly on the truncated
@@ -450,8 +435,6 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence,
     """
     import numpy as np
 
-    if max_iters < 1:
-        raise ValidationError("max_iters must be positive")
     A = _finite_scaled(T, beta)
     # A row holding nonzeros of two or more columns couples those columns.
     row_counts = np.diff(A.indptr)
@@ -474,7 +457,7 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence,
     sigma, iterations, converged, delta = 0.0, 0, True, 0.0
     if n_lone < A.shape[1]:
         B = A[:, np.flatnonzero(coupled)] if n_lone else A
-        sigma, iterations, converged, delta, notes = _power_top(B, max_iters, tol)
+        sigma, iterations, converged, delta, notes = _power_top(B, _L2_ITERATIONS, _L2_TOL)
         head.append("power iteration on the scaled normal matrix")
     if n_lone:
         notes.append(f"{n_lone} lone columns taken exactly")
@@ -499,10 +482,10 @@ def _pnorm(x: np.ndarray, pf: float) -> float:
     return top * float(np.sum((ax / top) ** pf)) ** (1.0 / pf)
 
 
-def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p,
-                      budget: int = 500, seed: int = 0,
-                      tolerance: float = 1e-9) -> BoundCertificate:
-    """Best weighted ratio ``norm(T x) / norm(x)`` found within a budget.
+def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
+                      ) -> BoundCertificate:
+    """Best weighted ratio ``norm(T x) / norm(x)`` found within
+    ``_SEARCH_BUDGET`` ratio evaluations.
 
     Candidates: every monomial column, dual-scaling fixed-point iterations
     from three fixed dense starts, seeded random sparse vectors, and
@@ -514,8 +497,6 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p,
     pf = float(p)
     if not math.isfinite(pf) or pf < 1:
         raise ValidationError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
-    if budget < 0:
-        raise ValidationError("budget must be nonnegative")
     A = _finite_scaled(T, beta)
     At = A.T.tocsr()
     cols = A.shape[1]
@@ -560,7 +541,7 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p,
             return
         x /= nx
         for _ in range(rounds):
-            if evals >= budget:
+            if evals >= _SEARCH_BUDGET:
                 return
             consider(x)
             y = A @ x
@@ -580,11 +561,11 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p,
         np.random.default_rng(0).standard_normal(cols),
     )
     for x0 in starts:
-        dual_iterate(x0, max(budget // 6, 1))
+        dual_iterate(x0, _SEARCH_BUDGET // 6)
 
     rng = np.random.default_rng(seed)
     trials = 0
-    while evals + 2 <= budget and trials < 32:
+    while evals + 2 <= _SEARCH_BUDGET and trials < 32:
         trials += 1
         size = int(rng.integers(1, min(8, cols) + 1))
         idx = rng.choice(cols, size=size, replace=False)
@@ -594,11 +575,11 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p,
             dual_iterate(x, 5)
 
     step = 0.5
-    while evals + 2 <= budget and step > 1e-6:
+    while evals + 2 <= _SEARCH_BUDGET and step > 1e-6:
         improved = False
         order = rng.permutation(cols)
         for i in order:
-            if evals + 2 > budget:
+            if evals + 2 > _SEARCH_BUDGET:
                 break
             for sign in (1.0, -1.0):
                 x = best_x.copy()
@@ -613,7 +594,7 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p,
     return BoundCertificate(
         value=value, kind="lower", attained_at=None,
         truncation_degree=T.n_cols, tail_delta=last_gain,
-        converged=last_gain <= tolerance,
+        converged=last_gain <= _SEARCH_TOL,
         notes=("randomized lower-bound search", f"evaluations={evals}",
                f"seed={seed}"),
     )

@@ -100,10 +100,6 @@ class TruncatedSeries:
         return cls(tuple(coeffs))
 
     @classmethod
-    def zero(cls, degree_bound: int = 0) -> "TruncatedSeries":
-        return cls((0,) * (degree_bound + 1))
-
-    @classmethod
     def unity(cls, degree_bound: int = 0) -> "TruncatedSeries":
         return cls((1,) + (0,) * degree_bound)
 
@@ -122,16 +118,9 @@ class TruncatedSeries:
 
     def pad(self, degree_bound: int) -> "TruncatedSeries":
         if degree_bound < self.degree_bound:
-            raise ValidationError("pad cannot shrink a series; use truncate")
+            raise ValidationError("pad cannot shrink a series")
         zero = 0.0 if self.mode == FLOAT else 0
         return TruncatedSeries(self.coeffs + (zero,) * (degree_bound - self.degree_bound))
-
-    def truncate(self, degree_bound: int) -> "TruncatedSeries":
-        if degree_bound < 0:
-            raise ValidationError("degree_bound must be nonnegative")
-        if degree_bound >= self.degree_bound:
-            return self.pad(degree_bound)
-        return TruncatedSeries(self.coeffs[: degree_bound + 1])
 
     def monomial_degree(self) -> Optional[int]:
         """m when the series is exactly z**m (unit coefficient), else None."""
@@ -204,10 +193,6 @@ class PolynomialSymbol:
             raise ValidationError("monomial degree must be nonnegative")
         return cls((0,) * m + (1,))
 
-    @classmethod
-    def identity(cls) -> "PolynomialSymbol":
-        return cls.monomial(1)
-
     @property
     def degree(self) -> int:
         return len(self.alphas) - 1
@@ -229,9 +214,6 @@ class PolynomialSymbol:
             if a != 0:
                 return i
         return None
-
-    def as_series(self, degree_bound: Optional[int] = None) -> TruncatedSeries:
-        return TruncatedSeries.from_coeffs(self.alphas, degree_bound)
 
 
 def _nonneg_fsum(values: Iterable[float]) -> float:
@@ -391,7 +373,7 @@ def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence
             for k in range(lo, hi + 1):
                 a, b = fc[k], gc[n - k]
                 if a and b:
-                    terms.append(delta.kernel_float(n, k) * a * b)
+                    terms.append(_safe_float(delta.kernel(n, k)) * a * b)
             try:
                 out.append(math.fsum(terms) if terms else 0.0)
             except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf

@@ -25,7 +25,6 @@ __all__ = [
     "conjugate_exponent",
     "make_beta",
     "make_delta",
-    "tilde_beta",
 ]
 
 Scalar = Union[int, Fraction, float]
@@ -33,6 +32,7 @@ Scalar = Union[int, Fraction, float]
 BETA_PRESETS = ("hardy", "bergman", "dirichlet")
 DELTA_PRESETS = ("ones", "factorial", "inverse-factorial", "geometric")
 
+_VALUE_CACHE_LIMIT = 4096
 _KERNEL_CACHE_LIMIT = 2048
 
 
@@ -79,31 +79,28 @@ def _exact_scalar(value, what: str) -> Union[int, Fraction]:
 class _LazySequence:
     """Deterministic index-to-scalar map with a bounded memo.
 
-    Values for indices up to ``max_cached`` are computed once and reused, so
-    the evaluators' inner loops stay O(1) per index; larger indices are
-    recomputed on demand.  The memo takes no lock: it is idempotent, since
+    Values for indices up to ``_VALUE_CACHE_LIMIT`` are computed once and
+    reused, so the evaluators' inner loops stay O(1) per index; larger
+    indices are recomputed on demand.  The memo takes no lock: it is idempotent, since
     the map is a deterministic function, so concurrent readers at worst
     compute a value twice and store equal values.
     """
 
-    def __init__(self, fn: Callable[[int], Scalar], label: str, max_cached: int, what: str):
+    def __init__(self, fn: Callable[[int], Scalar], label: str, what: str):
         self._fn = fn
         self.label = label
-        self.max_cached = int(max_cached)
         self._what = what
         self._cache: dict[int, Scalar] = {}
 
     def value(self, n: int) -> Scalar:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValidationError(f"{self._what} index must be a nonnegative integer, got {n!r}")
-        if n <= self.max_cached:
+        if n <= _VALUE_CACHE_LIMIT:
             hit = self._cache.get(n)
             if hit is None:
                 hit = self._cache[n] = _check_positive(self._fn(n), n, self._what)
             return hit
         return _check_positive(self._fn(n), n, self._what)
-
-    __call__ = value
 
     def as_float(self, n: int) -> float:
         """Float view of value(n); huge exact values overflow to inf."""
@@ -120,9 +117,8 @@ class WeightSequence(_LazySequence):
     which is legal but makes the constant series have norm other than one).
     """
 
-    def __init__(self, fn, label: str = "custom", max_cached: int = 4096,
-                 warnings: Sequence[str] = ()):
-        super().__init__(fn, label, max_cached, "beta")
+    def __init__(self, fn, label: str = "custom", warnings: Sequence[str] = ()):
+        super().__init__(fn, label, "beta")
         self.warnings = tuple(warnings)
 
 
@@ -134,8 +130,8 @@ class DeltaSequence(_LazySequence):
     Fractions) so that kernel ratios never lose precision.
     """
 
-    def __init__(self, fn, label: str = "custom", max_cached: int = 4096):
-        super().__init__(fn, label, max_cached, "delta")
+    def __init__(self, fn, label: str = "custom"):
+        super().__init__(fn, label, "delta")
         first = self.value(0)
         if first != 1:
             raise ValidationError(f"delta(0) must equal 1, got {first!r}")
@@ -161,9 +157,6 @@ class DeltaSequence(_LazySequence):
             self._kernel_cache[(n, k)] = out
         return out
 
-    def kernel_float(self, n: int, k: int) -> float:
-        return _safe_float(self.kernel(n, k))
-
 
 def _explicit_fn(values: tuple, what: str) -> Callable[[int], Scalar]:
     def fn(n: int) -> Scalar:
@@ -176,7 +169,7 @@ def _explicit_fn(values: tuple, what: str) -> Callable[[int], Scalar]:
     return fn
 
 
-def make_beta(spec, max_cached: int = 4096) -> WeightSequence:
+def make_beta(spec) -> WeightSequence:
     """Build norm weights from a preset name, a power-law exponent, or a list.
 
     Presets: ``hardy`` (all ones), ``bergman`` ((n+1)**-1/2), ``dirichlet``
@@ -187,11 +180,11 @@ def make_beta(spec, max_cached: int = 4096) -> WeightSequence:
     if isinstance(spec, str):
         name = spec.lower()
         if name == "hardy":
-            return WeightSequence(lambda n: 1, label="hardy", max_cached=max_cached)
+            return WeightSequence(lambda n: 1, label="hardy")
         if name == "bergman":
-            return WeightSequence(lambda n: (n + 1) ** -0.5, label="bergman", max_cached=max_cached)
+            return WeightSequence(lambda n: (n + 1) ** -0.5, label="bergman")
         if name == "dirichlet":
-            return WeightSequence(lambda n: (n + 1) ** 0.5, label="dirichlet", max_cached=max_cached)
+            return WeightSequence(lambda n: (n + 1) ** 0.5, label="dirichlet")
         raise ValidationError(f"unknown beta preset {spec!r}; expected one of {BETA_PRESETS}")
     if isinstance(spec, (int, float, Fraction)) and not isinstance(spec, bool):
         exponent = float(spec)
@@ -205,7 +198,7 @@ def make_beta(spec, max_cached: int = 4096) -> WeightSequence:
                 raise ValidationError(
                     f"beta({n}) = {n + 1}**{exponent:g} is beyond float range") from None
 
-        return WeightSequence(power, label=f"power({exponent:g})", max_cached=max_cached)
+        return WeightSequence(power, label=f"power({exponent:g})")
     if isinstance(spec, (list, tuple)):
         if not spec:
             raise ValidationError("explicit beta list needs at least one entry")
@@ -213,13 +206,11 @@ def make_beta(spec, max_cached: int = 4096) -> WeightSequence:
             _check_positive(_exact_scalar(v, "beta"), i, "beta") for i, v in enumerate(spec)
         )
         warn = () if values[0] == 1 else ("beta(0) != 1",)
-        return WeightSequence(
-            _explicit_fn(values, "beta"), label="explicit", max_cached=max_cached, warnings=warn
-        )
+        return WeightSequence(_explicit_fn(values, "beta"), label="explicit", warnings=warn)
     raise ValidationError(f"cannot build beta weights from {type(spec).__name__}")
 
 
-def make_delta(spec, ratio=None, max_cached: int = 4096) -> DeltaSequence:
+def make_delta(spec, ratio=None) -> DeltaSequence:
     """Build convolution weights from a preset name or an explicit list.
 
     Presets: ``ones`` (plain Cauchy product), ``factorial`` (n!),
@@ -229,23 +220,19 @@ def make_delta(spec, ratio=None, max_cached: int = 4096) -> DeltaSequence:
     if isinstance(spec, str):
         name = spec.lower()
         if name == "ones":
-            return DeltaSequence(lambda n: 1, label="ones", max_cached=max_cached)
+            return DeltaSequence(lambda n: 1, label="ones")
         if name == "factorial":
-            return DeltaSequence(math.factorial, label="factorial", max_cached=max_cached)
+            return DeltaSequence(math.factorial, label="factorial")
         if name == "inverse-factorial":
-            return DeltaSequence(
-                lambda n: Fraction(1, math.factorial(n)),
-                label="inverse-factorial",
-                max_cached=max_cached,
-            )
+            return DeltaSequence(lambda n: Fraction(1, math.factorial(n)),
+                                 label="inverse-factorial")
         if name == "geometric":
             if ratio is None:
                 raise ValidationError("geometric delta needs a ratio")
             r = _exact_scalar(ratio, "delta ratio")
             if r <= 0:
                 raise ValidationError(f"geometric ratio must be positive, got {ratio!r}")
-            return DeltaSequence(lambda n: Fraction(r) ** n, label=f"geometric({r})",
-                                 max_cached=max_cached)
+            return DeltaSequence(lambda n: Fraction(r) ** n, label=f"geometric({r})")
         raise ValidationError(f"unknown delta preset {spec!r}; expected one of {DELTA_PRESETS}")
     if isinstance(spec, (list, tuple)):
         if not spec:
@@ -253,27 +240,8 @@ def make_delta(spec, ratio=None, max_cached: int = 4096) -> DeltaSequence:
         values = tuple(
             _check_positive(_exact_scalar(v, "delta"), i, "delta") for i, v in enumerate(spec)
         )
-        return DeltaSequence(_explicit_fn(values, "delta"), label="explicit", max_cached=max_cached)
+        return DeltaSequence(_explicit_fn(values, "delta"), label="explicit")
     raise ValidationError(f"cannot build delta weights from {type(spec).__name__}")
-
-
-def tilde_beta(beta: WeightSequence, delta: DeltaSequence) -> WeightSequence:
-    """The reweighting induced by the diamond kernel at shift one.
-
-    Returns the sequence ``n -> d(n+1) w(n) / (d(1) d(n))``; with all-ones
-    convolution weights it reproduces ``beta`` exactly.
-    """
-
-    def fn(n: int) -> Scalar:
-        num = delta.value(n + 1) * beta.value(n)
-        den = delta.value(1) * delta.value(n)
-        if isinstance(num, Rational) and isinstance(den, Rational):
-            out = Fraction(num) / Fraction(den)
-            return int(out) if out.denominator == 1 else out
-        return num / den
-
-    return WeightSequence(fn, label=f"tilde({beta.label},{delta.label})",
-                          max_cached=beta.max_cached)
 
 
 def conjugate_exponent(p):
@@ -322,8 +290,8 @@ class SpaceConfig:
             raise ValidationError("tail_window must be at least 1")
         if self.truncation_degree < self.tail_window:
             raise ValidationError("truncation_degree must be >= tail_window")
-        if not (isinstance(self.tolerance, (int, float)) and self.tolerance > 0):
-            raise ValidationError("tolerance must be a positive real")
+        if not (isinstance(self.tolerance, (int, float)) and 0 < self.tolerance < math.inf):
+            raise ValidationError("tolerance must be a finite positive real")
 
     @property
     def q(self):

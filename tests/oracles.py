@@ -3,10 +3,12 @@
 Everything here is written directly from the defining formulas with plain
 loops and exact rational arithmetic, deliberately sharing no code with the
 package under test (``ratio_reference`` and ``parse_once_reference``
-borrow only their error types).  ``kernel_rows_reference`` is the one
-exception: it keeps the per-term kernel route on the package's own ``_pair``
-and ``_q_pairs``, which ``test_criteria.py`` pins against ``ratio_reference``
-and ``_q_aggregate``.
+borrow only their error types).  Two are the exceptions:
+``q_aggregate_reference`` aggregates reduced values with the package's own
+``_pow`` and ``_exact_or_fsum``, and ``kernel_rows_reference`` keeps the
+per-term kernel route on the package's own ``_pair`` and ``_q_pairs``, which
+``test_criteria.py`` pins against ``ratio_reference`` and
+``q_aggregate_reference``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from numbers import Rational
 
 from fpsop.cli import ConfigError
 from fpsop.combinatorics import stride_offsets
-from fpsop.criteria import _exponent, _pair, _q_pairs
+from fpsop.criteria import _exact_or_fsum, _exponent, _pair, _pow, _q_pairs
 from fpsop.weights import ValidationError
 
 
@@ -142,9 +144,9 @@ def _safe_float_reference(value) -> float:
 
 
 def ratio_reference(nums, dens):
-    """The weight-ratio product as ``criteria._ratio`` computed it through
-    ``Fraction`` factors: kept verbatim, it is the bit-for-bit reference for
-    the integer-collapsing version."""
+    """The weight-ratio product as it was computed through ``Fraction``
+    factors: kept verbatim, it is the bit-for-bit reference for the reduced
+    result of the integer-collapsing ``criteria._pair``."""
     exact = Fraction(1)
     num, den = 1.0, 1.0
     for v in nums:
@@ -170,6 +172,15 @@ def ratio_reference(nums, dens):
         return float(exact) * scale
     except OverflowError:
         return math.inf
+
+
+def q_aggregate_reference(terms, qe):
+    """``sum t**q`` over the nonzero reduced terms, or their max when ``qe``
+    is None (p = 1): ``criteria._q_aggregate`` kept verbatim, the reference
+    for ``_q_pairs`` on unreduced pairs."""
+    if qe is None:
+        return max(terms, default=0)
+    return _exact_or_fsum([_pow(t, qe) for t in terms if t != 0])
 
 
 def _parse_scalar_reference(value, what: str):

@@ -176,7 +176,7 @@ def test_criterion_4_power_coefficients_match_products(verdict):
     for _ in range(100):
         phi = PolynomialSymbol.from_coeffs(rand_symbol_coeffs(rng, 4))
         d = phi.degree
-        table = PowerTable(phi, 4 * 8, 8, method="powers")
+        table = PowerTable(phi, 4 * 8, 8)
         for big_l in range(9):
             row = table.row(big_l)
             for n in range(min(d * big_l, 32) + 1):
@@ -294,7 +294,8 @@ def test_criterion_7_divergence_detection(verdict):
 
 
 def _config_command(path):
-    doc = json.load(open(path))
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
     if doc.get("theorem"):
         return "bound"
     stem = os.path.basename(path)

@@ -253,6 +253,22 @@ class TestMain:
         assert code == 0
         assert json.loads(out)["elapsed_ms"] > 0
 
+    @pytest.mark.parametrize("key, literal, shown", [
+        ("cap", "Infinity", "inf"),
+        ("cap", "1e400", "inf"),  # json reads it as inf
+        ("tolerance", "Infinity", "inf"),
+        ("tolerance", "1e400", "inf"),
+        ("tolerance", "NaN", "nan"),
+    ])
+    def test_non_finite_truncation_scalar_exits_two(self, capsys, key, literal, shown):
+        config = '{"phi": {"monomial": 2}, "truncation": {"degree": 16, "%s": %s}}' % (
+            key, literal)
+        assert main(["bound", "--theorem", "thm21", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"fpsop: error: truncation.{key} must be a finite positive number, got {shown}\n")
+
 
 class TestConflictingSymbolKeys:
     def test_stride_disagreeing_with_phi_exits_two(self, capsys):

@@ -2,17 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpsop.combinatorics import (
     PowerTable,
-    in_stride_set,
     power_coefficient,
     stride_offsets,
     weighted_compositions,
 )
-from fpsop.series import PolynomialSymbol, TruncatedSeries, cauchy_product
+from fpsop.series import PolynomialSymbol, TruncatedSeries, _exact, _power_rows, cauchy_product
 from fpsop.weights import ValidationError
 
 from oracles import (
@@ -140,15 +139,24 @@ class TestPowerTable:
         table = PowerTable(phi, 6, 9)
         assert list(table.power_range(2)) == list(range(2, 10))
 
-    def test_methods_agree(self):
-        rng = random.Random(5)
-        for _ in range(5):
-            alphas = rand_symbol_coeffs(rng, 3)
-            phi = PolynomialSymbol.from_coeffs(alphas)
-            t_pow = PowerTable(phi, 9, 4, method="powers")
-            t_enum = PowerTable(phi, 9, 4, method="enumerate")
-            for big_l in range(5):
-                assert list(t_pow.row(big_l)) == list(t_enum.row(big_l))
+    @given(st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]), min_size=1, max_size=5))
+    @example([1])  # z**0
+    @example([0, 0, 0, 1])
+    @example([0.0, 1.0])
+    @example([0])
+    def test_route_is_direct_exactly_for_unit_monomials(self, alphas):
+        phi = PolynomialSymbol.from_coeffs(alphas)
+        unit_monomial = [a for a in phi.alphas if a != 0] == [1]
+        assert PowerTable(phi, 6, 4).method == ("direct" if unit_monomial else "powers")
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_direct_rows_match_power_rows(self, m):
+        phi = PolynomialSymbol.monomial(m)
+        table = PowerTable(phi, 10, 5)
+        rows = [tuple(_exact(x, den) for x in nums) for nums, den in _power_rows(phi, 10, 5)]
+        assert [table.row(big_l) for big_l in range(6)] == rows
+        for n in range(11):
+            assert list(table.power_range(n)) == [L for L in range(6) if rows[L][n] != 0]
 
     @given(st.lists(st.one_of(
                st.integers(-9, 9),
@@ -161,7 +169,7 @@ class TestPowerTable:
         if vanishing:
             alphas[0] = 0
         phi = PolynomialSymbol.from_coeffs(alphas)
-        table = PowerTable(phi, degree_bound, max_power, method="powers")
+        table = PowerTable(phi, degree_bound, max_power)
         for big_l in range(max_power + 1):
             assert list(table.row(big_l)) == [
                 power_coefficient(phi, n, big_l) for n in range(degree_bound + 1)]
@@ -208,24 +216,3 @@ class TestStrideOffsets:
     def test_membership_characterization(self, n, stride):
         got = list(stride_offsets(n, stride))
         assert got == [k for k in range(n + 1) if (n - k) % stride == 0]
-
-
-class TestInStrideSet:
-    def test_zero_shift_means_divisibility(self):
-        assert in_stride_set(6, 0, 3)
-        assert not in_stride_set(7, 0, 3)
-
-    def test_shift_one_stride_two(self):
-        assert in_stride_set(7, 1, 2)
-
-    def test_below_shift_is_out(self):
-        assert not in_stride_set(0, 1, 2)
-
-    def test_zero_stride_rejected(self):
-        with pytest.raises(ValidationError):
-            in_stride_set(4, 1, 0)
-
-    @given(st.integers(0, 100), st.integers(0, 10), st.integers(1, 10))
-    def test_matches_direct_definition(self, n, shift, stride):
-        expected = n >= shift and (n - shift) % stride == 0
-        assert in_stride_set(n, shift, stride) == expected

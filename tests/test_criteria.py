@@ -14,9 +14,8 @@ from fpsop.criteria import (
     _exact_or_fsum,
     _exponent,
     _pair,
-    _q_aggregate,
     _q_pairs,
-    _ratio,
+    _reduced,
     composition_bounds_polynomial,
     composition_norm_monomial,
     multiplier_algebra_bound,
@@ -28,7 +27,8 @@ from fpsop.series import PolynomialSymbol, TruncatedSeries
 from fpsop.weights import (DeltaSequence, SpaceConfig, ValidationError, WeightSequence,
                            _safe_float, make_beta, make_delta)
 
-from oracles import kernel_rows_reference, rand_symbol_coeffs, ratio_reference
+from oracles import (kernel_rows_reference, q_aggregate_reference, rand_symbol_coeffs,
+                     ratio_reference)
 
 ones = make_delta("ones")
 hardy = make_beta("hardy")
@@ -315,6 +315,12 @@ class TestConflictingSymbolKeys:
         assert substitution_bounds_monomial_pair(req)[0].value == 1.0
 
 
+@pytest.mark.parametrize("cap", [0, -1.0, math.inf, math.nan])
+def test_request_rejects_a_cap_that_is_not_finite_and_positive(cap):
+    with pytest.raises(ValidationError, match="cap must be a finite positive real"):
+        request(hardy, ones, stride=2, cap=cap)
+
+
 def _outcome(fn, nums, dens):
     """``("value", type, bits)`` of a ratio, or ``("error", type, text)``."""
     try:
@@ -338,9 +344,15 @@ _RATIO_FACTORS = st.one_of(
 )
 
 
+def _reduced_pair(nums, dens):
+    """``_pair`` with an exact pair reduced: an int or a Fraction, else the float."""
+    r = _pair(nums, dens)
+    return _reduced(*r) if type(r) is tuple else r
+
+
 class TestRatioMatchesFractionReference:
-    """``_ratio`` collapses rational factors into two integers; the result
-    must keep the type and bits of the reference that multiplied
+    """``_pair`` collapses rational factors into two integers; the result,
+    reduced, must keep the type and bits of the reference that multiplied
     ``Fraction`` factors, or raise the same error."""
 
     @pytest.mark.parametrize("nums, dens, expected", [
@@ -358,8 +370,8 @@ class TestRatioMatchesFractionReference:
         ([Fraction(1, 3), 0.5], [math.inf], 0.0),
     ])
     def test_edge_values(self, nums, dens, expected):
-        got = _ratio(nums, dens)
-        assert _outcome(_ratio, nums, dens) == _outcome(ratio_reference, nums, dens)
+        got = _reduced_pair(nums, dens)
+        assert _outcome(_reduced_pair, nums, dens) == _outcome(ratio_reference, nums, dens)
         assert type(got) is type(expected) and got == expected
 
     @pytest.mark.parametrize("nums, dens", [
@@ -369,13 +381,13 @@ class TestRatioMatchesFractionReference:
     ])
     def test_numerically_indeterminate(self, nums, dens):
         with pytest.raises(ValidationError, match="numerically indeterminate"):
-            _ratio(nums, dens)
-        assert _outcome(_ratio, nums, dens) == _outcome(ratio_reference, nums, dens)
+            _reduced_pair(nums, dens)
+        assert _outcome(_reduced_pair, nums, dens) == _outcome(ratio_reference, nums, dens)
 
     @given(st.lists(_RATIO_FACTORS, max_size=5), st.lists(_RATIO_FACTORS, max_size=5))
     @settings(max_examples=500, deadline=None)
     def test_random_factor_mixes(self, nums, dens):
-        assert _outcome(_ratio, nums, dens) == _outcome(ratio_reference, nums, dens)
+        assert _outcome(_reduced_pair, nums, dens) == _outcome(ratio_reference, nums, dens)
 
 
 _EXACT_FACTORS = st.one_of(
@@ -402,7 +414,7 @@ _TIED_FACTORS = st.sampled_from([1, 2, 3, 4, Fraction(1, 2), Fraction(3, 2), 2.0
 
 class TestPairAggregation:
     """The scans carry exact ratios as unreduced pairs; aggregating pairs must
-    give what aggregating the reduced ratios of ``_ratio`` gives."""
+    give what aggregating the reduced ratios of ``_pair`` gives."""
 
     @given(st.lists(_TERM, max_size=6),
            st.lists(st.tuples(st.integers(0, 5), _FLOAT_FACTORS), max_size=2),
@@ -415,7 +427,7 @@ class TestPairAggregation:
             if row:
                 row[i % len(row)][0].append(f)
         got = _q_pairs([_pair(nums, dens) for nums, dens in row], qe)
-        want = _q_aggregate([_ratio(nums, dens) for nums, dens in row], qe)
+        want = q_aggregate_reference([_reduced_pair(nums, dens) for nums, dens in row], qe)
         assert got == want
         assert _safe_float(got).hex() == _safe_float(want).hex()
 
@@ -432,7 +444,7 @@ class TestPairAggregation:
             return _certify([None if r is None else ratio(*r) for r in rows],
                             kind="exact", space=space, cap=1e12)
 
-        assert cert(_pair) == cert(_ratio)
+        assert cert(_pair) == cert(_reduced_pair)
 
 
 class TestExactOrFsum:

@@ -12,7 +12,6 @@ from fpsop.weights import (
     conjugate_exponent,
     make_beta,
     make_delta,
-    tilde_beta,
 )
 
 
@@ -86,22 +85,6 @@ class TestMakeDelta:
             make_delta("ones").kernel(2, 3)
 
 
-class TestTildeBeta:
-    def test_flat_delta_is_identity(self):
-        beta = make_beta("dirichlet")
-        twisted = tilde_beta(beta, make_delta("ones"))
-        assert all(twisted.value(n) == beta.value(n) for n in range(20))
-
-    def test_factorial_delta_flat_beta(self):
-        twisted = tilde_beta(make_beta("hardy"), make_delta("factorial"))
-        assert [twisted.value(n) for n in range(5)] == [1, 2, 3, 4, 5]
-
-    def test_inverse_factorial_delta_flat_beta(self):
-        twisted = tilde_beta(make_beta("hardy"), make_delta("inverse-factorial"))
-        assert [twisted.value(n) for n in range(4)] == [
-            1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
-
-
 class TestConjugateExponent:
     def test_self_conjugate(self):
         assert conjugate_exponent(2) == 2
@@ -147,6 +130,11 @@ class TestSpaceConfig:
     def test_bad_window(self):
         with pytest.raises(ValidationError):
             SpaceConfig(tail_window=0)
+
+    @pytest.mark.parametrize("tolerance", [0, -1e-7, math.inf, math.nan])
+    def test_bad_tolerance(self, tolerance):
+        with pytest.raises(ValidationError, match="tolerance must be a finite positive real"):
+            SpaceConfig(tolerance=tolerance)
 
 
 @given(st.integers(0, 200))
