@@ -35,6 +35,7 @@ from .weights import (
     SpaceConfig,
     ValidationError,
     WeightSequence,
+    _ReadOnce,
     _safe_float,
 )
 
@@ -206,22 +207,6 @@ def _pair(nums: Sequence, dens: Sequence, divisor: int = 1):
         return math.inf
 
 
-class _ReadOnce(dict):
-    """``reads[i]`` is ``read(i)``, called only the first time a scan needs
-    index ``i``: weights are read once per scan, in the order the scan first
-    reaches them, while the scan revisits indices out of order."""
-
-    __slots__ = ("_read",)
-
-    def __init__(self, read: Callable):
-        super().__init__()
-        self._read = read
-
-    def __missing__(self, i):
-        v = self[i] = self._read(i)
-        return v
-
-
 def _exponent(a, b=1):
     """The exponent ``a / b`` (``p``, ``q``, ``1/p``, ``1/q``, ``p/q``): an int
     when ``a`` and ``b`` are rational and the quotient whole, else a float."""
@@ -366,43 +351,73 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
     """``scale`` times the sup over ``n`` of the q-aggregated kernel
     ``d(n) w(n) / (d(k) d(n-k) w(k) w((n-k)/stride))``, ``stride | n-k``.
 
-    While the weights read are rational and ``q`` whole, row ``n`` is
-    ``c(n) sum 1 / (c(k) b(n-k))`` over the integer pairs ``c(i) = (d(i) w(i))**q``
-    and ``b(j) = (d(j) w(j/stride))**q``, powered once per index, summed per
-    denominator over their LCM (:func:`_lcm_sum`) and reduced once; any
-    other row takes the per-term :func:`_pair` route, to the same value.
+    While the weights read are rational and ``q`` whole or p = 1, row ``n``
+    is ``c(n) sum 1 / (c(k) b(n-k))`` (p = 1: the max) over the integer pairs
+    ``c(i) = (d(i) w(i))**q`` and ``b(j) = (d(j) w(j/stride))**q``, powered
+    once per index, summed per denominator over their LCM (:func:`_lcm_sum`)
+    and reduced once.  While the ``d`` read are rational and the ``w`` plain
+    floats, terms are built inline by the operations :func:`_pair` does on
+    them.  Any other row takes the per-term :func:`_pair` route.
     """
     beta, delta, space = req.beta, req.delta, req.space
     qe = None if space.sup_mode else _exponent(space.q)
+    qp, qf = (1, 1.0) if qe is None else (qe, float(qe))
 
     def powered(x, y):
-        return (x.numerator * y.numerator) ** qe, (x.denominator * y.denominator) ** qe
+        return (x.numerator * y.numerator) ** qp, (x.denominator * y.denominator) ** qp
 
     def rows():
         # Row n reads no index above n, so each weight is read once, in order.
-        d, w, c, b = [], [], [], []
-        factored = type(qe) is int
+        d, w, c, b, dn, dd = [], [], [], [], [], []
+        factored, floats = qe is None or type(qe) is int, True
         for n in range(space.truncation_degree + 1):
             d.append(delta.value(n))
             w.append(beta.value(n))
             offsets = stride_offsets(n, stride)
-            factored = factored and isinstance(d[n], Rational) and isinstance(w[n], Rational)
-            if not factored:
-                yield _q_pairs([
-                    _pair([d[n], w[n]], [d[k], d[n - k], w[k], w[(n - k) // stride]])
-                    for k in offsets
-                ], qe)
+            exact_d = isinstance(d[n], Rational)
+            factored = factored and exact_d and isinstance(w[n], Rational)
+            floats = floats and exact_d and type(w[n]) is float
+            if factored:
+                c.append(powered(d[n], w[n]))
+                if n % stride == 0:
+                    b.append(powered(d[n], w[n // stride]))
+                if qe is None:  # c(n) times the max of 1 / (c(k) b(n-k))
+                    best = (0, 1)
+                    for k in offsets:
+                        (kn, kd), (jn, jd) = c[k], b[(n - k) // stride]
+                        if kd * jd * best[1] > best[0] * kn * jn:
+                            best = kd * jd, kn * jn
+                    yield _reduced(c[n][0] * best[0], c[n][1] * best[1])
+                    continue
+                sums: dict = {}
+                for k in offsets:
+                    (kn, kd), (jn, jd) = c[k], b[(n - k) // stride]
+                    den = kn * jn
+                    sums[den] = sums.get(den, 0) + kd * jd
+                num, den = _lcm_sum(sums)
+                yield _reduced(c[n][0] * num, c[n][1] * den)
                 continue
-            c.append(powered(d[n], w[n]))
-            if n % stride == 0:
-                b.append(powered(d[n], w[n // stride]))
-            sums: dict = {}
-            for k in offsets:
-                (kn, kd), (jn, jd) = c[k], b[(n - k) // stride]
-                den = kn * jn
-                sums[den] = sums.get(den, 0) + kd * jd
-            num, den = _lcm_sum(sums)
-            yield _reduced(c[n][0] * num, c[n][1] * den)
+            if floats:
+                dn.append(d[n].numerator)
+                dd.append(d[n].denominator)
+                wn, nn, nd = w[n], dn[n], dd[n]
+                try:
+                    terms = [nn * dd[k] * dd[n - k] / (nd * dn[k] * dn[n - k])
+                             * (wn / (w[k] * w[(n - k) // stride])) for k in offsets]
+                    if qe is None:
+                        agg, check = max(terms), sum(terms)
+                    else:
+                        agg = check = math.fsum([t ** qf for t in terms])
+                except (OverflowError, ZeroDivisionError):
+                    check = math.nan
+                # A nan term, a zero row or w(n) = 1.0 (exact terms): per-term route.
+                if 0.0 < check and wn != 1.0:
+                    yield agg
+                    continue
+            yield _q_pairs([
+                _pair([d[n], w[n]], [d[k], d[n - k], w[k], w[(n - k) // stride]])
+                for k in offsets
+            ], qe)
 
     return _certify(
         rows(), kind="upper", space=space, cap=req.cap,

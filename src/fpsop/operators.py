@@ -31,7 +31,7 @@ from .series import (
     TruncatedSeries,
     _float_pnorm,
 )
-from .weights import DeltaSequence, ValidationError, WeightSequence, _safe_float
+from .weights import DeltaSequence, ValidationError, WeightSequence, _ReadOnce, _safe_float
 
 __all__ = [
     "BoundCertificate",
@@ -152,12 +152,13 @@ class OperatorMatrix:
         import scipy.sparse as sp
 
         rows, cols, data = [], [], []
+        wf = _ReadOnce(beta.as_float)
         for L, col in enumerate(self.columns):
-            inv = beta.as_float(L)
+            inv = wf[L]
             for row, value in col:
                 rows.append(row)
                 cols.append(L)
-                data.append(_safe_float(value) * beta.as_float(row) / inv)
+                data.append(_safe_float(value) * wf[row] / inv)
         return sp.csr_matrix(
             (data, (rows, cols)), shape=self.shape, dtype=np.float64
         )
@@ -307,9 +308,10 @@ def column_lower_bound(T: OperatorMatrix, beta: WeightSequence, p,
         raise ValidationError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
     best, attained = -1.0, None
     trajectory = []
+    wf = _ReadOnce(beta.as_float)
     for L in range(T.n_cols + 1):
-        column = ((value, beta.as_float(row)) for row, value in T.columns[L])
-        ratio = _float_pnorm(column, pf) / beta.as_float(L)
+        column = ((value, wf[row]) for row, value in T.columns[L])
+        ratio = _float_pnorm(column, pf) / wf[L]
         if ratio > best:
             best, attained = ratio, L
         trajectory.append(best)
@@ -590,9 +592,8 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
         if not improved:
             step /= 2.0
 
-    value = max(best, float(col_norms[col_best]))
     return BoundCertificate(
-        value=value, kind="lower", attained_at=None,
+        value=best, kind="lower", attained_at=None,
         truncation_degree=T.n_cols, tail_delta=last_gain,
         converged=last_gain <= _SEARCH_TOL,
         notes=("randomized lower-bound search", f"evaluations={evals}",

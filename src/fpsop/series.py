@@ -263,39 +263,27 @@ def _exact(num: int, den: int):
     return num if den == 1 or not num else Fraction(num, den)
 
 
-def _int_convolve(a: Sequence[int], b: Sequence[int], degree_bound: int) -> list[int]:
-    """Plain convolution of integer lists, ``degree_bound + 1`` entries long.
-
-    The exact products run on this: their operands are scaled to integer
-    numerators over one common denominator (``_scaled``), so a term costs one
-    integer multiply-add, and each output entry is reduced to a ``Fraction``
-    once, at the end (Knuth, TAOCP vol. 2, 4.5.1, on delaying gcd reductions).
+def _convolve(a: Sequence, b: Sequence, degree_bound: int, zero=0) -> list:
+    """Plain convolution of integer or float lists, ``degree_bound + 1``
+    entries long: one slice of ``a``'s nonzero span per nonzero entry of
+    ``b``, from the last, so each output entry starts from ``zero`` and adds
+    its terms in order of the index into ``a``.  A zero float operand adds
+    ``±0.0`` to an entry that is never ``-0.0``, so no bit depends on
+    skipping it.  The exact products run on integers: their operands are
+    scaled to integer numerators over one common denominator (``_scaled``),
+    and each output entry is reduced to a ``Fraction`` once, at the end
+    (Knuth, TAOCP vol. 2, 4.5.1, on delaying gcd reductions).
     """
     size = max(degree_bound + 1, 0)
-    out = [0] * size
-    if len(a) < len(b):
-        a, b = b, a
-    for j, y in enumerate(b[:size]):
+    out = [zero] * size
+    lo = next((i for i, x in enumerate(a) if x), len(a))
+    hi = len(a) - next((i for i, x in enumerate(reversed(a)) if x), 0)
+    for j in range(min(len(b), size - lo) - 1, -1, -1):
+        y = b[j]
         if y:
-            seg = a[:size - j]
-            end = j + len(seg)
-            out[j:end] = [o + x * y for o, x in zip(out[j:end], seg)]
-    return out
-
-
-def _float_convolve(a: Sequence[float], b: Sequence[float], degree_bound: int
-                    ) -> list[float]:
-    """Plain convolution of float lists, truncated at ``degree_bound``: each
-    output entry adds its nonzero terms in order of the index into ``a``."""
-    out = []
-    for n in range(degree_bound + 1):
-        lo, hi = max(0, n - len(b) + 1), min(n, len(a) - 1)
-        acc = 0.0
-        for k in range(lo, hi + 1):
-            x, y = a[k], b[n - k]
-            if x and y:
-                acc += x * y
-        out.append(acc)
+            seg = a[lo:min(hi, size - j)]
+            start, end = j + lo, j + lo + len(seg)
+            out[start:end] = [o + x * y for o, x in zip(out[start:end], seg)]
     return out
 
 
@@ -304,7 +292,7 @@ def _float_power_step(power: Sequence[float], alphas: Sequence[float],
     """The next float power of a symbol, ``power * alphas`` truncated at
     ``degree_bound``; a power that leaves float range is rejected, as a series
     with such a coefficient is."""
-    out = _float_convolve(power, alphas, degree_bound)
+    out = _convolve(power, alphas, degree_bound, 0.0)
     if not all(map(math.isfinite, out)):
         raise ValidationError(_NOT_FINITE)
     return out
@@ -330,7 +318,7 @@ def _power_rows(phi: "PolynomialSymbol", degree_bound: int, max_power: int
     nums, den = [1] + [0] * degree_bound, 1
     rows = [(tuple(nums), den)]
     for _ in range(max_power):
-        nums = _int_convolve(nums, base, degree_bound)
+        nums = _convolve(nums, base, degree_bound)
         den *= lcm
         rows.append((tuple(nums), den))
     return rows
@@ -340,11 +328,12 @@ def cauchy_product(f: TruncatedSeries, g: TruncatedSeries, degree_bound: int
                    ) -> TruncatedSeries:
     """Plain convolution of two series, truncated at ``degree_bound``."""
     if _require_same_mode(f, g) == FLOAT:
-        return TruncatedSeries(tuple(_float_convolve(f.coeffs, g.coeffs, degree_bound)))
+        return TruncatedSeries(tuple(_convolve(f.coeffs, g.coeffs, degree_bound, 0.0)))
     fn, fd = _scaled(f.coeffs[:degree_bound + 1])
     gn, gd = _scaled(g.coeffs[:degree_bound + 1])
     den = fd * gd
-    return TruncatedSeries(tuple(_exact(x, den) for x in _int_convolve(fn, gn, degree_bound)))
+    fn, gn = sorted((fn, gn), key=len, reverse=True)  # one slice per entry of the shorter
+    return TruncatedSeries(tuple(_exact(x, den) for x in _convolve(fn, gn, degree_bound)))
 
 
 def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence,
@@ -404,7 +393,7 @@ def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence
     den = ad * bd
     return TruncatedSeries(tuple(
         _exact(d[n].numerator * c, d[n].denominator * den) if c else 0
-        for n, c in enumerate(_int_convolve(an, bn, degree_bound))))
+        for n, c in enumerate(_convolve(an, bn, degree_bound))))
 
 
 def compose(f: TruncatedSeries, phi: PolynomialSymbol, degree_bound: int
@@ -446,7 +435,7 @@ def compose(f: TruncatedSeries, phi: PolynomialSymbol, degree_bound: int
     pn, pd = _scaled(phi.alphas)
     acc, scale = [fn[top]] + [0] * degree_bound, 1
     for exp in range(top - 1, -1, -1):
-        acc = _int_convolve(acc, pn, degree_bound)
+        acc = _convolve(acc, pn, degree_bound)
         scale *= pd
         acc[0] += fn[exp] * scale
     den = fd * scale

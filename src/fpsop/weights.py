@@ -76,6 +76,22 @@ def _exact_scalar(value, what: str) -> Union[int, Fraction]:
     raise ValidationError(f"{what} entries must be numbers, got {type(value).__name__}")
 
 
+class _ReadOnce(dict):
+    """``reads[i]`` is ``read(i)``, called only the first time a scan needs
+    index ``i``: weights are read once per scan, in the order the scan first
+    reaches them, while the scan revisits indices out of order."""
+
+    __slots__ = ("_read",)
+
+    def __init__(self, read: Callable):
+        super().__init__()
+        self._read = read
+
+    def __missing__(self, i):
+        v = self[i] = self._read(i)
+        return v
+
+
 class _LazySequence:
     """Deterministic index-to-scalar map with a bounded memo.
 
@@ -210,6 +226,24 @@ def make_beta(spec) -> WeightSequence:
     raise ValidationError(f"cannot build beta weights from {type(spec).__name__}")
 
 
+def _running_factorial() -> Callable[[int], int]:
+    """``n!`` as a running product from the largest index computed so far
+    (below it, ``math.factorial``).  The state is one ``(k, k!)`` tuple,
+    rebound in one step, so concurrent readers see a consistent pair."""
+    state = (0, 1)
+
+    def factorial(n: int) -> int:
+        nonlocal state
+        k, value = state
+        if n < k:
+            return math.factorial(n)
+        value *= math.perm(n, n - k)
+        state = (n, value)
+        return value
+
+    return factorial
+
+
 def make_delta(spec, ratio=None) -> DeltaSequence:
     """Build convolution weights from a preset name or an explicit list.
 
@@ -222,9 +256,10 @@ def make_delta(spec, ratio=None) -> DeltaSequence:
         if name == "ones":
             return DeltaSequence(lambda n: 1, label="ones")
         if name == "factorial":
-            return DeltaSequence(math.factorial, label="factorial")
+            return DeltaSequence(_running_factorial(), label="factorial")
         if name == "inverse-factorial":
-            return DeltaSequence(lambda n: Fraction(1, math.factorial(n)),
+            factorial = _running_factorial()
+            return DeltaSequence(lambda n: Fraction(1, factorial(n)),
                                  label="inverse-factorial")
         if name == "geometric":
             if ratio is None:

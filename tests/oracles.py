@@ -241,3 +241,20 @@ def kernel_rows_reference(req, stride):
             ], qe)
 
     return rows()
+
+
+def float_convolve_reference(a, b, degree_bound):
+    """The float convolution of ``series`` as it summed each output entry in
+    its own loop, skipping the terms with a zero operand: kept verbatim, it is
+    the bit-for-bit reference for ``series._convolve`` on floats, built from
+    slices."""
+    out = []
+    for n in range(degree_bound + 1):
+        lo, hi = max(0, n - len(b) + 1), min(n, len(a) - 1)
+        acc = 0.0
+        for k in range(lo, hi + 1):
+            x, y = a[k], b[n - k]
+            if x and y:
+                acc += x * y
+        out.append(acc)
+    return out

@@ -493,6 +493,35 @@ def _kernel_outcomes(req):
     return out
 
 
+def _typed(row):
+    return (type(row), row.hex() if type(row) is float else row)
+
+
+def _kernel_rows(req, stride):
+    """The rows ``_kernel_sup`` hands to ``_certify``, each with its type, or
+    the error raised."""
+    seen = []
+
+    def capture(contributions, **kw):
+        seen.extend(_typed(r) for r in contributions)
+
+    try:
+        with mock.patch.object(criteria, "_certify", capture):
+            criteria._kernel_sup(req, stride, 1.0, "")
+    except ValidationError as exc:
+        seen.append(("error", str(exc)))
+    return seen
+
+
+def _reference_rows(req, stride):
+    seen = []
+    try:
+        seen.extend(_typed(r) for r in kernel_rows_reference(req, stride))
+    except ValidationError as exc:
+        seen.append(("error", str(exc)))
+    return seen
+
+
 def _unrelated_fractions(size):
     return st.lists(st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6)),
                     min_size=size, max_size=size)
@@ -503,11 +532,20 @@ def _kernel_requests(draw):
     degree = draw(st.integers(1, 20))
     # From index `switch` on, a custom weight returns float subclasses.
     switch = draw(st.integers(0, degree + 1))
-    beta_kind = draw(st.sampled_from(["list", "hardy", "bergman", "geometric", "custom"]))
+    beta_kind = draw(st.sampled_from(
+        ["list", "hardy", "bergman", "dirichlet", "power", "huge", "geometric", "custom"]))
     if beta_kind == "list":
         beta = make_beta(draw(_unrelated_fractions(degree + 1)))
     elif beta_kind == "geometric":
         beta = geometric_beta(degree, draw(st.sampled_from([Fraction(1, 2), Fraction(7, 11)])))
+    elif beta_kind == "power":
+        # Near degree 20, -150 overflows the powers of kernel terms, -160
+        # underflows w(k) w(n-k) to zero (an indeterminate ratio) and 150
+        # overflows it, to a zero scale.
+        beta = make_beta(draw(st.sampled_from([-1.5, 0.75, 2.0, -150.0, -160.0, 150.0])))
+    elif beta_kind == "huge":
+        # Plain floats whose products w(k) w(n-k) overflow: every scale is zero.
+        beta = WeightSequence(lambda n: 1e200 * (n + 1))
     elif beta_kind == "custom":
         beta = WeightSequence(lambda n: Fraction(1, n + 1) if n < switch else _Float(1 / (n + 1)))
     else:
@@ -544,6 +582,35 @@ class TestKernelRowsMatchPerTermReference:
         with mock.patch.object(criteria, "_kernel_sup", _reference_kernel_sup):
             want = _kernel_outcomes(req)
         assert got == want
+
+    @given(_kernel_requests())
+    @settings(max_examples=250, deadline=None)
+    def test_rows_equal_the_reference_rows(self, req):
+        """Each row, not only the certificate: an exact row stays exact and a
+        float row has the same type and bits."""
+        for stride in {1, req.stride}:
+            assert _kernel_rows(req, stride) == _reference_rows(req, stride)
+
+    def test_infinite_scale_on_a_vanishing_ratio(self):
+        """Row 2 has a term ``(1 / 10**800) * (1.0 / 1e-320)``: the exact ratio
+        rounds to 0.0 and the float scale to inf, which ``_pair`` reads as inf."""
+        req = CriterionRequest(
+            beta=WeightSequence(lambda n: 1e-160 if n == 1 else 1.0),
+            delta=make_delta([1, 10 ** 400, 1]),
+            space=SpaceConfig(p=2, truncation_degree=2, tail_window=1))
+        rows = _kernel_rows(req, 1)
+        assert rows == _reference_rows(req, 1)
+        assert rows[2] == _typed(math.inf)
+
+    def test_underflowing_weight_product_is_indeterminate(self):
+        """In row 19, ``w(8) w(11)`` of the power law -160 underflows to 0.0:
+        the inline division raises ``ZeroDivisionError`` and the row's
+        per-term route raises the indeterminate-ratio error."""
+        req = request(make_beta(-160.0), ones, degree=20)
+        rows = _kernel_rows(req, 1)
+        assert rows == _reference_rows(req, 1)
+        assert rows[-1] == ("error", "ratio of weights is numerically indeterminate; "
+                                     "use exact weight lists")
 
     @pytest.mark.parametrize("beta, delta, stride, message", [
         (["1", "1/2", "1/4"], "ones", 1,

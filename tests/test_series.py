@@ -10,6 +10,7 @@ from fpsop.series import (
     ModeMismatchError,
     PolynomialSymbol,
     TruncatedSeries,
+    _convolve,
     cauchy_product,
     compose,
     diamond_product,
@@ -22,6 +23,7 @@ from oracles import (
     compose_reference,
     conv_reference,
     diamond_reference,
+    float_convolve_reference,
     norm_reference,
     rand_coeffs,
     substitute_reference,
@@ -176,6 +178,26 @@ class TestCauchyProduct:
                              TruncatedSeries.from_coeffs(b), n_max)
         expected = [float(x) for x in conv_reference(a, b, n_max)]
         assert [x.hex() for x in out.coeffs] == [x.hex() for x in expected]
+
+
+# Zeros of both signs, mixed signs, and magnitudes whose products underflow
+# to a signed zero (near 1e-200) or overflow to an infinity (near 1e200).
+_float_entries = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e6, 1e6),
+    st.floats(1e-201, 1e-199), st.floats(-1e-199, -1e-201),
+    st.floats(1e199, 1e201), st.floats(-1e201, -1e199),
+)
+
+
+class TestFloatConvolve:
+    @given(st.lists(_float_entries, min_size=1, max_size=14),
+           st.lists(_float_entries, min_size=1, max_size=14), st.integers(0, 30))
+    @settings(max_examples=300)
+    def test_bits_match_the_per_entry_loop(self, a, b, degree_bound):
+        got = _convolve(a, b, degree_bound, 0.0)
+        want = float_convolve_reference(a, b, degree_bound)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestDiamondProduct:

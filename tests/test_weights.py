@@ -72,6 +72,15 @@ class TestMakeDelta:
     def test_inverse_factorial(self):
         assert make_delta("inverse-factorial").value(4) == Fraction(1, 24)
 
+    def test_factorials_read_out_of_order(self):
+        """The running product carries on from the largest index read, and
+        an index below it, or one past the memo read twice, is still n!."""
+        factorial = make_delta("factorial")
+        inverse = make_delta("inverse-factorial")
+        for n in (5, 3, 40, 0, 39, 4100, 4097, 4100, 4101, 12, 4099):
+            assert factorial.value(n) == math.factorial(n)
+            assert inverse.value(n) == Fraction(1, math.factorial(n))
+
     def test_kernel_binomial(self):
         delta = make_delta("factorial")
         assert delta.kernel(4, 1) == 4
