@@ -122,7 +122,8 @@ class PowerTable:
       the last; exact rows are kept as integer numerators over a power of the
       common denominator of ``phi`` and reduced only when read.  The bound
       scans read the numerators and the denominator unreduced, through
-      :meth:`theta_scaled` and :meth:`row_nonzeros_scaled`.
+      :meth:`theta_scaled`, :meth:`column_scaled` and
+      :meth:`row_nonzeros_scaled`.
     """
 
     def __init__(self, phi: PolynomialSymbol, degree_bound: int,
@@ -159,21 +160,15 @@ class PowerTable:
         nums, den = self._rows[L]
         return nums[n], den
 
-    def theta(self, n: int, L: int):
-        """The ``z**n`` coefficient of ``phi**L``."""
-        return _exact(*self.theta_scaled(n, L))
-
-    def row(self, L: int) -> tuple:
-        """All coefficients of ``phi**L`` up to the degree bound."""
-        self._check_bounds(0, L)
+    def column_scaled(self, n: int, limit: int) -> list[tuple[int, object, int]]:
+        """``(L, numerator, denominator)`` of ``theta(n, L)`` for the powers
+        ``L <= limit`` in :meth:`power_range`, unreduced."""
+        powers = self.power_range(n)
+        powers = range(powers.start, min(powers.stop, limit + 1))
         if self._mono is not None:
-            out = [0] * (self.degree_bound + 1)
-            pos = self._mono * L
-            if pos <= self.degree_bound:
-                out[pos] = 1
-            return tuple(out)
-        nums, den = self._rows[L]
-        return nums if den == 1 else tuple(_exact(x, den) for x in nums)
+            return [(L, 1, 1) for L in powers]
+        rows = self._rows
+        return [(L, rows[L][0][n], rows[L][1]) for L in powers]
 
     def row_nonzeros(self, L: int) -> Iterator[tuple[int, object]]:
         """The nonzero ``(degree, coefficient)`` pairs of ``phi**L``."""

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .combinatorics import PowerTable, stride_offsets
 from .operators import BoundCertificate, _guard, _tail_stats
 from .series import (
+    FLOAT,
     PolynomialSymbol,
     TruncatedSeries,
     _exact,
@@ -207,6 +208,27 @@ def _pair(nums: Sequence, dens: Sequence, divisor: int = 1):
         return math.inf
 
 
+def _ratios(reads: list) -> list:
+    """``_pair([da, wa], [d1, dm, wb])`` for each read ``(da, wa, d1, dm, wb)``.
+
+    Where the ``d`` are ints and the ``w`` plain floats, not both 1.0 (there
+    ``_pair`` gives an exact pair), the ratio is built inline as
+    ``da / (d1*dm) * (wa / wb)``, the operations ``_pair`` does on them.  An
+    overflowing int quotient, or a zero one times an infinite weight ratio
+    (nan), sends the whole list to ``_pair``.
+    """
+    try:
+        out = [da / (d1 * dm) * (wa / wb)
+               if type(wa) is float and type(wb) is float and (wa != 1.0 or wb != 1.0)
+               and type(da) is int and type(d1) is int and type(dm) is int
+               else _pair([da, wa], [d1, dm, wb]) for da, wa, d1, dm, wb in reads]
+        if not any(r != r for r in out):
+            return out
+    except OverflowError:
+        pass
+    return [_pair([da, wa], [d1, dm, wb]) for da, wa, d1, dm, wb in reads]
+
+
 def _exponent(a, b=1):
     """The exponent ``a / b`` (``p``, ``q``, ``1/p``, ``1/q``, ``p/q``): an int
     when ``a`` and ``b`` are rational and the quotient whole, else a float."""
@@ -287,22 +309,26 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
     def tf(x: float) -> float:
         return 0.0 if x <= 0.0 else _pow(x, ef) * scale
 
+    # The trajectory repeats tf(level) until the level moves.
     traj: list[float] = []
-    attained = None
+    attained, t = None, 0.0
     if summed:
         parts, level = [], 0.0
         for v in contributions:
             if v:
                 parts.append(v)
                 level += _safe_float(v)
-            traj.append(tf(level))
+                t = tf(level)
+            traj.append(t)
         total = _exact_or_fsum(parts)
     else:
         best, level = None, 0.0
         for i, v in enumerate(contributions):
-            if v is not None and (best is None or _gt(v, best, level)):
+            if v is not None and (best is None or (
+                    v > level if type(v) is float else _gt(v, best, level))):
                 best, level, attained = v, _as_float(v), i
-            traj.append(tf(level))
+                t = tf(level)
+            traj.append(t)
         total = 0 if best is None else best
     value = tf(_as_float(total))
     note_list = list(notes)
@@ -426,27 +452,71 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
     )
 
 
-def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int,
-                     term: Callable, row: Callable, note: str) -> BoundCertificate:
+def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _ReadOnce,
+                     scaled: bool, row: Callable, note: str) -> BoundCertificate:
     """The p-summed bound: row ``n >= shift`` contributes ``row(n, j, agg)``,
-    ``agg`` the q-aggregate of ``term(n, L, num, den)``, ``j = n - shift``,
-    where ``theta(j, L) = num / den`` with ``num`` nonzero."""
+    ``agg`` the q-aggregate of the terms ``|theta(j, L)| w(n) / w(L)`` when
+    ``scaled``, else ``|theta(j, L)| / w(L)``, ``j = n - shift``, over the
+    scan's weight reads ``w``.
+
+    Weights are read as the per-term route reads them, ``w(n)`` and then each
+    ``w(L)`` of a nonzero ``theta``.  A float row over plain float weights is
+    built inline by the operations :func:`_pair` does on them and aggregated
+    by one ``fsum`` (p = 1: the max).  An exact row over rational weights, with
+    ``q`` whole, sums ``|num|**q`` times the pair ``(w(L).den, den w(L).num)``
+    raised to ``q`` once per power, per denominator over their LCM
+    (:func:`_lcm_sum`), times ``w(n)**q``, reduced once.  Any other row, a
+    float term of exactly 1.0 (``_pair`` may give an exact pair), an aggregate
+    outside ``(0, inf)`` or an overflow takes the per-term ``_pair`` route.
+    """
     space, L_max = req.space, req.power_limit
     qe = None if space.sup_mode else _exponent(space.q)
+    qf = None if qe is None else float(qe)
+    float_rows = table.phi.mode == FLOAT
+    powered: dict = {}
+
+    def term(n, L, num, den):
+        return _pair([abs(num), w[n]] if scaled else [abs(num)], [w[L]], den)
+
     inner_ok = True
     rows = [None] * min(shift, space.truncation_degree + 1)
     for n in range(shift, space.truncation_degree + 1):
         j = n - shift
-        terms = []
-        for L in table.power_range(j):
-            if L > L_max:
-                break
-            num, den = table.theta_scaled(j, L)
-            terms.append((0, 1) if num == 0 else term(n, L, num, den))
-        if _natural_power_cut(table.phi, j, L_max) and not _decayed(
-                [_as_float(t) for t in terms[-3:]]):
-            inner_ok = False
-        rows.append(row(n, j, _q_pairs(terms, qe)))
+        entries = table.column_scaled(j, L_max)
+        nz = [e for e in entries if e[1]]
+        wn = (w[n] if scaled else 1) if nz else None
+        ws = [w[L] for L, _, _ in nz]
+        agg = terms = None
+        if float_rows and nz and (not scaled or type(wn) is float) and all(
+                type(v) is float for v in ws):
+            wn = float(wn)
+            try:
+                terms = [abs(x) * wn / w[L] if x else 0.0 for L, x, _ in entries]
+                agg = max(terms) if qe is None else math.fsum([t ** qf for t in terms])
+            except OverflowError:
+                pass
+            if agg is not None and not (0.0 < agg < math.inf and 1.0 not in terms):
+                agg = terms = None
+        elif not float_rows and nz and type(qe) is int and isinstance(wn, Rational):
+            sums: dict = {}
+            for L, x, den in nz:
+                pw = powered.get(L)
+                if pw is None:
+                    if not isinstance(w[L], Rational):
+                        break
+                    pw = powered[L] = (w[L].denominator ** qe, (den * w[L].numerator) ** qe)
+                sums[pw[1]] = sums.get(pw[1], 0) + abs(x) ** qe * pw[0]
+            else:
+                num, den = _lcm_sum(sums)
+                agg = _reduced(num * wn.numerator ** qe, den * wn.denominator ** qe)
+        if agg is None:
+            terms = [(0, 1) if x == 0 else term(n, L, x, den) for L, x, den in entries]
+            agg = _q_pairs(terms, qe)
+        if _natural_power_cut(table.phi, j, L_max):
+            last3 = terms[-3:] if terms is not None else [
+                term(n, L, x, den) if x else 0.0 for L, x, den in entries[-3:]]
+            inner_ok = inner_ok and _decayed([_as_float(t) for t in last3])
+        rows.append(row(n, j, agg))
     return _certify(
         rows, kind="upper", space=space, cap=req.cap, summed=True,
         outer_exponent=_exponent(1, space.p), inner_ok=inner_ok, notes=(note,),
@@ -454,7 +524,7 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int,
 
 
 def _column_lower(req: CriterionRequest, column: Callable, note: str) -> BoundCertificate:
-    """The best ratio ``norm(image of z**l) / w(l)``; ``column(l)`` yields
+    """The best ratio ``norm(image of z**l) / w(l)``; ``column(l)`` lists
     the ``(coefficient, float weight)`` pairs of that image."""
     beta, space = req.beta, req.space
     pf = float(space.p)
@@ -527,8 +597,8 @@ def composition_norm_monomial(req: CriterionRequest) -> BoundCertificate:
         )
     beta, space = req.beta, req.space
     return _certify(
-        (_pair([beta.value(n * m)], [beta.value(n)])
-         for n in range(space.truncation_degree + 1)),
+        _ratios([(1, beta.value(n * m), 1, 1, beta.value(n))
+                 for n in range(space.truncation_degree + 1)]),
         kind="exact", space=space, cap=req.cap,
         notes=(f"weight-ratio supremum for the degree-{m} monomial symbol",),
     )
@@ -550,17 +620,15 @@ def composition_bounds_polynomial(req: CriterionRequest
     table = _build_table(phi, degree_bound=N, max_power=max(req.power_limit, N))
     # At p = 1 only an int p keeps the rows exact; a Fraction p is taken as float.
     e = (p if isinstance(p, int) else float(p)) if space.sup_mode else _exponent(p, space.q)
-    w, wf = _ReadOnce(beta.value), _ReadOnce(beta.as_float)
+    wf = _ReadOnce(beta.as_float)
     upper_cert = _power_sum_upper(
-        req, table, 0,
-        term=lambda n, L, num, den: _pair([abs(num), w[n]], [w[L]], den),
-        row=lambda n, j, agg: _pow(agg, e),
-        note="power-coefficient sum bound",
+        req, table, 0, _ReadOnce(beta.value), True,
+        row=lambda n, j, agg: _pow(agg, e), note="power-coefficient sum bound",
     )
 
     def column(n):
         pairs, den = table.row_nonzeros_scaled(n)
-        return ((x if den == 1 else _as_float((x, den)), wf[j]) for j, x in pairs)
+        return [(x if den == 1 else _as_float((x, den)), wf[j]) for j, x in pairs]
 
     lower_cert = _column_lower(
         req, column, "monomial image ratios, rows truncated at the scan degree")
@@ -593,8 +661,8 @@ def substitution_bounds_monomial_symbol(req: CriterionRequest
 
     def column(l):
         base = m * l
-        return ((_as_float(_pair([d[base + k], w[base + k], abs(c)], [d[base], d[k]])), 1.0)
-                for k, c in enumerate(u.coeffs[:max(N - base + 1, 0)]) if c != 0)
+        return [(_as_float(_pair([d[base + k], w[base + k], abs(c)], [d[base], d[k]])), 1.0)
+                for k, c in enumerate(u.coeffs[:max(N - base + 1, 0)]) if c != 0]
 
     lower_cert = _column_lower(
         req, column, "shifted-column ratios from the multiplier coefficients")
@@ -640,15 +708,12 @@ def substitution_bounds_monomial_multiplier(req: CriterionRequest
             return math.inf
 
     upper_cert = _power_sum_upper(
-        req, table, shift,
-        term=lambda n, L, num, den: _pair([abs(num)], [w[L]], den), row=row,
-        note="shifted power-coefficient sum bound",
-    )
+        req, table, shift, w, False, row=row, note="shifted power-coefficient sum bound")
 
     def column(l):
         pairs, den = table.row_nonzeros_scaled(l)
-        return ((_as_float(_pair([d[j + shift], w[j + shift], abs(x)], [d[shift], d[j]], den)),
-                 1.0) for j, x in pairs)
+        return [(_as_float(_pair([d[j + shift], w[j + shift], abs(x)], [d[shift], d[j]], den)),
+                 1.0) for j, x in pairs]
 
     lower_cert = _column_lower(req, column, "shifted monomial-image ratios")
     return upper_cert, lower_cert
@@ -672,11 +737,11 @@ def substitution_bounds_monomial_pair(req: CriterionRequest
     beta, delta, space = req.beta, req.delta, req.space
     N = space.truncation_degree
 
-    ratios = [
-        _pair([delta.value(m1 + m * m2), beta.value(m1 + m * m2)],
-              [delta.value(m1), delta.value(m * m2), beta.value(m)])
+    ratios = _ratios([
+        (delta.value(m1 + m * m2), beta.value(m1 + m * m2),
+         delta.value(m1), delta.value(m * m2), beta.value(m))
         for m in range(N + 1)
-    ]
+    ])
     by_output = [None] * (m1 + m2 * N + 1)
     by_output[m1::m2] = ratios
     return (

@@ -151,14 +151,14 @@ class OperatorMatrix:
         import numpy as np
         import scipy.sparse as sp
 
-        rows, cols, data = [], [], []
+        columns, exact = self.columns, self.mode != FLOAT
         wf = _ReadOnce(beta.as_float)
-        for L, col in enumerate(self.columns):
-            inv = wf[L]
-            for row, value in col:
-                rows.append(row)
-                cols.append(L)
-                data.append(_safe_float(value) * wf[row] / inv)
+        # Weights are read column by column, w(L) first: a short list fails at
+        # the first index this order reaches.
+        data = [(_safe_float(value) if exact else value) * wf[row] / inv
+                for L, col in enumerate(columns) for inv in (wf[L],) for row, value in col]
+        rows = [row for col in columns for row, _ in col]
+        cols = [L for L, col in enumerate(columns) for _ in col]
         return sp.csr_matrix(
             (data, (rows, cols)), shape=self.shape, dtype=np.float64
         )
@@ -310,8 +310,7 @@ def column_lower_bound(T: OperatorMatrix, beta: WeightSequence, p,
     trajectory = []
     wf = _ReadOnce(beta.as_float)
     for L in range(T.n_cols + 1):
-        column = ((value, wf[row]) for row, value in T.columns[L])
-        ratio = _float_pnorm(column, pf) / wf[L]
+        ratio = _float_pnorm([(value, wf[row]) for row, value in T.columns[L]], pf) / wf[L]
         if ratio > best:
             best, attained = ratio, L
         trajectory.append(best)
@@ -481,7 +480,8 @@ def _pnorm(x: np.ndarray, pf: float) -> float:
     top = float(ax.max(initial=0.0))
     if top == 0.0:
         return 0.0
-    return top * float(np.sum((ax / top) ** pf)) ** (1.0 / pf)
+    ax /= top
+    return top * float((ax ** pf).sum()) ** (1.0 / pf)
 
 
 def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
@@ -503,14 +503,14 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
     At = A.T.tocsr()
     cols = A.shape[1]
     evals = 0
+    product = None  # A @ x of the last ratio evaluated
 
     def ratio(x: np.ndarray) -> float:
-        nonlocal evals
+        nonlocal evals, product
         evals += 1
+        product = A @ x
         nx = _pnorm(x, pf)
-        if nx == 0.0:
-            return 0.0
-        return _pnorm(A @ x, pf) / nx
+        return 0.0 if nx == 0.0 else _pnorm(product, pf) / nx
 
     csc = A.tocsc()
     col_pows = np.abs(csc.data) ** pf if csc.nnz else np.array([])
@@ -546,7 +546,7 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
             if evals >= _SEARCH_BUDGET:
                 return
             consider(x)
-            y = A @ x
+            y = product
             s = np.sign(y) * np.abs(y) ** (pf - 1.0)
             z = At @ s
             if not np.any(z):

@@ -225,17 +225,14 @@ def _nonneg_fsum(values: Iterable[float]) -> float:
         return math.inf
 
 
-def _float_pnorm(pairs: Iterable[tuple], pf: float) -> float:
+def _float_pnorm(pairs: Sequence[tuple], pf: float) -> float:
     """``(sum |c * w|^p)^(1/p)`` in floats over ``(coefficient, float weight)``
     pairs; a coefficient, term or sum beyond float range makes it ``inf``."""
-    powers = []
-    for c, w in pairs:
-        x = abs(_safe_float(c)) * w
-        try:
-            powers.append(x ** pf)
-        except OverflowError:
-            powers.append(math.inf)
-    total = _nonneg_fsum(powers)
+    try:
+        total = math.fsum([(abs(c if type(c) is float else float(c)) * w) ** pf
+                           for c, w in pairs])
+    except OverflowError:  # an exact coefficient, a term or the sum
+        return math.inf
     return math.inf if math.isinf(total) else total ** (1.0 / pf)
 
 
@@ -249,7 +246,7 @@ def norm(f: TruncatedSeries, beta: WeightSequence, p) -> float:
     if not math.isfinite(pf) or pf < 1:
         raise ValidationError(f"norm exponent must satisfy 1 <= p < inf, got {p!r}")
     return _float_pnorm(
-        ((c, beta.as_float(n)) for n, c in enumerate(f.coeffs) if c != 0), pf)
+        [(c, beta.as_float(n)) for n, c in enumerate(f.coeffs) if c != 0], pf)
 
 
 def _scaled(values: Sequence) -> tuple[list[int], int]:

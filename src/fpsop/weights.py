@@ -109,18 +109,21 @@ class _LazySequence:
         self._cache: dict[int, Scalar] = {}
 
     def value(self, n: int) -> Scalar:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValidationError(f"{self._what} index must be a nonnegative integer, got {n!r}")
-        if n <= _VALUE_CACHE_LIMIT:
-            hit = self._cache.get(n)
-            if hit is None:
-                hit = self._cache[n] = _check_positive(self._fn(n), n, self._what)
-            return hit
-        return _check_positive(self._fn(n), n, self._what)
+        if type(n) is not int or not 0 <= n <= _VALUE_CACHE_LIMIT:
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise ValidationError(
+                    f"{self._what} index must be a nonnegative integer, got {n!r}")
+            if n > _VALUE_CACHE_LIMIT:
+                return _check_positive(self._fn(n), n, self._what)
+        hit = self._cache.get(n)
+        if hit is None:
+            hit = self._cache[n] = _check_positive(self._fn(n), n, self._what)
+        return hit
 
     def as_float(self, n: int) -> float:
         """Float view of value(n); huge exact values overflow to inf."""
-        return _safe_float(self.value(n))
+        v = self.value(n)
+        return v if type(v) is float else _safe_float(v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.label!r})"
@@ -163,8 +166,10 @@ class DeltaSequence(_LazySequence):
                 return hit
         num = self.value(n)
         den = self.value(k) * self.value(n - k)
-        if isinstance(num, Rational) and isinstance(den, Rational):
-            out: Scalar = Fraction(num) / Fraction(den)
+        if type(num) is int and type(den) is int:
+            out: Scalar = num // den if num % den == 0 else Fraction(num, den)
+        elif isinstance(num, Rational) and isinstance(den, Rational):
+            out = Fraction(num) / Fraction(den)
             if out.denominator == 1:
                 out = int(out)
         else:

@@ -3,12 +3,15 @@
 Everything here is written directly from the defining formulas with plain
 loops and exact rational arithmetic, deliberately sharing no code with the
 package under test (``ratio_reference`` and ``parse_once_reference``
-borrow only their error types).  Two are the exceptions:
+borrow only their error types).  The exceptions are the routes kept verbatim
+from the package as bit-for-bit references for the code that replaced them:
 ``q_aggregate_reference`` aggregates reduced values with the package's own
-``_pow`` and ``_exact_or_fsum``, and ``kernel_rows_reference`` keeps the
-per-term kernel route on the package's own ``_pair`` and ``_q_pairs``, which
+``_pow`` and ``_exact_or_fsum``; ``kernel_rows_reference``,
+``power_sum_upper_reference`` and the two ratio-list references keep their
+per-term routes on the package's own ``_pair`` and ``_q_pairs``, which
 ``test_criteria.py`` pins against ``ratio_reference`` and
-``q_aggregate_reference``.
+``q_aggregate_reference``; ``scaled_array_reference`` reads the package's
+weights.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from numbers import Rational
 
 from fpsop.cli import ConfigError
 from fpsop.combinatorics import stride_offsets
-from fpsop.criteria import _exact_or_fsum, _exponent, _pair, _pow, _q_pairs
-from fpsop.weights import ValidationError
+from fpsop.criteria import (_as_float, _certify, _decayed, _exact_or_fsum, _exponent,
+                            _natural_power_cut, _pair, _pow, _q_pairs)
+from fpsop.series import _exact
+from fpsop.weights import ValidationError, _ReadOnce, _safe_float
 
 
 def conv_reference(a, b, n_max):
@@ -258,3 +263,110 @@ def float_convolve_reference(a, b, degree_bound):
                 acc += x * y
         out.append(acc)
     return out
+
+
+def table_theta(table, n, L):
+    """The ``z**n`` coefficient of ``phi**L`` from a ``PowerTable``, reduced."""
+    return _exact(*table.theta_scaled(n, L))
+
+
+def table_row(table, L):
+    """All coefficients of ``phi**L`` up to the table's degree bound, reduced:
+    float rows keep their floats, exact rows read 0 where ``phi**L`` has no
+    term."""
+    out = [0.0 if table.phi.mode == "float" else 0] * (table.degree_bound + 1)
+    pairs, den = table.row_nonzeros_scaled(L)
+    for n, x in pairs:
+        out[n] = _exact(x, den)
+    return tuple(out)
+
+
+def power_sum_upper_reference(req, table, shift, w, scaled, row, note):
+    """``criteria._power_sum_upper`` as it built each term through ``_pair``,
+    reading ``theta`` term by term, and each row through ``_q_pairs``: kept
+    verbatim behind the current signature, it is the reference for the
+    inline float rows and the powered exact rows."""
+    def term(n, L, num, den):
+        return _pair([abs(num), w[n]] if scaled else [abs(num)], [w[L]], den)
+
+    space, L_max = req.space, req.power_limit
+    qe = None if space.sup_mode else _exponent(space.q)
+    inner_ok = True
+    rows = [None] * min(shift, space.truncation_degree + 1)
+    for n in range(shift, space.truncation_degree + 1):
+        j = n - shift
+        terms = []
+        for L in table.power_range(j):
+            if L > L_max:
+                break
+            num, den = table.theta_scaled(j, L)
+            terms.append((0, 1) if num == 0 else term(n, L, num, den))
+        if _natural_power_cut(table.phi, j, L_max) and not _decayed(
+                [_as_float(t) for t in terms[-3:]]):
+            inner_ok = False
+        rows.append(row(n, j, _q_pairs(terms, qe)))
+    return _certify(
+        rows, kind="upper", space=space, cap=req.cap, summed=True,
+        outer_exponent=_exponent(1, space.p), inner_ok=inner_ok, notes=(note,),
+    )
+
+
+def thm21_ratios_reference(beta, m, degree):
+    """The ``thm21`` weight ratios as ``composition_norm_monomial`` built them,
+    one ``_pair`` each: the reference for the inline float ratios."""
+    return [_pair([beta.value(n * m)], [beta.value(n)]) for n in range(degree + 1)]
+
+
+def cor26_ratios_reference(beta, delta, m1, m2, degree):
+    """The ``cor26`` progression ratios as ``substitution_bounds_monomial_pair``
+    built them, one ``_pair`` each: the reference for the inline float ratios."""
+    return [
+        _pair([delta.value(m1 + m * m2), beta.value(m1 + m * m2)],
+              [delta.value(m1), delta.value(m * m2), beta.value(m)])
+        for m in range(degree + 1)
+    ]
+
+
+def float_pnorm_reference(pairs, pf):
+    """``series._float_pnorm`` as a loop with one ``try`` per term: the
+    reference for the single comprehension that replaced it."""
+    powers = []
+    for c, w in pairs:
+        x = abs(_safe_float(c)) * w
+        try:
+            powers.append(x ** pf)
+        except OverflowError:
+            powers.append(math.inf)
+    try:
+        total = math.fsum(powers)
+    except OverflowError:
+        total = math.inf
+    return math.inf if math.isinf(total) else total ** (1.0 / pf)
+
+
+def scaled_array_reference(T, beta):
+    """``OperatorMatrix.scaled_array``'s ``(data, rows, cols)`` lists as it
+    appended them entry by entry: the reference for the comprehensions."""
+    rows, cols, data = [], [], []
+    wf = _ReadOnce(beta.as_float)
+    for L, col in enumerate(T.columns):
+        inv = wf[L]
+        for row, value in col:
+            rows.append(row)
+            cols.append(L)
+            data.append(_safe_float(value) * wf[row] / inv)
+    return data, rows, cols
+
+
+def pnorm_reference(x, pf):
+    """``operators._pnorm`` as it divided into a new array and summed with
+    ``np.sum``: the reference for the in-place division."""
+    import numpy as np
+
+    if pf == 2.0:
+        return float(np.linalg.norm(x))
+    ax = np.abs(x)
+    top = float(ax.max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    return top * float(np.sum((ax / top) ** pf)) ** (1.0 / pf)

@@ -25,10 +25,11 @@ from fpsop.criteria import (
 )
 from fpsop.series import PolynomialSymbol, TruncatedSeries
 from fpsop.weights import (DeltaSequence, SpaceConfig, ValidationError, WeightSequence,
-                           _safe_float, make_beta, make_delta)
+                           _explicit_fn, _ReadOnce, _safe_float, make_beta, make_delta)
 
-from oracles import (kernel_rows_reference, q_aggregate_reference, rand_symbol_coeffs,
-                     ratio_reference)
+from oracles import (cor26_ratios_reference, kernel_rows_reference, power_sum_upper_reference,
+                     q_aggregate_reference, rand_symbol_coeffs, ratio_reference,
+                     thm21_ratios_reference)
 
 ones = make_delta("ones")
 hardy = make_beta("hardy")
@@ -626,3 +627,204 @@ class TestKernelRowsMatchPerTermReference:
         assert _kernel_outcomes(req) == expected
         with mock.patch.object(criteria, "_kernel_sup", _reference_kernel_sup):
             assert _kernel_outcomes(req) == expected
+
+
+def _typed_or_error(compute):
+    """``compute()`` as a list of typed rows, or ``[("error", text)]``."""
+    try:
+        return [_typed(r) for r in compute()]
+    except ValidationError as exc:
+        return [("error", str(exc))]
+
+
+def _cert_fields(c):
+    return (float(c.value).hex(), c.attained_at, float(c.tail_delta).hex(), c.converged,
+            c.notes)
+
+
+@st.composite
+def _weights(draw, size):
+    """A beta from every weight family the scans branch on: float presets and
+    power laws (+-150 reach the fallbacks), rational lists, a float subclass
+    from index ``switch`` on, and lists one entry too short."""
+    kind = draw(st.sampled_from(
+        ["hardy", "bergman", "dirichlet", "power", "list", "short", "custom"]))
+    if kind == "power":
+        return make_beta(draw(st.sampled_from([-150.0, -1.5, -0.5, 0.75, 2.0, 150.0])))
+    if kind in ("list", "short"):
+        return make_beta(draw(_unrelated_fractions(size if kind == "list" else size - 1)))
+    if kind == "custom":
+        switch = draw(st.integers(0, size))
+        return WeightSequence(
+            lambda n: Fraction(1, n + 1) if n < switch else _Float(1 / (n + 1)))
+    return make_beta(kind)
+
+
+_SYMBOLS = st.one_of(
+    st.integers(0, 3).map(PolynomialSymbol.monomial),
+    st.lists(st.sampled_from([0, 1, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)]),
+             min_size=2, max_size=4).map(lambda c: PolynomialSymbol.from_coeffs(c + [1])),
+    st.lists(st.sampled_from([0.0, 0.5, -0.25, 0.625, 1.0]),
+             min_size=2, max_size=4).map(lambda c: PolynomialSymbol.from_coeffs(c + [0.5])),
+)
+
+
+@st.composite
+def _power_sum_cases(draw):
+    """``(request, table, shift)`` for the thm22 and thm25 power-sum scans."""
+    degree = draw(st.integers(1, 14))
+    shift = draw(st.integers(0, 3))
+    phi = draw(_SYMBOLS)
+    top = max(degree, shift + phi.degree * degree)
+    beta = draw(_weights(top + 1))
+    delta = draw(st.sampled_from([ones, make_delta("factorial"), make_delta("inverse-factorial")]))
+    space = SpaceConfig(p=draw(st.sampled_from([2, Fraction(3, 2), 3, 1, 2.5])),
+                        truncation_degree=degree, tail_window=1)
+    req = CriterionRequest(beta=beta, delta=delta, space=space, phi=phi,
+                           inner_power_limit=draw(st.integers(0, degree)))
+    table = criteria._build_table(phi, degree_bound=max(degree - shift, 0),
+                                  max_power=max(req.power_limit, degree))
+    return req, table, shift
+
+
+class TestPowerSumRowsMatchPerTermReference:
+    """``_power_sum_upper`` (the thm22 and thm25 uppers) builds float rows
+    inline and exact rows from per-power pairs raised to q once; every row,
+    the weights it reads and the certificate must equal the per-term route
+    it replaced."""
+
+    @staticmethod
+    def _run(upper, req, table, shift, scaled):
+        w, aggs = _ReadOnce(req.beta.value), []
+
+        def row(n, j, agg):
+            aggs.append(agg)
+            return agg
+
+        try:
+            cert = _cert_fields(upper(req, table, shift, w, scaled, row, ""))
+        except ValidationError as exc:
+            cert = ("error", str(exc))
+        return [_typed(a) for a in aggs], list(w), cert
+
+    @given(_power_sum_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_reads_and_certificate_equal_the_reference(self, case, scaled):
+        req, table, shift = case
+        got = self._run(criteria._power_sum_upper, req, table, shift, scaled)
+        want = self._run(power_sum_upper_reference, req, table, shift, scaled)
+        assert got == want
+
+    @given(_power_sum_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_evaluators_equal_the_reference(self, case):
+        req, _, shift = case
+        u_req = CriterionRequest(beta=req.beta, delta=req.delta, space=req.space, phi=req.phi,
+                                 shift=shift, inner_power_limit=req.inner_power_limit)
+        for evaluate, r in ((composition_bounds_polynomial, req),
+                            (substitution_bounds_monomial_multiplier, u_req)):
+            outcomes = []
+            for upper in (criteria._power_sum_upper, power_sum_upper_reference):
+                with mock.patch.object(criteria, "_power_sum_upper", upper):
+                    try:
+                        outcomes.append([_cert_fields(c) for c in evaluate(r)])
+                    except ValidationError as exc:
+                        outcomes.append(("error", str(exc)))
+            assert outcomes[0] == outcomes[1]
+
+    def test_rows_of_underflowing_terms_keep_the_exact_zero(self):
+        """On odd degrees every term of ``(1e-300 z + z**2 / 2)**L`` times
+        ``w(n) / w(L)`` of the power law -150 is 0.0 or an exact zero pair:
+        the inline row reads 0.0, and its per-term route gives the exact 0."""
+        phi = PolynomialSymbol.from_coeffs([0.0, 1e-300, 0.5])
+        req = request(make_beta(-150.0), ones, degree=11, phi=phi)
+        table = criteria._build_table(phi, degree_bound=11, max_power=11)
+        got = self._run(criteria._power_sum_upper, req, table, 0, True)
+        assert got == self._run(power_sum_upper_reference, req, table, 0, True)
+        assert got[0][9] == (int, 0)
+
+
+@st.composite
+def _ratio_cases(draw):
+    degree = draw(st.integers(1, 20))
+    m1, m2 = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    beta = draw(_weights(max(m1 + m2 * degree, degree) + 1))
+    delta = draw(st.sampled_from(
+        ["ones", "factorial", "inverse-factorial", "list", "huge", "custom"]))
+    if delta == "list":
+        delta = make_delta([1] + draw(st.lists(st.integers(1, 10 ** 6), min_size=m1 + m2 * degree,
+                                               max_size=m1 + m2 * degree)))
+    elif delta == "huge":  # int quotients far beyond float range, and far below it
+        delta = DeltaSequence(lambda n: 1 if n == 0 else 10 ** (400 * (-1) ** n + 401))
+    elif delta == "custom":
+        delta = DeltaSequence(lambda n: 1 if n == 0 else _Float(n))
+    else:
+        delta = make_delta(delta)
+    return beta, delta, m1, m2, degree
+
+
+class TestRatioListsMatchPerTermReference:
+    """``thm21`` and ``cor26`` build each float weight ratio inline; every
+    ratio must have the type and bits of the ``_pair`` it replaced."""
+
+    @given(_ratio_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_thm21_ratios(self, case):
+        beta, _, _, m, degree = case
+        got = _typed_or_error(lambda: criteria._ratios(
+            [(1, beta.value(n * m), 1, 1, beta.value(n)) for n in range(degree + 1)]))
+        assert got == _typed_or_error(lambda: thm21_ratios_reference(beta, m, degree))
+
+    @given(_ratio_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_cor26_ratios(self, case):
+        beta, delta, m1, m2, degree = case
+        got = _typed_or_error(lambda: criteria._ratios([
+            (delta.value(m1 + m * m2), beta.value(m1 + m * m2),
+             delta.value(m1), delta.value(m * m2), beta.value(m)) for m in range(degree + 1)]))
+        assert got == _typed_or_error(
+            lambda: cor26_ratios_reference(beta, delta, m1, m2, degree))
+
+    def test_zero_quotient_times_infinite_weight_ratio(self):
+        """``d(2) / (d(1) d(1))`` rounds to 0.0 and ``w(2) / w(1)`` to inf:
+        inline that is nan, so the list takes ``_pair``, which reads inf."""
+        beta = WeightSequence(lambda n: 1e-300 if n == 1 else 1e300)
+        delta = make_delta([1, 10 ** 400, 1])
+        got = criteria._ratios([(delta.value(2), beta.value(2), delta.value(1), delta.value(1),
+                                 beta.value(1))])
+        assert got == [math.inf] == cor26_ratios_reference(beta, delta, 1, 1, 1)[1:]
+
+
+class TestShortListsFailAtTheSameIndex:
+    """A short explicit list fails at the same index, with the same text, as
+    on the per-term routes."""
+
+    @pytest.mark.parametrize("evaluate, kw, beta_size", [
+        (composition_norm_monomial, {"stride": 2}, 15),
+        (composition_bounds_polynomial, {"phi": PolynomialSymbol.from_coeffs(
+            [0, Fraction(1, 2), Fraction(1, 2)])}, 6),
+        (composition_bounds_polynomial, {"phi": PolynomialSymbol.from_coeffs([0.0, 0.5, 0.5])}, 6),
+        (substitution_bounds_monomial_multiplier, {"shift": 2, "phi": PolynomialSymbol.from_coeffs(
+            [0, Fraction(1, 2), Fraction(1, 3)])}, 7),
+        (substitution_bounds_monomial_pair, {"shift": 1, "stride": 2}, 18),
+    ])
+    @pytest.mark.parametrize("values", [
+        lambda n: Fraction(1, n + 1), lambda n: 1 / (n + 1) ** 0.5])
+    def test_same_index_and_text(self, evaluate, kw, beta_size, values):
+        # Exact entries read as rationals, float entries as plain floats.
+        beta = WeightSequence(_explicit_fn(tuple(values(n) for n in range(beta_size)), "beta"))
+        req = request(beta, ones, degree=10, **kw)
+        with pytest.raises(ValidationError) as got:
+            evaluate(req)
+        assert f"explicit beta list has {beta_size} entries" in str(got.value)
+        if evaluate is composition_norm_monomial:
+            want = lambda: thm21_ratios_reference(beta, 2, 10)
+        elif evaluate is substitution_bounds_monomial_pair:
+            want = lambda: cor26_ratios_reference(beta, ones, 1, 2, 10)
+        else:
+            def want():
+                with mock.patch.object(criteria, "_power_sum_upper", power_sum_upper_reference):
+                    evaluate(req)
+        with pytest.raises(ValidationError) as expected:
+            want()
+        assert str(got.value) == str(expected.value)

@@ -13,6 +13,7 @@ from fpsop.operators import (
     BoundCertificate,
     OperatorMatrix,
     _finite_scaled,
+    _pnorm,
     _power_top,
     apply,
     build_matrix,
@@ -26,9 +27,9 @@ from fpsop.series import (
     diamond_product,
     diamond_substitute,
 )
-from fpsop.weights import ValidationError, make_beta, make_delta
+from fpsop.weights import ValidationError, WeightSequence, _explicit_fn, make_beta, make_delta
 
-from oracles import rand_coeffs, rand_symbol_coeffs
+from oracles import pnorm_reference, rand_coeffs, rand_symbol_coeffs, scaled_array_reference
 
 ones = make_delta("ones")
 
@@ -356,3 +357,60 @@ def test_substitution_monomial_columns(m1, m2):
         col = dense_column(T, big_l)
         assert col[m1 + big_l * m2] == 1
         assert sum(1 for c in col if c != 0) == 1
+
+
+def _csr_bits(A):
+    return A.shape, A.indptr.tolist(), A.indices.tolist(), A.data.tobytes()
+
+
+@st.composite
+def _matrices_and_weights(draw):
+    """Exact and float matrices of every kind, and weights of every family,
+    short lists among them."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["composition", "diamond-mult", "substitution"]))
+    mode = draw(st.sampled_from(["exact", "float"]))
+    u = TruncatedSeries.from_coeffs(
+        [1.0, -0.5, 0.25] if mode == "float" else [1, Fraction(-1, 3), 2])
+    phi = PolynomialSymbol.from_coeffs(draw(st.sampled_from(
+        [[0.0, 0.0, 1.0], [0.0, 0.5, 0.5]] if mode == "float"
+        else [[0, 0, 1], [0, Fraction(1, 2), 3]])))
+    delta = draw(st.sampled_from([ones, make_delta("factorial")]))
+    # Fewer rows than the images need leave clipped and empty columns.
+    T = build_matrix(kind, u, phi, delta, draw(st.integers(0, 2 * n + 2)), n)
+    family = draw(st.sampled_from(["bergman", "dirichlet", "hardy", -150.0, 150.0, "list",
+                                   "floats"]))
+    if family == "list":
+        beta = make_beta([Fraction(1, k + 2) for k in range(draw(st.integers(1, 2 * n + 3)))])
+    elif family == "floats":
+        beta = WeightSequence(_explicit_fn(
+            tuple(1.0 / (k + 2) for k in range(draw(st.integers(1, 2 * n + 3)))), "beta"))
+    else:
+        beta = make_beta(family)
+    return T, beta
+
+
+class TestScaledArrayMatchesLoopReference:
+    @given(_matrices_and_weights())
+    @settings(max_examples=200, deadline=None)
+    def test_bits_and_errors_match(self, case):
+        import scipy.sparse as sp
+
+        T, beta = case
+        outcomes = []
+        for build in (lambda: T.scaled_array(beta), lambda: sp.csr_matrix(
+                (lambda d, r, c: (d, (r, c)))(*scaled_array_reference(T, beta)),
+                shape=T.shape, dtype=np.float64)):
+            try:
+                outcomes.append(_csr_bits(build()))
+            except ValidationError as exc:
+                outcomes.append(("error", str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+
+@given(st.lists(st.one_of(st.floats(-1e100, 1e100), st.just(0.0)), min_size=1, max_size=30),
+       st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]))
+def test_pnorm_bits_match_the_reference(values, pf):
+    x = np.array(values)
+    assert _pnorm(x, pf).hex() == pnorm_reference(x, pf).hex()
+    assert x.tolist() == values

@@ -11,6 +11,7 @@ from fpsop.series import (
     PolynomialSymbol,
     TruncatedSeries,
     _convolve,
+    _float_pnorm,
     cauchy_product,
     compose,
     diamond_product,
@@ -24,6 +25,7 @@ from oracles import (
     conv_reference,
     diamond_reference,
     float_convolve_reference,
+    float_pnorm_reference,
     norm_reference,
     rand_coeffs,
     substitute_reference,
@@ -149,6 +151,24 @@ class TestNorm:
         beta = make_beta("bergman")
         expected = norm_reference(coeffs, [beta.value(n) for n in range(len(coeffs))], p)
         assert norm(f, beta, p) == pytest.approx(expected, rel=1e-12)
+
+
+# Coefficients as the norms see them: floats, ints and Fractions, with exact
+# values beyond float range; positive finite float weights down to the
+# subnormal range, as a power law -150 reads them.
+_pnorm_pairs = st.lists(st.tuples(
+    st.one_of(st.floats(-1e200, 1e200), st.integers(-10 ** 400, 10 ** 400),
+              st.fractions(max_denominator=10 ** 6)),
+    st.one_of(st.floats(5e-324, 1e300), st.sampled_from([1.0, 17 ** -150.0, 0.5 ** 500]))),
+    max_size=8)
+
+
+class TestFloatPnorm:
+    @given(_pnorm_pairs, st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]))
+    @settings(max_examples=300)
+    def test_bits_match_the_loop(self, pairs, pf):
+        got, want = _float_pnorm(pairs, pf), float_pnorm_reference(pairs, pf)
+        assert got.hex() == want.hex()
 
 
 class TestCauchyProduct:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsop.weights import (
+    DeltaSequence,
     SpaceConfig,
     ValidationError,
     conjugate_exponent,
@@ -183,3 +184,23 @@ def test_concurrent_reads_get_equal_values():
     assert seen[1:] == seen[:1] * 3
     assert seen[0][0] == [Fraction(1, math.factorial(n)) for n in range(200)]
     assert seen[0][2][-2:] == [Fraction(1, 39), 1]
+
+
+@given(st.lists(st.integers(1, 10 ** 30), min_size=1, max_size=12), st.data())
+def test_kernel_of_int_weights_matches_the_fraction_quotient(values, data):
+    """Two int weights divide as ints, or make one Fraction: the value and type
+    of the ``Fraction`` quotient, reduced to an int when it is whole."""
+    delta = make_delta([1] + values)
+    n = len(values)
+    k = data.draw(st.integers(0, n))
+    quotient = Fraction(delta.value(n)) / (Fraction(delta.value(k)) * delta.value(n - k))
+    want = int(quotient) if quotient.denominator == 1 else quotient
+    got = delta.kernel(n, k)
+    assert (type(got), got) == (type(want), want)
+
+
+@pytest.mark.parametrize("index", [True, -1, 2.0, "3"])
+def test_value_rejects_indices_that_are_not_nonnegative_ints(index):
+    for seq in (make_beta("hardy"), make_delta("factorial"), DeltaSequence(lambda n: 1)):
+        with pytest.raises(ValidationError, match="index must be a nonnegative integer"):
+            seq.value(index)
