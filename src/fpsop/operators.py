@@ -500,6 +500,13 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
     if not math.isfinite(pf) or pf < 1:
         raise ValidationError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
     A = _finite_scaled(T, beta)
+    # |entries|**p and the dual iterates, up to (top * nnz)**max(p, q), could
+    # leave float range: such a matrix is scaled by a power of two first,
+    # which is exact, and the value and gain scaled back.
+    top = float(np.abs(A.data).max(initial=0.0))
+    worst = max(pf, pf / (pf - 1.0)) if pf > 1.0 else 1.0
+    exp2 = math.frexp(top)[1] if top * A.nnz > 2.0 ** (1000 / worst) else 0
+    A = A * math.ldexp(1.0, -exp2) if exp2 else A
     At = A.T.tocsr()
     cols = A.shape[1]
     evals = 0
@@ -592,10 +599,10 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
         if not improved:
             step /= 2.0
 
+    gain = math.ldexp(last_gain, exp2)
     return BoundCertificate(
-        value=best, kind="lower", attained_at=None,
-        truncation_degree=T.n_cols, tail_delta=last_gain,
-        converged=last_gain <= _SEARCH_TOL,
+        value=math.ldexp(best, exp2), kind="lower", attained_at=None,
+        truncation_degree=T.n_cols, tail_delta=gain, converged=gain <= _SEARCH_TOL,
         notes=("randomized lower-bound search", f"evaluations={evals}",
                f"seed={seed}"),
     )

@@ -227,12 +227,19 @@ def _nonneg_fsum(values: Iterable[float]) -> float:
 
 def _float_pnorm(pairs: Sequence[tuple], pf: float) -> float:
     """``(sum |c * w|^p)^(1/p)`` in floats over ``(coefficient, float weight)``
-    pairs; a coefficient, term or sum beyond float range makes it ``inf``."""
+    pairs; a coefficient, term or sum beyond float range makes it ``inf``.
+    Terms whose p-th powers sum below ``2**-960``, where they would lose bits
+    to the subnormal range, are scaled by a power of two first, which is
+    exact, and the norm scaled back."""
     try:
         total = math.fsum([(abs(c if type(c) is float else float(c)) * w) ** pf
                            for c, w in pairs])
     except OverflowError:  # an exact coefficient, a term or the sum
         return math.inf
+    if total < 2.0 ** -960:
+        xs = [abs(float(c)) * w for c, w in pairs]
+        e = math.frexp(max(xs, default=0.0))[1]
+        return math.ldexp(math.fsum([math.ldexp(x, -e) ** pf for x in xs]) ** (1.0 / pf), e)
     return math.inf if math.isinf(total) else total ** (1.0 / pf)
 
 

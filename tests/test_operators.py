@@ -414,3 +414,23 @@ def test_pnorm_bits_match_the_reference(values, pf):
     x = np.array(values)
     assert _pnorm(x, pf).hex() == pnorm_reference(x, pf).hex()
     assert x.tolist() == values
+
+
+class TestSearchScalesLargeEntries:
+    def test_powers_beyond_float_range_give_a_finite_estimate(self):
+        """The constant symbol maps ``z**L`` to 1: with the power law -150 the
+        scaled entries reach ``41**150``, about 1e242, whose cubes overflow.
+        Unscaled, numpy warned and the search reported ``inf`` as converged
+        (pytest turns the warnings into errors)."""
+        T = build_matrix("composition", None, PolynomialSymbol.monomial(0), ones, 40, 40)
+        beta = make_beta(-150.0)
+        col = column_lower_bound(T, beta, 3)
+        cert = norm_lower_search(T, beta, 3)
+        assert math.isfinite(cert.value)
+        assert col.value <= cert.value <= col.value * 41 ** (2 / 3)
+
+    def test_a_column_lower_bound_of_the_identity_is_one(self):
+        """Column 10 of the identity on the power law -150 has the subnormal
+        square ``w(10)**2``; its ratio read 1.0000000000013167."""
+        cert = column_lower_bound(identity_matrix(16), make_beta(-150.0), 2)
+        assert cert.value == 1.0

@@ -166,9 +166,25 @@ _pnorm_pairs = st.lists(st.tuples(
 class TestFloatPnorm:
     @given(_pnorm_pairs, st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]))
     @settings(max_examples=300)
-    def test_bits_match_the_loop(self, pairs, pf):
+    def test_bits_match_the_loop_above_the_subnormal_range(self, pairs, pf):
+        """The loop's bits wherever the p-th powers sum to ``2**-960`` or more;
+        below that, the norm of the terms scaled up by ``2**600``, scaled back
+        (to a few units of the last place of a subnormal norm)."""
         got, want = _float_pnorm(pairs, pf), float_pnorm_reference(pairs, pf)
-        assert got.hex() == want.hex()
+        if math.isinf(want) or want ** pf >= 2.0 ** -960:
+            assert got.hex() == want.hex()
+        else:
+            scaled = [(1.0, math.ldexp(abs(float(c)) * w, 600)) for c, w in pairs]
+            assert got == pytest.approx(
+                math.ldexp(float_pnorm_reference(scaled, pf), -600), rel=1e-14, abs=2.0 ** -1072)
+
+    def test_a_square_below_the_normal_range_keeps_its_bits(self):
+        """``w(10)**2`` of the power law -150 is about 3.8e-313, subnormal:
+        summed unscaled, the norm of ``z**10`` read 1.0000000000013167 times
+        ``w(10)``."""
+        w = 11.0 ** -150
+        assert _float_pnorm([(1, w)], 2.0) == w
+        assert norm(TruncatedSeries.monomial(10), make_beta(-150.0), 2) == w
 
 
 class TestCauchyProduct:
