@@ -27,7 +27,6 @@ from .series import (
     TruncatedSeries,
     _exact,
     _float_pnorm,
-    _nonneg_fsum,
     _scaled,
     norm,
 )
@@ -209,14 +208,11 @@ def _pair(nums: Sequence, dens: Sequence, divisor: int = 1):
 
 
 def _ratios(reads: list) -> list:
-    """``_pair([da, wa], [d1, dm, wb])`` for each read ``(da, wa, d1, dm, wb)``.
-
-    Where the ``d`` are ints and the ``w`` plain floats, not both 1.0 (there
-    ``_pair`` gives an exact pair), the ratio is built inline as
-    ``da / (d1*dm) * (wa / wb)``, the operations ``_pair`` does on them.  An
-    overflowing int quotient, or a zero one times an infinite weight ratio
-    (nan), sends the whole list to ``_pair``.
-    """
+    """``_pair([da, wa], [d1, dm, wb])`` for each read ``(da, wa, d1, dm, wb)``,
+    built inline as ``da / (d1*dm) * (wa / wb)`` where the ``d`` are ints and
+    the ``w`` plain floats, not both 1.0 (an exact pair).  An overflowing int
+    quotient, or a zero one times an infinite ratio (nan), sends the whole
+    list to ``_pair``."""
     try:
         out = [da / (d1 * dm) * (wa / wb)
                if type(wa) is float and type(wb) is float and (wa != 1.0 or wb != 1.0)
@@ -244,7 +240,10 @@ def _exact_or_fsum(values: list):
     if all(isinstance(v, Rational) for v in values):
         nums, den = _scaled(values)
         return _exact(sum(nums), den)
-    return _nonneg_fsum(map(_safe_float, values))
+    try:
+        return math.fsum(map(_safe_float, values))
+    except OverflowError:  # an intermediate sum beyond float range
+        return math.inf
 
 
 def _q_pairs(terms: list, qe):
@@ -309,7 +308,6 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
     def tf(x: float) -> float:
         return 0.0 if x <= 0.0 else _pow(x, ef) * scale
 
-    # The trajectory repeats tf(level) until the level moves.
     traj: list[float] = []
     attained, t = None, 0.0
     if summed:
@@ -455,20 +453,17 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
 def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _ReadOnce,
                      scaled: bool, row: Callable, note: str) -> BoundCertificate:
     """The p-summed bound: row ``n >= shift`` contributes ``row(n, j, agg)``,
-    ``agg`` the q-aggregate of the terms ``|theta(j, L)| w(n) / w(L)`` when
-    ``scaled``, else ``|theta(j, L)| / w(L)``, ``j = n - shift``, over the
-    scan's weight reads ``w``.
+    ``agg`` the q-aggregate of ``|theta(j, L)| w(n) / w(L)`` (no ``w(n)``
+    unless ``scaled``), ``j = n - shift``, reading the weights ``w`` in the
+    per-term order: ``w(n)``, then ``w(L)`` for each nonzero ``theta``.
 
-    Weights are read as the per-term route reads them, ``w(n)`` and then each
-    ``w(L)`` of a nonzero ``theta``.  A float row over plain float weights is
-    built inline by the operations :func:`_pair` does on them and aggregated
-    by one ``fsum`` (p = 1: the max).  An exact row over rational weights, with
-    ``q`` whole, sums ``|num|**q`` times the pair ``(w(L).den, den w(L).num)``
-    raised to ``q`` once per power, per denominator over their LCM
-    (:func:`_lcm_sum`), times ``w(n)**q``, reduced once.  Any other row, a
-    float term of exactly 1.0 (``_pair`` may give an exact pair), an aggregate
-    outside ``(0, inf)`` or an overflow takes the per-term ``_pair`` route.
-    """
+    Float rows over plain float weights are built inline, by the operations
+    :func:`_pair` does, and summed by one ``fsum`` (p = 1: the max).  Exact
+    rows over rational weights, ``q`` whole, sum ``|num|**q`` times the pair
+    ``(w(L).den, den w(L).num)**q`` of each power per denominator over their
+    LCM, times ``w(n)**q``, reduced once.  Other rows, and float rows with a
+    term of 1.0 (maybe an exact pair), an aggregate outside ``(0, inf)`` or an
+    overflow, take the per-term ``_pair`` route."""
     space, L_max = req.space, req.power_limit
     qe = None if space.sup_mode else _exponent(space.q)
     qf = None if qe is None else float(qe)

@@ -340,7 +340,7 @@ def _power_run(A: sp.csr_matrix, x: np.ndarray, iter_limit: int, tol: float):
     """
     import numpy as np
 
-    cols = A.shape[1]
+    cols, At = A.shape[1], A.T
     sigma_prev = 0.0
     sigma = 0.0
     delta = math.inf
@@ -356,7 +356,7 @@ def _power_run(A: sp.csr_matrix, x: np.ndarray, iter_limit: int, tol: float):
             converged = True
             break
         sigma_prev = sigma
-        w = A.T @ z
+        w = At @ z
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             x = np.zeros(cols)
@@ -501,8 +501,7 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
         raise ValidationError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
     A = _finite_scaled(T, beta)
     # |entries|**p and the dual iterates, up to (top * nnz)**max(p, q), could
-    # leave float range: such a matrix is scaled by a power of two first,
-    # which is exact, and the value and gain scaled back.
+    # leave float range: then A is scaled by a power of two, which is exact.
     top = float(np.abs(A.data).max(initial=0.0))
     worst = max(pf, pf / (pf - 1.0)) if pf > 1.0 else 1.0
     exp2 = math.frexp(top)[1] if top * A.nnz > 2.0 ** (1000 / worst) else 0

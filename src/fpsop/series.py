@@ -216,15 +216,6 @@ class PolynomialSymbol:
         return None
 
 
-def _nonneg_fsum(values: Iterable[float]) -> float:
-    """``math.fsum`` of nonnegative floats; a sum beyond float range is ``inf``
-    (``fsum`` raises on such an intermediate overflow)."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.inf
-
-
 def _float_pnorm(pairs: Sequence[tuple], pf: float) -> float:
     """``(sum |c * w|^p)^(1/p)`` in floats over ``(coefficient, float weight)``
     pairs; a coefficient, term or sum beyond float range makes it ``inf``.
