@@ -3,7 +3,7 @@
 Each draw must print a report or exit with a message, with no numpy warning
 on the way (pytest turns ``RuntimeWarning`` into an error).  The sandwich
 ``lower <= oracle <= upper`` is not asserted yet: some evaluators still
-report an upper below a lower or ``inf`` on a lower side (ROADMAP item 1).
+report an upper below a lower, or ``inf`` on a lower side.
 """
 
 import json
