@@ -210,9 +210,9 @@ def _pair(nums: Sequence, dens: Sequence, divisor: int = 1):
 def _ratios(reads: list) -> list:
     """``_pair([da, wa], [d1, dm, wb])`` for each read ``(da, wa, d1, dm, wb)``,
     built inline as ``da / (d1*dm) * (wa / wb)`` where the ``d`` are ints and
-    the ``w`` plain floats, not both 1.0 (an exact pair).  An overflowing int
-    quotient, or a zero one times an infinite ratio (nan), sends the whole
-    list to ``_pair``."""
+    the ``w`` plain floats, not both 1.0 (there ``_pair`` gives an exact
+    pair).  An overflowing int quotient, or a zero one times an infinite
+    ratio (nan), sends the whole list to ``_pair``."""
     try:
         out = [da / (d1 * dm) * (wa / wb)
                if type(wa) is float and type(wb) is float and (wa != 1.0 or wb != 1.0)
