@@ -12,9 +12,10 @@ exactly and power-iterates only the remaining *coupled* columns.  Monomial
 compositions and shift/stride substitutions have lone columns only, so their
 estimate is exact and reports ``iterations=0``.
 
-numpy and scipy are imported inside the oracle functions that use them, so
-importing this module (and the exact-arithmetic side of the package) does not
-load them; the ``np`` / ``sp`` annotations are never evaluated.
+The oracles run on ``_CSR``, a sparse matrix in numpy arrays.  numpy is
+imported inside the functions that use it, so importing this module (and the
+exact-arithmetic side of the package) does not load it; the ``np``
+annotations are never evaluated.
 """
 
 from __future__ import annotations
@@ -142,14 +143,13 @@ class OperatorMatrix:
     def nnz(self) -> int:
         return sum(len(col) for col in self.columns)
 
-    def scaled_array(self, beta: WeightSequence) -> sp.csr_matrix:
+    def scaled_array(self, beta: WeightSequence) -> _CSR:
         """Float matrix of the operator in norm-isometric coordinates.
 
         Entry ``(n, L)`` is ``w(n) * T[n, L] / w(L)``; p-norm ratios of this
         matrix equal weighted-norm ratios of the operator, for every p.
         """
         import numpy as np
-        import scipy.sparse as sp
 
         columns, exact = self.columns, self.mode != FLOAT
         wf = _ReadOnce(beta.as_float)
@@ -157,11 +157,63 @@ class OperatorMatrix:
         # the first index this order reaches.
         data = [(_safe_float(value) if exact else value) * wf[row] / inv
                 for L, col in enumerate(columns) for inv in (wf[L],) for row, value in col]
-        rows = [row for col in columns for row, _ in col]
+        rows = np.array([row for col in columns for row, _ in col], dtype=np.intp)
         cols = [L for L, col in enumerate(columns) for _ in col]
-        return sp.csr_matrix(
-            (data, (rows, cols)), shape=self.shape, dtype=np.float64
-        )
+        # A stable sort by row keeps each row's entries in column order.
+        order = rows.argsort(kind="stable")
+        return _CSR(np.array(data, dtype=np.float64)[order],
+                    np.array(cols, dtype=np.intp)[order], rows[order], self.shape)
+
+
+class _CSR:
+    """A float matrix in compressed sparse row form (Saad, *Iterative Methods
+    for Sparse Linear Systems*, 2nd ed., 2003, section 3.4), whose entries,
+    zeros included, also keep their row.  Both products are one
+    ``np.bincount``, which adds each output entry's terms in storage order
+    from 0.0, as the textbook CSR and CSC loops do, so the bits are theirs.
+    """
+
+    __slots__ = ("data", "indices", "row", "indptr", "shape", "nnz")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, row: np.ndarray,
+                 shape: tuple[int, int]):
+        self.data, self.indices, self.row, self.shape = data, indices, row, shape
+        self.indptr, self.nnz = row.searchsorted(range(shape[0] + 1)), data.size
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        return np.bincount(self.row, weights=self.data * x[self.indices], minlength=self.shape[0])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """The transpose product ``A.T @ y``."""
+        import numpy as np
+
+        return np.bincount(self.indices, weights=self.data * y[self.row], minlength=self.shape[1])
+
+    def __mul__(self, scale: float) -> _CSR:
+        return _CSR(self.data * scale, self.indices, self.row, self.shape)
+
+    def take_columns(self, keep: np.ndarray) -> _CSR:
+        """``A[:, flatnonzero(keep)]`` for a boolean column mask ``keep``."""
+        on = keep[self.indices]
+        return _CSR(self.data[on], (keep.cumsum() - 1)[self.indices[on]], self.row[on],
+                    (self.shape[0], int(keep.sum())))
+
+    def column_power_sums(self, pf: float) -> list[float]:
+        """``sum(|A[:, L]|**pf)`` per column, one sum over each column's entries
+        in row order (``np.add.reduceat`` differs in the last bit)."""
+        order = self.indices.argsort(kind="stable")
+        powers = abs(self.data[order]) ** pf
+        ends = self.indices[order].searchsorted(range(self.shape[1] + 1))
+        return [float(powers[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])]
+
+    def toarray(self) -> np.ndarray:
+        import numpy as np
+
+        out = np.zeros(self.shape)
+        out[self.row, self.indices] += self.data
+        return out
 
 
 def _check_dims(n_rows: int, n_cols: int) -> None:
@@ -323,7 +375,7 @@ def column_lower_bound(T: OperatorMatrix, beta: WeightSequence, p,
     )
 
 
-def _finite_scaled(T: OperatorMatrix, beta: WeightSequence) -> sp.csr_matrix:
+def _finite_scaled(T: OperatorMatrix, beta: WeightSequence) -> _CSR:
     import numpy as np
 
     A = T.scaled_array(beta)
@@ -332,7 +384,7 @@ def _finite_scaled(T: OperatorMatrix, beta: WeightSequence) -> sp.csr_matrix:
     return A
 
 
-def _power_run(A: sp.csr_matrix, x: np.ndarray, iter_limit: int, tol: float):
+def _power_run(A: _CSR, x: np.ndarray, iter_limit: int, tol: float):
     """Power iteration on the normal matrix from a given start vector.
 
     Returns ``(sigma, iterations, converged, delta, final_x)``; ``sigma`` is
@@ -340,7 +392,7 @@ def _power_run(A: sp.csr_matrix, x: np.ndarray, iter_limit: int, tol: float):
     """
     import numpy as np
 
-    cols, At = A.shape[1], A.T
+    cols = A.shape[1]
     sigma_prev = 0.0
     sigma = 0.0
     delta = math.inf
@@ -356,7 +408,7 @@ def _power_run(A: sp.csr_matrix, x: np.ndarray, iter_limit: int, tol: float):
             converged = True
             break
         sigma_prev = sigma
-        w = At @ z
+        w = A.rmatvec(z)
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             x = np.zeros(cols)
@@ -367,7 +419,7 @@ def _power_run(A: sp.csr_matrix, x: np.ndarray, iter_limit: int, tol: float):
     return sigma, iterations, converged, delta, x
 
 
-def _power_top(A: sp.csr_matrix, iter_limit: int, tol: float):
+def _power_top(A: _CSR, iter_limit: int, tol: float):
     """Top singular value of ``A`` by power iteration with probe restarts.
 
     The primary run starts from the fixed all-ones vector; because that start
@@ -457,7 +509,7 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence) -> BoundCertificat
     head, notes = [], []
     sigma, iterations, converged, delta = 0.0, 0, True, 0.0
     if n_lone < A.shape[1]:
-        B = A[:, np.flatnonzero(coupled)] if n_lone else A
+        B = A.take_columns(coupled) if n_lone else A
         sigma, iterations, converged, delta, notes = _power_top(B, _L2_ITERATIONS, _L2_TOL)
         head.append("power iteration on the scaled normal matrix")
     if n_lone:
@@ -506,7 +558,6 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
     worst = max(pf, pf / (pf - 1.0)) if pf > 1.0 else 1.0
     exp2 = math.frexp(top)[1] if top * A.nnz > 2.0 ** (1000 / worst) else 0
     A = A * math.ldexp(1.0, -exp2) if exp2 else A
-    At = A.T.tocsr()
     cols = A.shape[1]
     evals = 0
     product = None  # A @ x of the last ratio evaluated
@@ -518,12 +569,7 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
         nx = _pnorm(x, pf)
         return 0.0 if nx == 0.0 else _pnorm(product, pf) / nx
 
-    csc = A.tocsc()
-    col_pows = np.abs(csc.data) ** pf if csc.nnz else np.array([])
-    col_norms = np.zeros(cols)
-    for L in range(cols):
-        seg = col_pows[csc.indptr[L]:csc.indptr[L + 1]]
-        col_norms[L] = float(np.sum(seg)) ** (1.0 / pf) if seg.size else 0.0
+    col_norms = np.array([total ** (1.0 / pf) for total in A.column_power_sums(pf)])
     col_best = int(np.argmax(col_norms))
     best = float(col_norms[col_best])
     best_x = np.zeros(cols)
@@ -554,7 +600,7 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
             consider(x)
             y = product
             s = np.sign(y) * np.abs(y) ** (pf - 1.0)
-            z = At @ s
+            z = A.rmatvec(s)
             if not np.any(z):
                 return
             x = np.sign(z) * np.abs(z) ** (qf - 1.0)

@@ -674,14 +674,43 @@ _IMPORT_GUARD = textwrap.dedent("""
         assert run(command, config) == 0, command
         assert numerics() == [], (command, numerics())
     assert run("estimate", "estimate-substitution-tight") == 0
-    assert numerics() == ["numpy", "scipy"], numerics()
+    assert numerics() == ["numpy"], numerics()
 """)
 
 
-def test_only_estimate_imports_numpy_and_scipy():
-    # A fresh interpreter: this test process already holds numpy through the
-    # operator tests.
+def _fresh_python(code):
+    """Run ``code`` in a fresh interpreter on ``src/``: this test process
+    already holds numpy and scipy through the operator tests."""
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=REPO_ROOT,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_only_estimate_imports_numpy():
+    _fresh_python(_IMPORT_GUARD)
+
+
+_WITHOUT_SCIPY = textwrap.dedent("""
+    import contextlib, io, json, sys
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+    import fpsop.cli
+
+    reports = {}
+    for name in ("estimate-composition-geometric", "estimate-substitution-tight"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = fpsop.cli.main(["estimate", "--config", "configs/" + name + ".json",
+                                   "--quiet"])
+        assert code == 0, name
+        reports["configs/" + name] = out.getvalue()
+    print(json.dumps(reports))
+""")
+
+
+def test_estimate_runs_without_scipy():
+    reports = json.loads(_fresh_python(_WITHOUT_SCIPY))
+    with open(os.path.join(REPO_ROOT, "tests", "golden_reports.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert reports == {name: golden[name] for name in reports}

@@ -363,21 +363,32 @@ def _csr_bits(A):
     return A.shape, A.indptr.tolist(), A.indices.tolist(), A.data.tobytes()
 
 
+# Float matrix entries: explicit zeros, signs, a subnormal and entries whose
+# products with the weights can reach float range.
+_ENTRIES = (0.0, -0.0, 1.0, -2.5, 0.1, 5e-324, 1e200, -1e200)
+
+
 @st.composite
 def _matrices_and_weights(draw):
     """Exact and float matrices of every kind, and weights of every family,
     short lists among them."""
     n = draw(st.integers(1, 10))
-    kind = draw(st.sampled_from(["composition", "diamond-mult", "substitution"]))
-    mode = draw(st.sampled_from(["exact", "float"]))
-    u = TruncatedSeries.from_coeffs(
-        [1.0, -0.5, 0.25] if mode == "float" else [1, Fraction(-1, 3), 2])
-    phi = PolynomialSymbol.from_coeffs(draw(st.sampled_from(
-        [[0.0, 0.0, 1.0], [0.0, 0.5, 0.5]] if mode == "float"
-        else [[0, 0, 1], [0, Fraction(1, 2), 3]])))
-    delta = draw(st.sampled_from([ones, make_delta("factorial")]))
+    kind = draw(st.sampled_from(["composition", "diamond-mult", "substitution", "entries"]))
     # Fewer rows than the images need leave clipped and empty columns.
-    T = build_matrix(kind, u, phi, delta, draw(st.integers(0, 2 * n + 2)), n)
+    n_rows = draw(st.integers(0, 2 * n + 2))
+    if kind == "entries":
+        T = float_matrix([tuple(sorted(draw(st.dictionaries(
+            st.integers(0, n_rows), st.sampled_from(_ENTRIES), max_size=4)).items()))
+            for _ in range(n + 1)], n_rows=n_rows)
+    else:
+        mode = draw(st.sampled_from(["exact", "float"]))
+        u = TruncatedSeries.from_coeffs(
+            [1.0, -0.5, 0.25] if mode == "float" else [1, Fraction(-1, 3), 2])
+        phi = PolynomialSymbol.from_coeffs(draw(st.sampled_from(
+            [[0.0, 0.0, 1.0], [0.0, 0.5, 0.5]] if mode == "float"
+            else [[0, 0, 1], [0, Fraction(1, 2), 3]])))
+        delta = draw(st.sampled_from([ones, make_delta("factorial")]))
+        T = build_matrix(kind, u, phi, delta, n_rows, n)
     family = draw(st.sampled_from(["bergman", "dirichlet", "hardy", -150.0, 150.0, "list",
                                    "floats"]))
     if family == "list":
@@ -390,22 +401,60 @@ def _matrices_and_weights(draw):
     return T, beta
 
 
+def _scipy_reference(T, beta):
+    """scipy's CSR matrix of ``scaled_array_reference``'s entries."""
+    import scipy.sparse as sp
+
+    data, rows, cols = scaled_array_reference(T, beta)
+    return sp.csr_matrix((data, (rows, cols)), shape=T.shape, dtype=np.float64)
+
+
 class TestScaledArrayMatchesLoopReference:
     @given(_matrices_and_weights())
     @settings(max_examples=200, deadline=None)
     def test_bits_and_errors_match(self, case):
-        import scipy.sparse as sp
-
         T, beta = case
         outcomes = []
-        for build in (lambda: T.scaled_array(beta), lambda: sp.csr_matrix(
-                (lambda d, r, c: (d, (r, c)))(*scaled_array_reference(T, beta)),
-                shape=T.shape, dtype=np.float64)):
+        for build in (lambda: T.scaled_array(beta), lambda: _scipy_reference(T, beta)):
             try:
                 outcomes.append(_csr_bits(build()))
             except ValidationError as exc:
                 outcomes.append(("error", str(exc)))
         assert outcomes[0] == outcomes[1]
+
+
+class TestCSRKernelMatchesScipy:
+    """Every operation the oracles ask of the CSR kernel gives scipy.sparse's
+    bits on the same entries."""
+
+    @given(_matrices_and_weights(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.integers(-1074, 1023))
+    @settings(max_examples=200, deadline=None)
+    def test_operations_match_bit_for_bit(self, case, seed, pf, exp2):
+        T, beta = case
+        try:
+            A = _finite_scaled(T, beta)
+        except ValidationError:
+            return
+        ref = _scipy_reference(T, beta)
+        rng = np.random.default_rng(seed)
+        # Vectors in [-1, 1] with zeros of both signs among their entries.
+        x = rng.uniform(-1.0, 1.0, A.shape[1]) * (rng.random(A.shape[1]) < 0.8)
+        y = rng.uniform(-1.0, 1.0, A.shape[0]) * (rng.random(A.shape[0]) < 0.8)
+        keep = rng.random(A.shape[1]) < 0.5
+        assert (A @ x).tobytes() == (ref @ x).tobytes()
+        assert A.rmatvec(y).tobytes() == (ref.T @ y).tobytes()
+        assert A.rmatvec(y).tobytes() == (ref.T.tocsr() @ y).tobytes()
+        assert _csr_bits(A.take_columns(keep)) == _csr_bits(ref[:, np.flatnonzero(keep)])
+        assert A.toarray().tobytes() == ref.toarray().tobytes()
+        csc = ref.tocsc()
+        with np.errstate(over="ignore"):
+            powers = np.abs(csc.data) ** pf
+            want = [float(np.sum(powers[a:b])) for a, b in zip(csc.indptr[:-1], csc.indptr[1:])]
+            assert ([s.hex() for s in A.column_power_sums(pf)]
+                    == [s.hex() for s in want])
+            scale = math.ldexp(1.0, exp2)
+            assert _csr_bits(A * scale) == _csr_bits(ref * scale)
 
 
 @given(st.lists(st.one_of(st.floats(-1e100, 1e100), st.just(0.0)), min_size=1, max_size=30),
