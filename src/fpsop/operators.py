@@ -431,17 +431,21 @@ def _power_top(A: _CSR, iter_limit: int, tol: float):
     An iteration squares its entries twice (``norm(A.T @ A @ x)``), so a
     matrix whose entries could take that past float range is first scaled
     by a power of two, which is exact; ``tol`` and the probe margin scale
-    with it, and the results are scaled back.
+    with it, and the results are scaled back.  A matrix whose largest entry
+    is below 1/2 is scaled up into ``[1/2, 1)`` with ``tol`` and the margin
+    kept as they are: the norm is at least the largest entry, so a run stops
+    only on a step below ``2 * tol`` times the norm.
     """
     import numpy as np
 
     cols = A.shape[1]
     margin = max(tol, 1e-13)
     top = float(np.abs(A.data).max(initial=0.0))
-    exp2 = 0
-    if top * math.sqrt(A.nnz) > 2.0 ** 250:
-        exp2 = math.frexp(top)[1]
+    large = top * math.sqrt(A.nnz) > 2.0 ** 250
+    exp2 = math.frexp(top)[1] if large or 0.0 < top < 0.5 else 0
+    if exp2:
         A = A * math.ldexp(1.0, -exp2)
+    if large:
         tol, margin = math.ldexp(tol, -exp2), math.ldexp(margin, -exp2)
     ones = np.full(cols, 1.0 / math.sqrt(cols))
     sigma, iterations, converged, delta, _ = _power_run(A, ones, iter_limit, tol)

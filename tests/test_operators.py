@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpsop.cli import parse_config, run
 from fpsop.operators import (
     _L2_ITERATIONS,
     _L2_TOL,
@@ -286,6 +288,33 @@ class TestLoneColumnSplit:
         assert big[0] == math.ldexp(small[0], 400)
         assert big[1:3] == small[1:3]
         assert big[3] == math.ldexp(small[3], 400)
+
+    @pytest.mark.parametrize("exp2", [1, 40, 900])
+    def test_entries_below_one_half_are_scaled_up_without_the_tolerance(self, exp2):
+        # The stop rule acts on the matrix scaled into [1/2, 1), so a small
+        # matrix takes the same run as its scaled copy, scaled down.
+        beta = make_beta("bergman")
+        u = TruncatedSeries.from_coeffs([1.0, -0.5, 0.25, 2.0])
+        A = _finite_scaled(build_matrix("diamond-mult", u, None, ones, 24, 20), beta)
+        A = A * math.ldexp(1.0, -math.frexp(float(np.abs(A.data).max()))[1])
+        unit = _power_top(A, 50_000, 1e-12)
+        small = _power_top(A * math.ldexp(1.0, -exp2), 50_000, 1e-12)
+        assert small[0] == math.ldexp(unit[0], -exp2)
+        assert small[1:3] == unit[1:3]
+        assert small[3] == math.ldexp(unit[3], -exp2)
+
+    def test_a_tiny_norm_is_not_settled_by_the_absolute_tolerance(self):
+        """With the power law -150 every scaled entry is below 1e-14; the
+        tolerance 1e-12 stopped the iteration after 6 steps at 1.0225e-15,
+        below the column lower bound 1.0745e-15."""
+        report = run("estimate", parse_config(json.dumps({
+            "p": 2, "beta": {"power": -150.0},
+            "delta": {"preset": "geometric", "ratio": "1/2"},
+            "truncation": {"degree": 18, "tail_window": 4},
+            "u": {"monomial": 3}, "phi": {"coeffs": [0, "1/2", "1/2"]}})))
+        column = next(c for c in report["certificates"] if c["name"] == "monomial-column-lower")
+        assert report["oracle"]["converged"]
+        assert report["oracle"]["estimate"] >= column["value"] > 0.0
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
