@@ -12,14 +12,12 @@ Exit codes: 0 success (a divergent certificate is a finding, not an error),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
@@ -27,13 +25,14 @@ from typing import Callable, Optional
 from . import criteria, operators
 from .combinatorics import power_coefficient
 from .criteria import CriterionRequest
-from .operators import ResourceLimitError, build_matrix, column_lower_bound
+from .operators import BoundCertificate, ResourceLimitError, build_matrix, column_lower_bound
 from .series import PolynomialSymbol, TruncatedSeries, compose, diamond_product, norm
 from .weights import (
     DeltaSequence,
     SpaceConfig,
     ValidationError,
     WeightSequence,
+    _Frozen,
     _safe_float,
     conjugate_exponent,
     make_beta,
@@ -236,7 +235,6 @@ def _check_positive(value, what: str) -> float:
     return out
 
 
-@dataclass
 class Config:
     """A validated configuration with constructed weight and series objects.
 
@@ -245,17 +243,23 @@ class Config:
     round trip is the identity.
     """
 
-    normalized: dict
-    p: object = field(compare=False)
-    beta: WeightSequence = field(compare=False)
-    delta: DeltaSequence = field(compare=False)
-    u: TruncatedSeries = field(compare=False)
-    u_given: bool = field(compare=False)
-    phi: Optional[PolynomialSymbol] = field(compare=False)
-    space: SpaceConfig = field(compare=False)
-    power_limit: int = field(compare=False)
-    cap: float = field(compare=False)
-    seed: int = field(compare=False)
+    _fields = ("normalized", "p", "beta", "delta", "u", "u_given", "phi", "space",
+               "power_limit", "cap", "seed")
+    # Mutable, so not a _Frozen: it borrows only the field setter and the repr.
+    _set = _Frozen._set
+    __repr__ = _Frozen.__repr__
+    __hash__ = None
+
+    def __init__(self, normalized: dict, p: object, beta: WeightSequence,
+                 delta: DeltaSequence, u: TruncatedSeries, u_given: bool,
+                 phi: Optional[PolynomialSymbol], space: SpaceConfig, power_limit: int,
+                 cap: float, seed: int):
+        self._set(normalized, p, beta, delta, u, u_given, phi, space, power_limit, cap, seed)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.normalized == other.normalized
 
     def serialize(self) -> str:
         return json.dumps(self.normalized, indent=2, sort_keys=True) + "\n"
@@ -461,8 +465,9 @@ def _estimate(config: Config) -> dict:
         cert = criteria.multiplier_algebra_bound(config.request())
         unorm = norm(config.u, config.beta, float(config.p))
         scaled = 0.0 if unorm == 0.0 else cert.value * unorm
-        cert = dataclasses.replace(
-            cert, value=scaled, notes=cert.notes + ("scaled by the norm of u",))
+        cert = BoundCertificate(
+            scaled, cert.kind, cert.attained_at, cert.truncation_degree, cert.tail_delta,
+            cert.converged, cert.notes + ("scaled by the norm of u",))
         certificates.extend(_cert_entries([("multiplier-algebra-upper", cert)]))
     elif code is not None:
         try:

@@ -14,7 +14,6 @@ or, for ``thm21`` and ``cor26``, as plain weight-ratio lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterable, Optional, Sequence
@@ -35,6 +34,7 @@ from .weights import (
     SpaceConfig,
     ValidationError,
     WeightSequence,
+    _Frozen,
     _ReadOnce,
     _safe_float,
 )
@@ -54,8 +54,7 @@ DECAY_RATIO = 0.9
 DYADIC_GROWTH_RATIO = 0.75
 
 
-@dataclass(frozen=True)
-class CriterionRequest:
+class CriterionRequest(_Frozen):
     """Input bundle for the bound evaluators.
 
     ``stride`` is the degree of a unit-monomial substitution symbol,
@@ -66,17 +65,14 @@ class CriterionRequest:
     divergent.
     """
 
-    beta: WeightSequence
-    delta: DeltaSequence
-    space: SpaceConfig
-    u: Optional[TruncatedSeries] = None
-    phi: Optional[PolynomialSymbol] = None
-    stride: Optional[int] = None
-    shift: Optional[int] = None
-    inner_power_limit: Optional[int] = None
-    cap: float = 1e12
+    _fields = ("beta", "delta", "space", "u", "phi", "stride", "shift", "inner_power_limit",
+               "cap")
 
-    def __post_init__(self):
+    def __init__(self, beta: WeightSequence, delta: DeltaSequence, space: SpaceConfig,
+                 u: Optional[TruncatedSeries] = None, phi: Optional[PolynomialSymbol] = None,
+                 stride: Optional[int] = None, shift: Optional[int] = None,
+                 inner_power_limit: Optional[int] = None, cap: float = 1e12):
+        self._set(beta, delta, space, u, phi, stride, shift, inner_power_limit, cap)
         for name in ("stride", "shift", "inner_power_limit"):
             v = getattr(self, name)
             if v is None:

@@ -21,7 +21,6 @@ annotations are never evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .combinatorics import PowerTable
@@ -32,7 +31,9 @@ from .series import (
     TruncatedSeries,
     _float_pnorm,
 )
-from .weights import DeltaSequence, ValidationError, WeightSequence, _ReadOnce, _safe_float
+from .weights import (
+    DeltaSequence, ValidationError, WeightSequence, _Frozen, _ReadOnce, _safe_float,
+)
 
 __all__ = [
     "BoundCertificate",
@@ -64,8 +65,7 @@ class ResourceLimitError(RuntimeError):
     """A requested build exceeds the configured size guard."""
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(_Frozen):
     """A certified bound on an operator norm, with truncation diagnostics.
 
     ``value`` is the bound (may be ``inf``); ``kind`` says which side it
@@ -75,30 +75,24 @@ class BoundCertificate:
     the value, when one exists inside the scanned range.
     """
 
-    value: float
-    kind: str
-    attained_at: Optional[int]
-    truncation_degree: int
-    tail_delta: float
-    converged: bool
-    notes: tuple = ()
+    _fields = ("value", "kind", "attained_at", "truncation_degree", "tail_delta",
+               "converged", "notes")
 
-    def __post_init__(self):
-        if self.kind not in CERTIFICATE_KINDS:
+    def __init__(self, value: float, kind: str, attained_at: Optional[int],
+                 truncation_degree: int, tail_delta: float, converged: bool,
+                 notes: tuple = ()):
+        if kind not in CERTIFICATE_KINDS:
             raise ValidationError(f"certificate kind must be one of {CERTIFICATE_KINDS}")
-        value = float(self.value)
+        value = float(value)
         if math.isnan(value) or value < 0:
             raise ValidationError(f"certificate value must be nonnegative, got {value!r}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "tail_delta", float(self.tail_delta))
-        if self.attained_at is not None and (
-            not isinstance(self.attained_at, int) or self.attained_at < 0
-        ):
+        tail_delta = float(tail_delta)
+        if attained_at is not None and (not isinstance(attained_at, int) or attained_at < 0):
             raise ValidationError("attained_at must be None or a nonnegative index")
-        if not isinstance(self.truncation_degree, int) or self.truncation_degree < 0:
+        if not isinstance(truncation_degree, int) or truncation_degree < 0:
             raise ValidationError("truncation_degree must be a nonnegative integer")
-        object.__setattr__(self, "converged", bool(self.converged))
-        object.__setattr__(self, "notes", tuple(str(n) for n in self.notes))
+        self._set(value, kind, attained_at, truncation_degree, tail_delta, bool(converged),
+                  tuple(str(n) for n in notes))
 
     def as_report_dict(self) -> dict:
         return {
@@ -120,20 +114,18 @@ def _top_nonzero(coeffs: Sequence) -> int:
     return top
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(_Frozen):
     """Column-sparse operator matrix over rows ``0..n_rows``, cols ``0..n_cols``.
 
     ``columns[L]`` lists ``(row, value)`` pairs of the image of ``z**L``.
     ``mode`` mirrors the scalar mode of the data that built it.
     """
 
-    kind: str
-    n_rows: int
-    n_cols: int
-    columns: tuple
-    mode: str
-    warnings: tuple = ()
+    _fields = ("kind", "n_rows", "n_cols", "columns", "mode", "warnings")
+
+    def __init__(self, kind: str, n_rows: int, n_cols: int, columns: tuple, mode: str,
+                 warnings: tuple = ()):
+        self._set(kind, n_rows, n_cols, columns, mode, warnings)
 
     @property
     def shape(self) -> tuple[int, int]:

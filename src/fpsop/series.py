@@ -9,12 +9,11 @@ computation, so algebra identities can be asserted with ``==`` in exact mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Optional, Sequence, Union
 
-from .weights import DeltaSequence, ValidationError, WeightSequence, _safe_float
+from .weights import DeltaSequence, ValidationError, WeightSequence, _Frozen, _safe_float
 
 __all__ = [
     "EXACT",
@@ -70,17 +69,13 @@ def _require_same_mode(f: "TruncatedSeries", g: "TruncatedSeries") -> str:
     return f.mode
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Frozen):
     """Coefficients ``c[0..N]`` of a power series cut at degree ``N``."""
 
-    coeffs: tuple = (0,)
-    mode: str = field(init=False)
+    _fields = ("coeffs", "mode")
 
-    def __post_init__(self):
-        coeffs, mode = _normalize(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "mode", mode)
+    def __init__(self, coeffs: tuple = (0,)):
+        self._set(*_normalize(coeffs))
 
     @classmethod
     def from_coeffs(cls, seq: Iterable[Scalar], degree_bound: Optional[int] = None
@@ -160,25 +155,22 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class PolynomialSymbol:
+class PolynomialSymbol(_Frozen):
     """A polynomial substitution symbol ``a0 + a1 z + ... + ad z^d``.
 
     The top coefficient must be nonzero unless the degree is zero, so the
     stored degree is honest; ``from_coeffs`` trims trailing zeros for you.
     """
 
-    alphas: tuple = (0,)
-    mode: str = field(init=False)
+    _fields = ("alphas", "mode")
 
-    def __post_init__(self):
-        alphas, mode = _normalize(self.alphas)
+    def __init__(self, alphas: tuple = (0,)):
+        alphas, mode = _normalize(alphas)
         if len(alphas) > 1 and alphas[-1] == 0:
             raise ValidationError(
                 "top polynomial coefficient is zero; use from_coeffs to trim"
             )
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "mode", mode)
+        self._set(alphas, mode)
 
     @classmethod
     def from_coeffs(cls, seq: Iterable[Scalar]) -> "PolynomialSymbol":

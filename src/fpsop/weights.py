@@ -10,7 +10,6 @@ choices and explicit value lists cover ad-hoc finite experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Sequence, Union
@@ -308,8 +307,44 @@ def conjugate_exponent(p):
     return int(q) if q.denominator == 1 else q
 
 
-@dataclass(frozen=True)
-class SpaceConfig:
+class _Frozen:
+    """Base of the frozen value classes: ``__init__`` sets the fields named
+    in ``_fields`` once, through ``_set``; equality, hash and repr go over
+    them, and no attribute can be assigned or deleted after.  Plain classes
+    keep the standard library's class generators, and the ``inspect`` import
+    they pull in, off every launch."""
+
+    _fields: tuple = ()
+
+    def _set(self, *values) -> None:
+        # Not self.__dict__.update: reading __dict__ gives up the interpreter's
+        # fast path for attribute reads (about 3x slower on CPython 3.11).
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SpaceConfig(_Frozen):
     """Exponent and truncation parameters shared by the bound evaluators.
 
     ``truncation_degree`` caps the outer index of every scanned sup or sum,
@@ -317,12 +352,11 @@ class SpaceConfig:
     and ``tolerance`` is the largest tail movement still considered settled.
     """
 
-    p: Union[int, float, Fraction] = 2
-    truncation_degree: int = 512
-    tail_window: int = 10
-    tolerance: float = 1e-7
+    _fields = ("p", "truncation_degree", "tail_window", "tolerance")
 
-    def __post_init__(self):
+    def __init__(self, p: Union[int, float, Fraction] = 2, truncation_degree: int = 512,
+                 tail_window: int = 10, tolerance: float = 1e-7):
+        self._set(p, truncation_degree, tail_window, tolerance)
         if isinstance(self.p, float) and math.isinf(self.p):
             raise ValidationError("p = inf is not supported; norms require finite p >= 1")
         conjugate_exponent(self.p)  # validates p >= 1

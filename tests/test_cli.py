@@ -692,6 +692,22 @@ def test_only_estimate_imports_numpy():
     _fresh_python(_IMPORT_GUARD)
 
 
+_LAUNCH_GUARD = textwrap.dedent("""
+    import contextlib, io, sys
+    before = set(sys.modules)
+    import fpsop.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fpsop.cli.main(["norm", "--config", "configs/norm-two-term.json",
+                               "--quiet"]) == 0
+    new = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+    assert not new, sorted(new)
+""")
+
+
+def test_launch_imports_neither_dataclasses_nor_inspect():
+    _fresh_python(_LAUNCH_GUARD)
+
+
 _WITHOUT_SCIPY = textwrap.dedent("""
     import contextlib, io, json, sys
     sys.modules["scipy"] = None  # any import of scipy now raises ImportError
