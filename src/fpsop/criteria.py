@@ -14,6 +14,7 @@ or, for ``thm21`` and ``cor26``, as plain weight-ratio lists.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterable, Optional, Sequence
@@ -52,6 +53,9 @@ __all__ = [
 DECAY_RATIO = 0.9
 
 DYADIC_GROWTH_RATIO = 0.75
+
+# The smallest normal float: a float below it has lost precision.
+_TINY = sys.float_info.min
 
 
 class CriterionRequest(_Frozen):
@@ -143,6 +147,29 @@ def _pow(x, e):
         return xf ** ef
     except OverflowError:
         return math.inf
+
+
+def _frexp(v) -> tuple[float, int]:
+    """``(m, e)`` with ``v = m * 2**e`` and ``m`` in [1/2, 2), for a positive
+    finite float or rational ``v``."""
+    if type(v) is float:
+        return math.frexp(v)
+    en, ed = v.numerator, v.denominator
+    e = en.bit_length() - ed.bit_length()
+    return (en << -e if e < 0 else en) / (ed << e if e > 0 else ed), e
+
+
+def _split(nums: Sequence, dens: Sequence) -> tuple[float, int]:
+    """``(m, e)`` with ``prod(nums) / prod(dens) = m * 2**e``: every factor is
+    split by :func:`_frexp`, so no partial product leaves float range."""
+    m, e = 1.0, 0
+    for v in nums:
+        vm, ve = _frexp(v)
+        m, e = m * vm, e + ve
+    for v in dens:
+        vm, ve = _frexp(v)
+        m, e = m / vm, e - ve
+    return m, e
 
 
 def _reduced(en: int, ed: int):
@@ -688,15 +715,40 @@ def substitution_bounds_monomial_multiplier(req: CriterionRequest
     e = pe if space.sup_mode else _exponent(p, space.q)
 
     d, w = _ReadOnce(delta.value), _ReadOnce(beta.value)
+    pf, qf = float(pe), None if space.sup_mode else float(space.q)
+
+    def split_row(n, j):
+        """``row(n, j, agg)`` from the kernel's and the terms' mantissas and
+        powers of two, for a row where ``kern**p`` or ``agg`` leaves the
+        normal float range though the row itself may not."""
+        km, ke = _split([d[n], w[n]], [d[shift], d[j]])
+        terms = [_split([abs(x)], [den, w[L]])
+                 for L, x, den in table.column_scaled(j, req.power_limit) if x]
+        if not terms:
+            return 0
+        top = max(te for _, te in terms)
+        ts = [tm * 2.0 ** (te - top) for tm, te in terms]
+        s = max(ts) if qf is None else math.fsum([t ** qf for t in ts]) ** (1 / qf)
+        ex = pf * (ke + top)
+        whole = math.floor(ex)
+        try:
+            return math.ldexp((km * s) ** pf * 2.0 ** (ex - whole), whole)
+        except OverflowError:
+            return math.inf
 
     def row(n, j, agg):
         kern = _pair([d[n], w[n]], [d[shift], d[j]])
-        if agg == 0:
+        if agg == 0 and type(agg) is not float:
             return 0
         try:
-            return _pow(kern, pe) * _pow(agg, e)
+            kp, ap = _pow(kern, pe), _pow(agg, e)
+            out = kp * ap
         except OverflowError:  # an exact kernel power beyond float range times a float
-            return math.inf
+            return split_row(n, j)
+        if type(out) is not float or (
+                _TINY <= out < math.inf and _TINY <= kp and _TINY <= ap and _TINY <= agg):
+            return out
+        return split_row(n, j)  # a float factor lost its precision or its range
 
     upper_cert = _power_sum_upper(
         req, table, shift, w, False, row=row, note="shifted power-coefficient sum bound")

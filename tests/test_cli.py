@@ -329,6 +329,27 @@ class TestBeyondFloatRange:
         assert named["substitution-shift-upper"]["value"] == "inf"
         assert named["substitution-shift-upper"]["converged"] is False
 
+    @pytest.mark.parametrize("config", [
+        # kern**p underflows to zero on the last nonzero row
+        '{"p": 2, "beta": {"power": -150.0}, "delta": "factorial",'
+        ' "truncation": {"degree": 13, "tail_window": 1},'
+        ' "u": {"monomial": 3}, "phi": {"monomial": 3}}',
+        # kern**p underflows to zero while agg**(p/q) overflows (nan)
+        '{"p": 2.5, "beta": {"power": -150.0}, "delta": "ones",'
+        ' "truncation": {"degree": 19, "tail_window": 3},'
+        ' "u": {"monomial": 3}, "phi": {"monomial": 2}}',
+        # the q-sum of a row overflows while its row is ~1e-17
+        '{"p": 2, "beta": {"power": -150.0}, "delta": "inverse-factorial",'
+        ' "truncation": {"degree": 12, "tail_window": 1},'
+        ' "u": {"monomial": 1}, "phi": {"coeffs": [0.0, 0.625, 0.25]}}',
+    ], ids=["kernel-power-underflow", "zero-times-inf", "q-sum-overflow"])
+    def test_thm25_rows_whose_factors_leave_float_range(self, capsys, config):
+        code, out = run_main(capsys, "bound", "--theorem", "thm25", "--quiet", "--config",
+                             config)
+        assert code == 0
+        named = {c["name"]: c["value"] for c in json.loads(out)["certificates"]}
+        assert 0 < named["substitution-shift-lower"] <= named["substitution-shift-upper"] < 1
+
     def test_mixed_list_with_an_exact_entry_beyond_float_range_exits_two(self, capsys):
         code = main(["norm", "--quiet", "--config", '{"f": {"coeffs": ["1e400", 1.5]}}'])
         captured = capsys.readouterr()
