@@ -210,20 +210,24 @@ class PolynomialSymbol(_Frozen):
 
 def _float_pnorm(pairs: Sequence[tuple], pf: float) -> float:
     """``(sum |c * w|^p)^(1/p)`` in floats over ``(coefficient, float weight)``
-    pairs; a coefficient, term or sum beyond float range makes it ``inf``.
+    pairs; a coefficient, term or norm beyond float range makes it ``inf``.
     Terms whose p-th powers sum below ``2**-960``, where they would lose bits
-    to the subnormal range, are scaled by a power of two first, which is
-    exact, and the norm scaled back."""
+    to the subnormal range, or past float range, are scaled by a power of two
+    first, the largest to ``[1/2, 1)``, which is exact, and the norm scaled
+    back."""
     try:
         total = math.fsum([(abs(c if type(c) is float else float(c)) * w) ** pf
                            for c, w in pairs])
-    except OverflowError:  # an exact coefficient, a term or the sum
-        return math.inf
-    if total < 2.0 ** -960:
+    except OverflowError:  # an exact coefficient, a p-th power or the sum
+        total = math.inf
+    if not (total < 2.0 ** -960 or math.isinf(total)):
+        return total ** (1.0 / pf)
+    try:
         xs = [abs(float(c)) * w for c, w in pairs]
         e = math.frexp(max(xs, default=0.0))[1]
         return math.ldexp(math.fsum([math.ldexp(x, -e) ** pf for x in xs]) ** (1.0 / pf), e)
-    return math.inf if math.isinf(total) else total ** (1.0 / pf)
+    except OverflowError:  # an exact coefficient or the norm
+        return math.inf
 
 
 def norm(f: TruncatedSeries, beta: WeightSequence, p) -> float:

@@ -167,21 +167,37 @@ class TestFloatPnorm:
     @given(_pnorm_pairs, st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]))
     @settings(max_examples=200)
     def test_bits_match_the_loop_above_the_subnormal_range(self, pairs, pf):
-        """The loop's bits wherever the p-th powers sum to ``2**-960`` or more;
-        below that, the loop's norm of the terms scaled by ``2**-e``, the
-        largest to ``[1/2, 1)``, scaled back by ``2**e``."""
+        """The loop's bits wherever the p-th powers sum to ``2**-960`` or more
+        and stay in float range, or a term leaves it; otherwise the loop's
+        norm of the terms scaled by ``2**-e``, the largest to ``[1/2, 1)``,
+        scaled back by ``2**e``, which is ``inf`` only past float range."""
         got, want = _float_pnorm(pairs, pf), float_pnorm_reference(pairs, pf)
         try:
             xs = [abs(float(c)) * w for c, w in pairs]
-            tiny = math.fsum([x ** pf for x in xs]) < 2.0 ** -960
-        except OverflowError:
-            tiny = False
-        if not tiny:
+        except OverflowError:  # an exact coefficient beyond float range
+            xs = [math.inf]
+        try:
+            total = math.fsum([x ** pf for x in xs])
+        except OverflowError:  # a p-th power or their sum beyond float range
+            total = math.inf
+        if 2.0 ** -960 <= total < math.inf or math.inf in xs:
             assert got.hex() == want.hex()
         else:
             e = math.frexp(max(xs, default=0.0))[1]
             scaled = float_pnorm_reference([(1.0, math.ldexp(x, -e)) for x in xs], pf)
-            assert got.hex() == math.ldexp(scaled, e).hex()
+            try:
+                scaled = math.ldexp(scaled, e)
+            except OverflowError:
+                scaled = math.inf
+            assert got.hex() == scaled.hex()
+
+    def test_a_power_beyond_float_range_keeps_a_finite_norm(self):
+        """``1e160**2`` leaves float range, the norm ``1e160`` does not: it
+        read ``inf``.  Two terms of ``1e308`` at p = 1 do sum past it."""
+        assert _float_pnorm([(1e160, 1.0), (1, 1.0)], 2.0) == 1e160
+        assert norm(TruncatedSeries.from_coeffs([1e160, 1.0]), make_beta("hardy"), 2) == 1e160
+        assert _float_pnorm([(1e308, 1.0), (1e308, 1.0)], 1.0) == math.inf
+        assert _float_pnorm([(10 ** 400, 1.0)], 2.0) == math.inf
 
     def test_a_square_below_the_normal_range_keeps_its_bits(self):
         """``w(10)**2`` of the power law -150 is about 3.8e-313, subnormal:
