@@ -316,7 +316,8 @@ def _decayed(last3: Sequence[float]) -> bool:
 
 def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: float,
              summed: bool = False, outer_exponent=1, scale: float = 1.0,
-             inner_ok: bool = True, notes: Iterable[str] = ()) -> BoundCertificate:
+             inner_ok: bool = True, q_sup: bool = False, notes: Iterable[str] = ()
+             ) -> BoundCertificate:
     """Certify the running supremum (or, ``summed``, sum) of the contributions.
 
     One contribution per outer index, ``None`` for an empty one; a sup scan
@@ -324,7 +325,8 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
     cross-multiplication, so no pair is reduced.  The value
     and its trajectory are raised to ``outer_exponent`` and multiplied by
     ``scale``; the final window (``_tail_stats``) decides convergence and
-    divergence.
+    divergence.  ``q_sup`` notes that the contributions aggregate their
+    conjugate-exponent sums as suprema (p = 1).
     """
     ef = float(outer_exponent)
 
@@ -378,7 +380,7 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
 
     if not inner_ok:
         note_list.append("inner power sums truncated without certified decay")
-    if space.sup_mode:
+    if q_sup:
         note_list.append("p=1: conjugate-exponent sums taken as suprema")
 
     if diverged:
@@ -469,7 +471,7 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
     return _certify(
         rows(), kind="upper", space=space, cap=req.cap,
         outer_exponent=1 if space.sup_mode else _exponent(1, space.q),
-        scale=scale, notes=(note,),
+        scale=scale, q_sup=space.sup_mode, notes=(note,),
     )
 
 
@@ -537,7 +539,8 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _R
         rows.append(row(n, j, agg))
     return _certify(
         rows, kind="upper", space=space, cap=req.cap, summed=True,
-        outer_exponent=_exponent(1, space.p), inner_ok=inner_ok, notes=(note,),
+        outer_exponent=_exponent(1, space.p), inner_ok=inner_ok, q_sup=space.sup_mode,
+        notes=(note,),
     )
 
 

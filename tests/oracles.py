@@ -307,7 +307,8 @@ def power_sum_upper_reference(req, table, shift, w, scaled, row, note):
         rows.append(row(n, j, _q_pairs(terms, qe)))
     return _certify(
         rows, kind="upper", space=space, cap=req.cap, summed=True,
-        outer_exponent=_exponent(1, space.p), inner_ok=inner_ok, notes=(note,),
+        outer_exponent=_exponent(1, space.p), inner_ok=inner_ok, q_sup=space.sup_mode,
+        notes=(note,),
     )
 
 

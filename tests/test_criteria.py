@@ -474,7 +474,7 @@ def _reference_kernel_sup(req, stride, scale, note):
     return _certify(
         kernel_rows_reference(req, stride), kind="upper", space=space, cap=req.cap,
         outer_exponent=1 if space.sup_mode else _exponent(1, space.q),
-        scale=scale, notes=(note,),
+        scale=scale, q_sup=space.sup_mode, notes=(note,),
     )
 
 
