@@ -13,6 +13,7 @@ from .combinatorics import (
 )
 from .criteria import (
     CriterionRequest,
+    column_lower_bound,
     composition_bounds_polynomial,
     composition_norm_monomial,
     multiplier_algebra_bound,
@@ -26,7 +27,6 @@ from .operators import (
     ResourceLimitError,
     apply,
     build_matrix,
-    column_lower_bound,
     norm_estimate_l2,
     norm_lower_search,
 )

@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 from . import criteria, operators
 from .combinatorics import power_coefficient
-from .criteria import CriterionRequest
-from .operators import BoundCertificate, ResourceLimitError, build_matrix, column_lower_bound
+from .criteria import CriterionRequest, column_lower_bound
+from .operators import BoundCertificate, ResourceLimitError, build_matrix
 from .series import PolynomialSymbol, TruncatedSeries, compose, diamond_product, norm
 from .weights import (
     DeltaSequence,
@@ -455,14 +455,11 @@ def _estimate(config: Config) -> dict:
         "converged": oracle_cert.converged,
     }
 
-    pairs = [("monomial-column-lower",
-              column_lower_bound(T, config.beta, config.p,
-                                 tail_window=config.space.tail_window,
-                                 tolerance=config.space.tolerance))]
+    req = config.request()
+    certificates = _cert_entries([("monomial-column-lower", column_lower_bound(T, req))])
     code = _pick_estimate_criterion(config)
-    certificates = _cert_entries(pairs)
     if code == "cor24":
-        cert = criteria.multiplier_algebra_bound(config.request())
+        cert = criteria.multiplier_algebra_bound(req)
         unorm = norm(config.u, config.beta, float(config.p))
         scaled = 0.0 if unorm == 0.0 else cert.value * unorm
         cert = BoundCertificate(

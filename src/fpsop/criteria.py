@@ -3,12 +3,15 @@
 Each evaluator scans a truncated sup or sum, keeps the partial values exact
 whenever the weights and exponents allow it, and packages the result as a
 :class:`~fpsop.operators.BoundCertificate` with tail diagnostics.  A scan
-that keeps growing through the final window is probed for divergence: the
-value is reported as ``inf`` when it exceeds a cap or when the growth fails
-to decay across dyadic windows; otherwise the partial value stands with
-``converged=False``.  All of that is :func:`_certify`; the evaluators only
-supply one contribution per outer index, through three shared scan shapes
-or, for ``thm21`` and ``cor26``, as plain weight-ratio lists.
+that keeps growing through the final window is probed for divergence: it
+diverges when it exceeds a cap or when the growth fails to decay across
+dyadic windows.  A divergent upper reads ``inf``; a divergent lower or exact
+certificate keeps the largest value it scanned.  Either way, as for any scan
+that has not settled, ``converged=False``.  All of that is :func:`_certify`;
+the evaluators only supply one contribution per outer index, through three
+shared scan shapes or, for ``thm21`` and ``cor26``, as plain weight-ratio
+lists.  The column-ratio lowers, ``estimate``'s among them, share one scan,
+:func:`_column_lower`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from numbers import Rational
 from typing import Callable, Iterable, Optional, Sequence
 
 from .combinatorics import PowerTable, stride_offsets
-from .operators import BoundCertificate, _guard, _tail_stats
+from .operators import BoundCertificate, OperatorMatrix, _guard
 from .series import (
     FLOAT,
     PolynomialSymbol,
@@ -42,6 +45,7 @@ from .weights import (
 
 __all__ = [
     "CriterionRequest",
+    "column_lower_bound",
     "composition_bounds_polynomial",
     "composition_norm_monomial",
     "multiplier_algebra_bound",
@@ -314,6 +318,17 @@ def _decayed(last3: Sequence[float]) -> bool:
     return c <= DECAY_RATIO * b and b <= DECAY_RATIO * a
 
 
+def _tail_stats(trajectory: Sequence[float], window: int, tolerance: float
+                ) -> tuple[float, bool]:
+    hi = trajectory[-1]
+    w = min(window, len(trajectory) - 1)
+    lo = trajectory[-1 - w] if w >= 1 else hi
+    if math.isinf(hi):
+        return math.inf, False
+    delta = hi - lo
+    return delta, abs(delta) <= tolerance
+
+
 def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: float,
              summed: bool = False, outer_exponent=1, scale: float = 1.0,
              inner_ok: bool = True, q_sup: bool = False, notes: Iterable[str] = ()
@@ -327,14 +342,22 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
     ``scale``; the final window (``_tail_stats``) decides convergence and
     divergence.  ``q_sup`` notes that the contributions aggregate their
     conjugate-exponent sums as suprema (p = 1).
+
+    An upper reads ``inf`` when its scan overflows or diverges.  A lower or
+    exact certificate (a sup scan) never does: a divergent scan keeps the
+    largest value it scanned, an exact value beyond float range reads as the
+    largest float, and a float contribution of ``inf``, which may come from an
+    intermediate overflow, is skipped and leaves the scan unconverged.
     """
+    lower = kind != "upper"
     ef = float(outer_exponent)
+    plain = ef == 1.0 and scale == 1.0  # tf(x) is x for x > 0: _pow(x, 1.0) * 1.0
 
     def tf(x: float) -> float:
-        return 0.0 if x <= 0.0 else _pow(x, ef) * scale
+        return 0.0 if x <= 0.0 else x if plain else _pow(x, ef) * scale
 
     traj: list[float] = []
-    attained, t = None, 0.0
+    attained, t, skipped = None, 0.0, False
     if summed:
         parts, level = [], 0.0
         for v in contributions:
@@ -347,8 +370,14 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
     else:
         best, level = None, 0.0
         for i, v in enumerate(contributions):
-            if v is not None and (best is None or (
-                    v > level if type(v) is float else _gt(v, best, level))):
+            if type(v) is float:
+                if v > level or best is None:
+                    if v == math.inf and lower:
+                        skipped = True
+                    else:
+                        best = level = v
+                        attained, t = i, v if plain and v > 0.0 else tf(v)
+            elif v is not None and (best is None or _gt(v, best, level)):
                 best, level, attained = v, _as_float(v), i
                 t = tf(level)
             traj.append(t)
@@ -378,19 +407,23 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
                     "growth does not decay across dyadic windows; divergent scan"
                 )
 
+    if skipped:
+        note_list.append("float contributions that overflowed to inf skipped")
     if not inner_ok:
         note_list.append("inner power sums truncated without certified decay")
     if q_sup:
         note_list.append("p=1: conjugate-exponent sums taken as suprema")
 
-    if diverged:
+    if diverged and not lower:
         value, attained = math.inf, None
+    elif math.isinf(value):  # an exact lower beyond float range
+        value, attained = sys.float_info.max, None
     elif attained is not None and attained > max(n_top - space.tail_window, 0):
         attained = None
     return BoundCertificate(
         value=value, kind=kind, attained_at=attained,
         truncation_degree=space.truncation_degree, tail_delta=tail_delta,
-        converged=settled and inner_ok and not math.isinf(value),
+        converged=settled and inner_ok and not (diverged or skipped),
         notes=tuple(note_list),
     )
 
@@ -544,16 +577,31 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _R
     )
 
 
-def _column_lower(req: CriterionRequest, column: Callable, note: str) -> BoundCertificate:
+def _column_lower(req: CriterionRequest, column: Callable, note: str,
+                  wf: Optional[_ReadOnce] = None) -> BoundCertificate:
     """The best ratio ``norm(image of z**l) / w(l)``; ``column(l)`` lists
-    the ``(coefficient, float weight)`` pairs of that image."""
-    beta, space = req.beta, req.space
+    the ``(coefficient, float weight)`` pairs of that image, and ``wf``, the
+    float weights the columns read, if they read any, serves ``w(l)``."""
+    space = req.space
     pf = float(space.p)
+    wf = _ReadOnce(req.beta.as_float) if wf is None else wf
     return _certify(
-        (_float_pnorm(column(l), pf) / beta.as_float(l)
-         for l in range(space.truncation_degree + 1)),
+        [_float_pnorm(column(l), pf) / wf[l] for l in range(space.truncation_degree + 1)],
         kind="lower", space=space, cap=req.cap, notes=(note,),
     )
+
+
+def column_lower_bound(T: OperatorMatrix, req: CriterionRequest) -> BoundCertificate:
+    """Best ratio ``norm(T z**L) / w(L)`` over the monomial columns of ``T``,
+    one per degree up to the truncation degree: always a valid lower bound
+    on the operator norm."""
+    N = req.space.truncation_degree
+    if T.n_cols != N:
+        raise ValidationError(
+            f"the matrix has columns 0..{T.n_cols}, the truncation degree is {N}")
+    wf = _ReadOnce(req.beta.as_float)
+    return _column_lower(req, lambda L: [(value, wf[row]) for row, value in T.columns[L]],
+                         "monomial column scan", wf)
 
 
 def _zero_certificate(kind: str, space: SpaceConfig, note: str) -> BoundCertificate:
@@ -652,7 +700,7 @@ def composition_bounds_polynomial(req: CriterionRequest
         return [(x if den == 1 else _as_float((x, den)), wf[j]) for j, x in pairs]
 
     lower_cert = _column_lower(
-        req, column, "monomial image ratios, rows truncated at the scan degree")
+        req, column, "monomial image ratios, rows truncated at the scan degree", wf)
     return upper_cert, lower_cert
 
 

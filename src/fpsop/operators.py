@@ -24,13 +24,7 @@ import math
 from typing import Optional, Sequence
 
 from .combinatorics import PowerTable
-from .series import (
-    EXACT,
-    FLOAT,
-    PolynomialSymbol,
-    TruncatedSeries,
-    _float_pnorm,
-)
+from .series import EXACT, FLOAT, PolynomialSymbol, TruncatedSeries
 from .weights import (
     DeltaSequence, ValidationError, WeightSequence, _Frozen, _ReadOnce, _safe_float,
 )
@@ -42,7 +36,6 @@ __all__ = [
     "ResourceLimitError",
     "apply",
     "build_matrix",
-    "column_lower_bound",
     "norm_estimate_l2",
     "norm_lower_search",
 ]
@@ -326,45 +319,6 @@ def apply(T: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:
         for row, value in T.columns[L]:
             out[row] += value * c
     return TruncatedSeries(tuple(out))
-
-
-def _tail_stats(trajectory: Sequence[float], window: int, tolerance: float
-                ) -> tuple[float, bool]:
-    hi = trajectory[-1]
-    w = min(window, len(trajectory) - 1)
-    lo = trajectory[-1 - w] if w >= 1 else hi
-    if math.isinf(hi):
-        return math.inf, False
-    delta = hi - lo
-    return delta, abs(delta) <= tolerance
-
-
-def column_lower_bound(T: OperatorMatrix, beta: WeightSequence, p,
-                       tail_window: int = 10, tolerance: float = 1e-7
-                       ) -> BoundCertificate:
-    """Best ratio ``norm(T z**L) / w(L)`` over all monomial columns.
-
-    Always a valid lower bound on the operator norm; the certificate records
-    the first column achieving the maximum.
-    """
-    pf = float(p)
-    if not math.isfinite(pf) or pf < 1:
-        raise ValidationError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
-    best, attained = -1.0, None
-    trajectory = []
-    wf = _ReadOnce(beta.as_float)
-    for L in range(T.n_cols + 1):
-        ratio = _float_pnorm([(value, wf[row]) for row, value in T.columns[L]], pf) / wf[L]
-        if ratio > best:
-            best, attained = ratio, L
-        trajectory.append(best)
-    tail_delta, settled = _tail_stats(trajectory, tail_window, tolerance)
-    return BoundCertificate(
-        value=best, kind="lower", attained_at=attained,
-        truncation_degree=T.n_cols, tail_delta=tail_delta,
-        converged=settled and math.isfinite(best),
-        notes=("monomial column scan",),
-    )
 
 
 def _finite_scaled(T: OperatorMatrix, beta: WeightSequence) -> _CSR:

@@ -147,8 +147,13 @@ class TestRun:
             ' "u": {"monomial": 1}, "phi": {"monomial": 1}}')
         report = run("bound", cfg, theorem="cor26")
         named = {c["name"]: c for c in report["certificates"]}
-        assert named["progression-ratio-lower"]["value"] == "inf"
-        assert named["progression-ratio-lower"]["converged"] is False
+        assert named["progression-ratio-upper"]["value"] == "inf"
+        # The lower keeps its largest ratio, N + 1, and is flagged divergent.
+        assert named["progression-ratio-lower"]["value"] == 513.0
+        for name in ("progression-ratio-upper", "progression-ratio-lower"):
+            assert named[name]["converged"] is False
+            assert ("growth does not decay across dyadic windows; divergent scan"
+                    in named[name]["notes"])
 
     def test_estimate_sandwich(self):
         cfg = parse_config(

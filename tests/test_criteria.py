@@ -1,8 +1,10 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from fpsop.criteria import (
     _pair,
     _q_pairs,
     _reduced,
+    column_lower_bound,
     composition_bounds_polynomial,
     composition_norm_monomial,
     multiplier_algebra_bound,
@@ -23,6 +26,7 @@ from fpsop.criteria import (
     substitution_bounds_monomial_pair,
     substitution_bounds_monomial_symbol,
 )
+from fpsop.operators import build_matrix, norm_estimate_l2
 from fpsop.series import PolynomialSymbol, TruncatedSeries
 from fpsop.weights import (DeltaSequence, SpaceConfig, ValidationError, WeightSequence,
                            _explicit_fn, _ReadOnce, _safe_float, make_beta, make_delta)
@@ -39,8 +43,8 @@ def geometric_beta(n_top, base=Fraction(1, 2)):
     return make_beta([base ** n for n in range(n_top + 1)])
 
 
-def request(beta, delta, p=2, degree=512, tol=1e-7, **kw):
-    space = SpaceConfig(p=p, truncation_degree=degree, tolerance=tol)
+def request(beta, delta, p=2, degree=512, tol=1e-7, window=10, **kw):
+    space = SpaceConfig(p=p, truncation_degree=degree, tail_window=window, tolerance=tol)
     return CriterionRequest(beta=beta, delta=delta, space=space, **kw)
 
 
@@ -249,10 +253,15 @@ class TestSubstitutionBoundsMonomialPair:
         assert gamma.value == kappa.value
 
     def test_factorial_delta_unbounded(self):
+        """The ratios grow as ``m + 1``: the upper reads ``inf``, the lower keeps
+        its largest ratio ``N + 1``; both are flagged divergent."""
         gamma, kappa = substitution_bounds_monomial_pair(
             request(hardy, make_delta("factorial"), shift=1, stride=1))
-        assert math.isinf(kappa.value)
-        assert not kappa.converged
+        assert math.isinf(gamma.value)
+        assert kappa.value == 513.0
+        for cert in (gamma, kappa):
+            assert not cert.converged
+            assert "growth does not decay across dyadic windows; divergent scan" in cert.notes
 
     def test_zero_stride_rejected(self):
         with pytest.raises(ValidationError):
@@ -262,6 +271,85 @@ class TestSubstitutionBoundsMonomialPair:
         gamma, kappa = substitution_bounds_monomial_pair(
             request(make_beta("bergman"), ones, shift=0, stride=2))
         assert gamma.value >= kappa.value - 1e-12
+
+
+def identity_matrix(n):
+    return build_matrix("composition", None, PolynomialSymbol.monomial(1), ones, n, n)
+
+
+def column_lower(T, beta, p=2):
+    """``column_lower_bound`` of ``T`` on a request truncated at its last column."""
+    return column_lower_bound(T, request(beta, ones, p=p, degree=T.n_cols,
+                                         window=min(10, T.n_cols)))
+
+
+class TestColumnLowerBound:
+    def test_identity_attains_one_at_zero(self):
+        cert = column_lower(identity_matrix(8), make_beta("hardy"), 2)
+        assert cert.value == pytest.approx(1.0)
+        assert cert.attained_at == 0
+        assert cert.kind == "lower"
+
+    def test_dirichlet_substitution_ties_resolve_low(self):
+        u = TruncatedSeries.monomial(1)
+        T = build_matrix("substitution", u, PolynomialSymbol.monomial(2), ones, 33, 16)
+        cert = column_lower(T, make_beta("dirichlet"), 2)
+        assert cert.value == pytest.approx(math.sqrt(2), abs=1e-12)
+
+    def test_never_exceeds_l2_norm(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            coeffs = [Fraction(int(x), 4) for x in rng.integers(-8, 9, size=5)]
+            u = TruncatedSeries.from_coeffs(coeffs)
+            T = build_matrix("diamond-mult", u, None, ones, 16, 8)
+            beta = make_beta("bergman")
+            lower = column_lower(T, beta, 2)
+            oracle = norm_estimate_l2(T, beta)
+            assert lower.value <= oracle.value + 1e-9
+
+    def test_a_column_lower_bound_of_the_identity_is_one(self):
+        """Column 10 of the identity on the power law -150 has the subnormal
+        square ``w(10)**2``; its ratio read 1.0000000000013167."""
+        cert = column_lower(identity_matrix(16), make_beta(-150.0), 2)
+        assert cert.value == 1.0
+
+    def test_a_matrix_of_another_column_count_is_rejected(self):
+        with pytest.raises(ValidationError, match="truncation degree"):
+            column_lower_bound(identity_matrix(8), request(hardy, ones, degree=9, window=4))
+
+
+class TestLowerSideRule:
+    """An upper reads ``inf`` on overflow or divergence; a lower or exact
+    certificate never does."""
+
+    space = SpaceConfig(p=2, truncation_degree=9, tail_window=2)
+
+    def certify(self, contributions, kind="lower"):
+        return _certify(contributions, kind=kind, space=self.space, cap=1e12)
+
+    def test_a_divergent_scan_keeps_its_largest_value(self):
+        rows = [float(n + 1) for n in range(10)]
+        upper, lower = self.certify(rows, "upper"), self.certify(rows)
+        assert upper.value == math.inf and not upper.converged
+        assert lower.value == 10.0 and not lower.converged
+        assert lower.attained_at is None
+        assert lower.notes == upper.notes == (
+            "growth does not decay across dyadic windows; divergent scan",)
+
+    def test_an_exact_value_beyond_float_range_reads_as_the_largest_float(self):
+        for kind in ("lower", "exact"):
+            cert = self.certify([1, 10 ** 400, (10 ** 401, 3)] + [0] * 7, kind)
+            assert cert.value == sys.float_info.max and not cert.converged
+            assert cert.attained_at is None
+            assert cert.notes == ("scan overflowed to infinity",)
+        assert self.certify([10 ** 400] + [0] * 9, "upper").value == math.inf
+
+    def test_a_float_overflow_is_skipped(self):
+        cert = self.certify([2.0, math.inf, 3.0] + [1.0] * 7)
+        assert cert.value == 3.0 and cert.attained_at == 2 and not cert.converged
+        assert cert.notes == ("float contributions that overflowed to inf skipped",)
+        assert self.certify([math.inf] * 10).value == 0.0
+        assert self.certify([2.0, math.inf] + [1.0] * 8, "upper").value == math.inf
 
 
 class TestCertificateShape:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsop.cli import parse_config, run
+from fpsop.criteria import CriterionRequest, column_lower_bound
 from fpsop.operators import (
     _L2_ITERATIONS,
     _L2_TOL,
@@ -19,7 +20,6 @@ from fpsop.operators import (
     _power_top,
     apply,
     build_matrix,
-    column_lower_bound,
     norm_estimate_l2,
     norm_lower_search,
 )
@@ -29,7 +29,8 @@ from fpsop.series import (
     diamond_product,
     diamond_substitute,
 )
-from fpsop.weights import ValidationError, WeightSequence, _explicit_fn, make_beta, make_delta
+from fpsop.weights import (SpaceConfig, ValidationError, WeightSequence, _explicit_fn,
+                           make_beta, make_delta)
 
 from oracles import pnorm_reference, rand_coeffs, rand_symbol_coeffs, scaled_array_reference
 
@@ -38,6 +39,12 @@ ones = make_delta("ones")
 
 def identity_matrix(n):
     return build_matrix("composition", None, PolynomialSymbol.monomial(1), ones, n, n)
+
+
+def column_lower(T, beta, p):
+    """The monomial column lower bound of ``T`` on ``beta`` at exponent ``p``."""
+    space = SpaceConfig(p=p, truncation_degree=T.n_cols, tail_window=min(10, T.n_cols))
+    return column_lower_bound(T, CriterionRequest(beta=beta, delta=ones, space=space))
 
 
 def dense_column(T, big_l):
@@ -153,31 +160,6 @@ class TestApply:
         T = identity_matrix(3)
         with pytest.raises(ValidationError):
             apply(T, TruncatedSeries.from_coeffs([1, 0, 0, 0, 1]))
-
-
-class TestColumnLowerBound:
-    def test_identity_attains_one_at_zero(self):
-        cert = column_lower_bound(identity_matrix(8), make_beta("hardy"), 2)
-        assert cert.value == pytest.approx(1.0)
-        assert cert.attained_at == 0
-        assert cert.kind == "lower"
-
-    def test_dirichlet_substitution_ties_resolve_low(self):
-        u = TruncatedSeries.monomial(1)
-        T = build_matrix("substitution", u, PolynomialSymbol.monomial(2), ones, 33, 16)
-        cert = column_lower_bound(T, make_beta("dirichlet"), 2)
-        assert cert.value == pytest.approx(math.sqrt(2), abs=1e-12)
-
-    def test_never_exceeds_l2_norm(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            coeffs = [Fraction(int(x), 4) for x in rng.integers(-8, 9, size=5)]
-            u = TruncatedSeries.from_coeffs(coeffs)
-            T = build_matrix("diamond-mult", u, None, ones, 16, 8)
-            beta = make_beta("bergman")
-            lower = column_lower_bound(T, beta, 2)
-            oracle = norm_estimate_l2(T, beta)
-            assert lower.value <= oracle.value + 1e-9
 
 
 class TestNormEstimateL2:
@@ -363,7 +345,7 @@ class TestNormLowerSearch:
             coeffs = [float(x) for x in rng.normal(size=5)]
             u = TruncatedSeries.from_coeffs(coeffs)
             T = build_matrix("diamond-mult", u, None, ones, 14, 9)
-            col = column_lower_bound(T, beta, p)
+            col = column_lower(T, beta, p)
             search = norm_lower_search(T, beta, p, seed=0)
             assert search.value >= col.value - 1e-12
 
@@ -502,13 +484,7 @@ class TestSearchScalesLargeEntries:
         (pytest turns the warnings into errors)."""
         T = build_matrix("composition", None, PolynomialSymbol.monomial(0), ones, 40, 40)
         beta = make_beta(-150.0)
-        col = column_lower_bound(T, beta, 3)
+        col = column_lower(T, beta, 3)
         cert = norm_lower_search(T, beta, 3)
         assert math.isfinite(cert.value)
         assert col.value <= cert.value <= col.value * 41 ** (2 / 3)
-
-    def test_a_column_lower_bound_of_the_identity_is_one(self):
-        """Column 10 of the identity on the power law -150 has the subnormal
-        square ``w(10)**2``; its ratio read 1.0000000000013167."""
-        cert = column_lower_bound(identity_matrix(16), make_beta(-150.0), 2)
-        assert cert.value == 1.0
