@@ -193,13 +193,6 @@ class _CSR:
         ends = self.indices[order].searchsorted(range(self.shape[1] + 1))
         return [float(powers[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])]
 
-    def toarray(self) -> np.ndarray:
-        import numpy as np
-
-        out = np.zeros(self.shape)
-        out[self.row, self.indices] += self.data
-        return out
-
 
 def _check_dims(n_rows: int, n_cols: int) -> None:
     for name, v in (("N_rows", n_rows), ("N_cols", n_cols)):

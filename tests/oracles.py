@@ -11,7 +11,8 @@ from the package as bit-for-bit references for the code that replaced them:
 per-term routes on the package's own ``_pair`` and ``_q_pairs``, which
 ``test_criteria.py`` pins against ``ratio_reference`` and
 ``q_aggregate_reference``; ``scaled_array_reference`` reads the package's
-weights.
+weights; ``csr_toarray`` is the dense view of the package's ``_CSR``, kept
+here since only tests read it.
 """
 
 from __future__ import annotations
@@ -371,3 +372,12 @@ def pnorm_reference(x, pf):
     if top == 0.0:
         return 0.0
     return top * float(np.sum((ax / top) ** pf)) ** (1.0 / pf)
+
+
+def csr_toarray(A):
+    """The dense array of an ``operators._CSR`` matrix."""
+    import numpy as np
+
+    out = np.zeros(A.shape)
+    out[A.row, A.indices] += A.data
+    return out

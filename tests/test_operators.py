@@ -32,7 +32,8 @@ from fpsop.series import (
 from fpsop.weights import (SpaceConfig, ValidationError, WeightSequence, _explicit_fn,
                            make_beta, make_delta)
 
-from oracles import pnorm_reference, rand_coeffs, rand_symbol_coeffs, scaled_array_reference
+from oracles import (csr_toarray, pnorm_reference, rand_coeffs, rand_symbol_coeffs,
+                     scaled_array_reference)
 
 ones = make_delta("ones")
 
@@ -200,7 +201,7 @@ class TestNormEstimateL2:
             coeffs = [float(x) for x in rng.normal(size=6)]
             u = TruncatedSeries.from_coeffs(coeffs)
             T = build_matrix("diamond-mult", u, None, make_delta("ones"), 20, 14)
-            dense = T.scaled_array(beta).toarray()
+            dense = csr_toarray(T.scaled_array(beta))
             want = np.linalg.svd(dense, compute_uv=False)[0]
             got = norm_estimate_l2(T, beta)
             assert got.value == pytest.approx(want, rel=1e-9)
@@ -215,7 +216,7 @@ def float_matrix(columns, n_rows=None):
 
 
 def dense_top(T, beta):
-    return np.linalg.svd(T.scaled_array(beta).toarray(), compute_uv=False)[0]
+    return np.linalg.svd(csr_toarray(T.scaled_array(beta)), compute_uv=False)[0]
 
 
 class TestLoneColumnSplit:
@@ -224,7 +225,7 @@ class TestLoneColumnSplit:
         T = build_matrix("composition", None, PolynomialSymbol.monomial(3),
                          ones, 3 * 300, 300)
         cert = norm_estimate_l2(T, beta)
-        want = float(np.abs(T.scaled_array(beta).toarray()).max())
+        want = float(np.abs(csr_toarray(T.scaled_array(beta))).max())
         assert cert.value == want
         assert cert.converged and cert.tail_delta == 0.0
         assert "iterations=0" in cert.notes
@@ -457,7 +458,7 @@ class TestCSRKernelMatchesScipy:
         assert A.rmatvec(y).tobytes() == (ref.T @ y).tobytes()
         assert A.rmatvec(y).tobytes() == (ref.T.tocsr() @ y).tobytes()
         assert _csr_bits(A.take_columns(keep)) == _csr_bits(ref[:, np.flatnonzero(keep)])
-        assert A.toarray().tobytes() == ref.toarray().tobytes()
+        assert csr_toarray(A).tobytes() == ref.toarray().tobytes()
         csc = ref.tocsc()
         with np.errstate(over="ignore"):
             powers = np.abs(csc.data) ** pf
