@@ -12,7 +12,8 @@ of the package can be compared byte for byte::
 
     PYTHONPATH=src python tests/configgen.py --seed 11 --count 1200
 
-prints one SHA-256 per config and one over all of them.
+prints one SHA-256 per config and one over all of them, then the census:
+how many certificates of the reports break the sandwich (``defects``).
 """
 
 from __future__ import annotations
@@ -20,12 +21,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
+from collections import Counter
 
 from fpsop.cli import ConfigError, parse_config, run
 from fpsop.operators import ResourceLimitError
 from fpsop.weights import ValidationError
+
+# Relative slack of the sandwich checks, ``CERT_RTOL`` in bench/checks.py.
+RTOL = 1e-12
+
+DEFECTS = ("inf-lower", "upper-below-oracle", "upper-below-lower")
 
 THEOREMS = ("thm21", "thm22", "thm23", "cor24", "thm25", "cor26")
 
@@ -122,17 +130,47 @@ def report_text(command: str, theorem, config: dict) -> str:
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
+def _value(v) -> float:
+    return math.inf if v == "inf" else v
+
+
+def defects(report: dict) -> list[tuple[str, str]]:
+    """The sandwich defects of one report, as ``(kind, detail)`` pairs:
+    ``inf-lower`` for each lower or exact certificate that reads ``inf``,
+    ``upper-below-oracle`` for each converged upper below the converged
+    oracle, and ``upper-below-lower`` for each converged upper below a finite
+    lower or exact certificate, with the relative slack ``RTOL``."""
+    certs = report["certificates"]
+    lowers = [(c["name"], _value(c["value"])) for c in certs if c["kind"] != "upper"]
+    out = [("inf-lower", name) for name, v in lowers if math.isinf(v)]
+    oracle = report.get("oracle")
+    for c in certs:
+        if c["kind"] != "upper" or not c["converged"]:
+            continue
+        up = _value(c["value"])
+        if oracle and oracle["converged"] and _value(oracle["estimate"]) > up * (1 + RTOL):
+            out.append(("upper-below-oracle", f"{c['name']}={up!r} < {oracle['estimate']!r}"))
+        above = [f"{name}={v!r}" for name, v in lowers if up * (1 + RTOL) < v < math.inf]
+        if above:
+            out.append(("upper-below-lower", f"{c['name']}={up!r} < {', '.join(above)}"))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--count", type=int, default=1200)
     args = parser.parse_args(argv)
-    total = hashlib.sha256()
+    total, census = hashlib.sha256(), Counter()
     for i, (command, theorem, config) in enumerate(random_configs(args.seed, args.count)):
-        digest = hashlib.sha256(report_text(command, theorem, config).encode()).hexdigest()
+        text = report_text(command, theorem, config)
+        digest = hashlib.sha256(text.encode()).hexdigest()
         total.update(digest.encode())
         print(i, digest)
+        if not text.startswith("error: "):
+            census.update(kind for kind, _ in defects(json.loads(text)))
     print("all", total.hexdigest())
+    print("census", " ".join(f"{kind}={census[kind]}" for kind in DEFECTS))
     return 0
 
 
