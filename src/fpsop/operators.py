@@ -6,11 +6,11 @@ symbols scale to large truncations while general polynomial symbols stay
 within a guarded dense budget.  Norm estimates are certified lower bounds:
 truncation can only shrink an operator norm, never inflate it.
 
-The l2 oracle ``norm_estimate_l2`` takes the norm of every *lone* column (one
-that shares no row with another column, a 1x1 block of the normal matrix)
-exactly and power-iterates only the remaining *coupled* columns.  Monomial
-compositions and shift/stride substitutions have lone columns only, so their
-estimate is exact and reports ``iterations=0``.
+Both oracles take the norm of every *lone* column (one that shares no row
+with another column) exactly, and iterate only on the *coupled* columns.
+Monomial compositions and shift/stride substitutions have lone columns only,
+so their estimate is exact at every p and reports ``iterations=0``, as does
+every p = 1 estimate (the largest column sum).
 
 The oracles run on ``_CSR``, a sparse matrix in numpy arrays.  numpy is
 imported inside the functions that use it, so importing this module (and the
@@ -46,8 +46,8 @@ DENSE_ENTRY_LIMIT = 10_000_000
 
 CERTIFICATE_KINDS = ("lower", "upper", "exact")
 
-# Fixed oracle budgets: power iterations and tolerance of ``norm_estimate_l2``,
-# ratio evaluations and settling tolerance of ``norm_lower_search``.
+# Fixed oracle budgets, spent on the coupled columns alone: power iterations and
+# tolerance of ``norm_estimate_l2``, evaluations and tolerance of ``norm_lower_search``.
 _L2_ITERATIONS = 50_000
 _L2_TOL = 1e-12
 _SEARCH_BUDGET = 600
@@ -323,6 +323,14 @@ def _finite_scaled(T: OperatorMatrix, beta: WeightSequence) -> _CSR:
     return A
 
 
+def _coupled(A: _CSR) -> np.ndarray:
+    """Mask of the columns of ``A`` that share a row (explicit zeros count)."""
+    import numpy as np
+
+    shared = np.repeat(np.diff(A.indptr) > 1, np.diff(A.indptr))
+    return np.bincount(A.indices[shared], minlength=A.shape[1]) > 0
+
+
 def _power_run(A: _CSR, x: np.ndarray, iter_limit: int, tol: float):
     """Power iteration on the normal matrix from a given start vector.
 
@@ -432,10 +440,7 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence) -> BoundCertificat
     import numpy as np
 
     A = _finite_scaled(T, beta)
-    # A row holding nonzeros of two or more columns couples those columns.
-    row_counts = np.diff(A.indptr)
-    coupled = np.zeros(A.shape[1], dtype=bool)
-    coupled[A.indices[np.repeat(row_counts > 1, row_counts)]] = True
+    coupled = _coupled(A)
     n_lone = int(A.shape[1] - coupled.sum())
     lone_best = 0.0
     if n_lone:
@@ -484,10 +489,14 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
     """Best weighted ratio ``norm(T x) / norm(x)`` found within
     ``_SEARCH_BUDGET`` ratio evaluations.
 
+    At p = 1, and when every column is lone (``_coupled``) so that
+    ``norm(A x)**p = sum_L norm(A[:, L])**p |x_L|**p``, the largest column
+    p-norm is the norm (``evaluations=0``).  Otherwise the search runs on the
+    coupled columns alone and reports the larger of its best and the lone columns.
     Candidates: every monomial column, dual-scaling fixed-point iterations
     from three fixed dense starts, seeded random sparse vectors, and
     coordinate ascent around the incumbent.  Deterministic for a fixed seed;
-    the value never falls below the monomial column bound.
+    up to rounding, the value never falls below the monomial column bound.
     """
     import numpy as np
 
@@ -501,6 +510,21 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
     worst = max(pf, pf / (pf - 1.0)) if pf > 1.0 else 1.0
     exp2 = math.frexp(top)[1] if top * A.nnz > 2.0 ** (1000 / worst) else 0
     A = A * math.ldexp(1.0, -exp2) if exp2 else A
+    col_norms = np.array([total ** (1.0 / pf) for total in A.column_power_sums(pf)])
+    coupled = _coupled(A)
+    if pf != 1.0 and not coupled.all():
+        # Lone norms as ``_pnorm`` takes them, scaled by each column's top (not 0): a
+        # root of a sum far from 1 loses bits to the rounded 1 / pf (71 ulps at 1e68).
+        tops = np.zeros(A.shape[1])
+        np.maximum.at(tops, A.indices, abs(A.data))
+        powers = (abs(A.data) / np.maximum(tops, 5e-324)[A.indices]) ** pf
+        lone = tops * np.bincount(A.indices, powers, A.shape[1]) ** (1.0 / pf)
+        col_norms = np.where(coupled, col_norms, lone)
+    if pf == 1.0 or not coupled.any():
+        return BoundCertificate(math.ldexp(float(col_norms.max()), exp2), "lower", None, T.n_cols,
+                                0.0, True, ("largest column norm", "evaluations=0"))
+    lone_best = float(col_norms[~coupled].max(initial=0.0))
+    A, col_norms = A.take_columns(coupled), col_norms[coupled]
     cols = A.shape[1]
     evals = 0
     product = None  # A @ x of the last ratio evaluated
@@ -512,7 +536,6 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
         nx = _pnorm(x, pf)
         return 0.0 if nx == 0.0 else _pnorm(product, pf) / nx
 
-    col_norms = np.array([total ** (1.0 / pf) for total in A.column_power_sums(pf)])
     col_best = int(np.argmax(col_norms))
     best = float(col_norms[col_best])
     best_x = np.zeros(cols)
@@ -529,8 +552,6 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
         return False
 
     def dual_iterate(x0: np.ndarray, rounds: int) -> None:
-        if pf == 1.0:
-            return
         qf = pf / (pf - 1.0)
         x = x0.astype(float)
         nx = _pnorm(x, pf)
@@ -589,8 +610,7 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
 
     gain = math.ldexp(last_gain, exp2)
     return BoundCertificate(
-        value=math.ldexp(best, exp2), kind="lower", attained_at=None,
+        value=math.ldexp(max(best, lone_best), exp2), kind="lower", attained_at=None,
         truncation_degree=T.n_cols, tail_delta=gain, converged=gain <= _SEARCH_TOL,
-        notes=("randomized lower-bound search", f"evaluations={evals}",
-               f"seed={seed}"),
+        notes=("randomized lower-bound search", f"evaluations={evals}", f"seed={seed}"),
     )

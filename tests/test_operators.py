@@ -358,6 +358,85 @@ class TestNormLowerSearch:
         b = norm_lower_search(T, beta, Fraction(5, 2), seed=7)
         assert a.value == b.value
 
+    @pytest.mark.parametrize("p", [1, Fraction(3, 2), Fraction(5, 2), 3])
+    @pytest.mark.parametrize("shift,m", [(None, 2), (None, 3), (2, 2), (1, 3)])
+    def test_all_lone_is_largest_column_norm(self, p, shift, m):
+        """``C_{z^m}`` and ``z^s C_{z^m}`` map each monomial to one monomial,
+        so no row is shared and the largest column norm is the norm."""
+        beta = make_beta("dirichlet")
+        n = 40
+        u = None if shift is None else TruncatedSeries.monomial(shift)
+        T = build_matrix("composition" if u is None else "substitution", u,
+                         PolynomialSymbol.monomial(m), ones, m * n + (shift or 0), n)
+        cert = norm_lower_search(T, beta, p, seed=5)
+        assert _evaluations(cert) == 0
+        assert cert.converged and cert.tail_delta == 0.0
+        assert cert.value == pytest.approx(_max_column_pnorm(T, beta, p), rel=1e-15, abs=0.0)
+        # Each column holds one entry, which is its norm, exactly.
+        assert cert.value == float(np.abs(_finite_scaled(T, beta).data).max())
+        # The column lower rounds the p-th root of a p-th power of the weight
+        # and can read an ulp above the entry (at p = 5/2 here).
+        assert cert.value >= column_lower(T, beta, p).value * (1 - 1e-15)
+
+    def test_p1_is_the_largest_column_sum_of_a_coupled_matrix(self):
+        beta = make_beta("bergman")
+        u = TruncatedSeries.from_coeffs([1.0, -0.5, 0.25, 2.0])
+        T = build_matrix("diamond-mult", u, None, make_delta("factorial"), 23, 20)
+        cert = norm_lower_search(T, beta, 1)
+        assert cert.value == _max_column_pnorm(T, beta, 1)
+        assert _evaluations(cert) == 0 and cert.converged
+
+    def test_all_coupled_search_is_unchanged(self):
+        """An E08-shaped request of the benchmark: every column is coupled, so
+        the whole matrix is searched; its bits and its budget are pinned."""
+        u = TruncatedSeries.from_coeffs([1, Fraction(-1, 2), Fraction(1, 4)])
+        T = build_matrix("diamond-mult", u, None, make_delta("geometric", Fraction(1, 2)), 50, 48)
+        cert = norm_lower_search(T, make_beta("hardy"), 3, seed=123)
+        assert cert.value.hex() == "0x1.bf91de690590cp+0"
+        assert _evaluations(cert) == 600 and not cert.converged
+
+
+def _evaluations(cert):
+    return next(int(n.split("=")[1]) for n in cert.notes if n.startswith("evaluations="))
+
+
+def _max_column_pnorm(T, beta, p):
+    """The largest column p-norm of the scaled matrix, by a plain loop."""
+    data, _, cols = scaled_array_reference(T, beta)
+    sums = [0.0] * (T.n_cols + 1)
+    for value, L in zip(data, cols):
+        sums[L] += abs(value) ** float(p)
+    return max(total ** (1.0 / float(p)) for total in sums)
+
+
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+       st.integers(1, 6),
+       st.lists(st.lists(st.integers(-8, 8).filter(bool), min_size=1, max_size=2),
+                max_size=5),
+       st.sampled_from([Fraction(3, 2), 3]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_search_of_a_lone_and_coupled_mix(u_coeffs, block_cols, lone_cols, p, rnd):
+    """The search of a shuffled mix is the larger of its lone columns and the
+    search of its block columns alone, in the same order and rows."""
+    u = TruncatedSeries.from_coeffs([Fraction(c, 2) for c in u_coeffs]).to_float()
+    block = build_matrix("diamond-mult", u, None, ones,
+                         block_cols + len(u_coeffs) - 1, block_cols)
+    row = block.n_rows + 1
+    lone = []
+    for values in lone_cols:
+        lone.append(tuple((row + i, v / 4) for i, v in enumerate(values)))
+        row += len(values)
+    columns = list(block.columns) + lone
+    rnd.shuffle(columns)
+    beta = make_beta("hardy")
+    cert = norm_lower_search(float_matrix(columns, n_rows=row), beta, p, seed=3)
+    alone = norm_lower_search(float_matrix([c for c in columns if c not in lone], n_rows=row),
+                              beta, p, seed=3)
+    lone_best = _max_column_pnorm(float_matrix(lone + [()], n_rows=row), beta, p)
+    assert cert.value == pytest.approx(max(lone_best, alone.value), rel=1e-15, abs=0.0)
+    assert _evaluations(cert) == _evaluations(alone)
+
 
 @given(st.integers(1, 4), st.integers(1, 4))
 @settings(max_examples=20, deadline=None)
