@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from . import criteria, operators
 from .combinatorics import power_coefficient
 from .criteria import CriterionRequest, column_lower_bound
-from .operators import BoundCertificate, ResourceLimitError, build_matrix
+from .operators import BoundCertificate, ResourceLimitError, build_matrix, covering_rows
 from .series import PolynomialSymbol, TruncatedSeries, compose, diamond_product, norm
 from .weights import (
     DeltaSequence,
@@ -190,25 +190,13 @@ def _normalize_series_spec(spec, what: str) -> Optional[dict]:
     raise ConfigError(f"{what} spec must be an object, got {type(spec).__name__}")
 
 
-def _build_series(norm_spec: Optional[dict], default_unity: bool = False
-                  ) -> Optional[TruncatedSeries]:
-    if norm_spec is None:
-        return TruncatedSeries.unity(0) if default_unity else None
-    if "monomial" in norm_spec:
-        return TruncatedSeries.monomial(norm_spec["monomial"])
-    return TruncatedSeries.from_coeffs(
-        _parse_scalar(v, "series coefficient") for v in norm_spec["coeffs"]
-    )
-
-
-def _build_symbol(norm_spec: Optional[dict]) -> Optional[PolynomialSymbol]:
+def _build_series(norm_spec: Optional[dict], cls=TruncatedSeries, what: str = "series"):
+    """The ``cls`` (a series or a symbol) of a normalized spec, None when absent."""
     if norm_spec is None:
         return None
     if "monomial" in norm_spec:
-        return PolynomialSymbol.monomial(norm_spec["monomial"])
-    return PolynomialSymbol.from_coeffs(
-        _parse_scalar(v, "symbol coefficient") for v in norm_spec["coeffs"]
-    )
+        return cls.monomial(norm_spec["monomial"])
+    return cls.from_coeffs(_parse_scalar(v, f"{what} coefficient") for v in norm_spec["coeffs"])
 
 
 _TOP_KEYS = {
@@ -240,21 +228,21 @@ class Config:
 
     ``normalized`` is the canonical JSON-ready echo; two configs are equal
     exactly when their normalized documents are equal, so a serialize/parse
-    round trip is the identity.
+    round trip is the identity.  Every value is held once: ``u`` and ``phi``
+    are None when absent, p is ``space.p``, and the power limit, cap and
+    seed are read from ``normalized``.
     """
 
-    _fields = ("normalized", "p", "beta", "delta", "u", "u_given", "phi", "space",
-               "power_limit", "cap", "seed")
+    _fields = ("normalized", "beta", "delta", "u", "phi", "space")
     # Mutable, so not a _Frozen: it borrows only the field setter and the repr.
     _set = _Frozen._set
     __repr__ = _Frozen.__repr__
     __hash__ = None
 
-    def __init__(self, normalized: dict, p: object, beta: WeightSequence,
-                 delta: DeltaSequence, u: TruncatedSeries, u_given: bool,
-                 phi: Optional[PolynomialSymbol], space: SpaceConfig, power_limit: int,
-                 cap: float, seed: int):
-        self._set(normalized, p, beta, delta, u, u_given, phi, space, power_limit, cap, seed)
+    def __init__(self, normalized: dict, beta: WeightSequence, delta: DeltaSequence,
+                 u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
+                 space: SpaceConfig):
+        self._set(normalized, beta, delta, u, phi, space)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -265,11 +253,11 @@ class Config:
         return json.dumps(self.normalized, indent=2, sort_keys=True) + "\n"
 
     def request(self) -> CriterionRequest:
+        trunc = self.normalized["truncation"]
         return CriterionRequest(
-            beta=self.beta, delta=self.delta, space=self.space,
-            u=self.u if self.u_given else None, phi=self.phi,
+            beta=self.beta, delta=self.delta, space=self.space, u=self.u, phi=self.phi,
             stride=self.normalized["stride"], shift=self.normalized["shift"],
-            inner_power_limit=self.power_limit, cap=self.cap,
+            inner_power_limit=trunc["power_limit"], cap=trunc["cap"],
         )
 
 
@@ -341,16 +329,12 @@ def parse_config(source) -> Config:
     }
 
     try:
-        beta = build_beta()
-        delta = build_delta()
-        u = _build_series(normalized["u"], default_unity=True)
-        phi = _build_symbol(normalized["phi"])
-        space = SpaceConfig(p=p, truncation_degree=degree,
-                            tail_window=tail_window, tolerance=tolerance)
         config = Config(
-            normalized=normalized, p=p, beta=beta, delta=delta, u=u,
-            u_given=normalized["u"] is not None, phi=phi, space=space,
-            power_limit=power_limit, cap=cap, seed=normalized["seed"],
+            normalized=normalized, beta=build_beta(), delta=build_delta(),
+            u=_build_series(normalized["u"]),
+            phi=_build_series(normalized["phi"], PolynomialSymbol, "symbol"),
+            space=SpaceConfig(p=p, truncation_degree=degree,
+                              tail_window=tail_window, tolerance=tolerance),
         )
         config.request()  # rejects a stride or shift that disagrees with phi or u
     except ValidationError as exc:
@@ -392,59 +376,36 @@ _CRITERION_EVALUATORS = {
 }
 
 
-def _run_criterion(code: str, config: Config) -> list[dict]:
-    out = _CRITERION_EVALUATORS[code](config.request())
+def _run_criterion(code: str, req: CriterionRequest) -> list[dict]:
+    out = _CRITERION_EVALUATORS[code](req)
     certs = out if isinstance(out, tuple) else (out,)
     return _cert_entries(zip(_CRITERION_NAMES[code], certs))
 
 
-def _pick_estimate_criterion(config: Config) -> Optional[str]:
-    has_u = config.u_given
-    has_phi = config.phi is not None
-    u_mono = config.u.monomial_degree() if has_u else None
-    phi_mono = config.phi.monomial_degree() if has_phi else None
-    if not has_u and has_phi:
-        return "thm21" if phi_mono is not None and phi_mono >= 1 else "thm22"
-    if has_u and not has_phi:
-        return "cor24"
-    if has_u and has_phi:
-        if u_mono is not None and phi_mono is not None and phi_mono >= 1:
-            return "cor26"
-        if phi_mono is not None and phi_mono >= 1:
-            return "thm23"
-        if u_mono is not None:
-            return "thm25"
-    return None
-
-
-def _estimate(config: Config) -> dict:
-    has_phi = config.phi is not None
-    if not config.u_given and not has_phi:
-        raise ConfigError("estimate needs u, phi, or both")
-    if config.u_given and has_phi:
+def _estimate(config: Config) -> tuple[list, dict, list]:
+    """``(certificates, oracle, warnings)`` of ``u ◇ C_phi``.  The operator's
+    shape, its matrix kind, rows and evaluator, is decided here, once."""
+    u, phi, space = config.u, config.phi, config.space
+    unit_u = u is not None and u.monomial_degree() is not None
+    unit_phi = phi is not None and (phi.monomial_degree() or 0) >= 1
+    if phi is None:
+        if u is None:
+            raise ConfigError("estimate needs u, phi, or both")
+        kind, code = "diamond-mult", "cor24"
+    elif u is None:
+        kind, code = "composition", ("thm21" if unit_phi else "thm22")
+    else:
         kind = "substitution"
-    elif has_phi:
-        kind = "composition"
-    else:
-        kind = "diamond-mult"
-    u = config.u if config.u_given else None
-    n_cols = config.space.truncation_degree
-    u_top = max((i for i, c in enumerate(config.u.coeffs) if c != 0), default=0) \
-        if config.u_given else 0
-    phi_deg = config.phi.degree if has_phi else 0
-    if kind == "composition":
-        n_rows = max(phi_deg * n_cols, n_cols)
-    elif kind == "diamond-mult":
-        n_rows = n_cols + u_top
-    else:
-        n_rows = phi_deg * n_cols + u_top
-    T = build_matrix(kind, u, config.phi, config.delta, n_rows, n_cols)
+        code = ("cor26" if unit_u else "thm23") if unit_phi else ("thm25" if unit_u else None)
+    n_cols = space.truncation_degree
+    T = build_matrix(kind, u, phi, config.delta, covering_rows(u, phi, n_cols), n_cols)
 
     warnings = list(T.warnings)
-    if float(config.p) == 2.0:
+    if float(space.p) == 2.0:
         oracle_cert = operators.norm_estimate_l2(T, config.beta)
     else:
-        oracle_cert = operators.norm_lower_search(T, config.beta, config.p, seed=config.seed)
+        oracle_cert = operators.norm_lower_search(T, config.beta, space.p,
+                                                  seed=config.normalized["seed"])
     iterations = 0
     for note in oracle_cert.notes:
         if note.startswith(("iterations=", "evaluations=")):
@@ -457,10 +418,9 @@ def _estimate(config: Config) -> dict:
 
     req = config.request()
     certificates = _cert_entries([("monomial-column-lower", column_lower_bound(T, req))])
-    code = _pick_estimate_criterion(config)
     if code == "cor24":
         cert = criteria.multiplier_algebra_bound(req)
-        unorm = norm(config.u, config.beta, float(config.p))
+        unorm = norm(u, config.beta, float(space.p))
         scaled = 0.0 if unorm == 0.0 else cert.value * unorm
         cert = BoundCertificate(
             scaled, cert.kind, cert.attained_at, cert.truncation_degree, cert.tail_delta,
@@ -468,21 +428,19 @@ def _estimate(config: Config) -> dict:
         certificates.extend(_cert_entries([("multiplier-algebra-upper", cert)]))
     elif code is not None:
         try:
-            certificates.extend(_run_criterion(code, config))
+            certificates.extend(_run_criterion(code, req))
         except ValidationError as exc:
             warnings.append(f"criterion {code} not applicable: {exc}")
     else:
         warnings.append("no bound evaluator matches this operator shape")
-    return {
-        "certificates": certificates,
-        "oracle": oracle,
-        "result": None,
-        "warnings": warnings,
-    }
+    return certificates, oracle, warnings
 
 
-def _check_algebra(config: Config) -> dict:
-    rng = random.Random(config.seed)
+def _check_algebra(config: Config) -> tuple[list, dict, list]:
+    """``(certificates, result, warnings)``: the algebra constant, and the
+    diamond-product laws on random exact series."""
+    rng = random.Random(config.normalized["seed"])
+    delta, pf = config.delta, float(config.space.p)
 
     def rand_series() -> TruncatedSeries:
         deg = rng.randint(0, _LAW_DEGREE)
@@ -493,93 +451,62 @@ def _check_algebra(config: Config) -> dict:
     factor = bound_cert.value if math.isfinite(bound_cert.value) else None
 
     n_product = 3 * _LAW_DEGREE + 1
-    laws = {"commutative": 0, "associative": 0, "bilinear": 0, "unital": 0,
-            "submultiplicative": 0}
-    failures = {k: 0 for k in laws}
+    # Law name -> whether each sample passed it.
+    laws = {"commutative": [], "associative": [], "bilinear": [], "unital": []}
+    if factor is not None:
+        laws["submultiplicative"] = []
     one = TruncatedSeries.unity(0)
     for _ in range(_LAW_SAMPLES):
         f, g, h = rand_series(), rand_series(), rand_series()
         a = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
-        fg = diamond_product(f, g, config.delta, n_product)
-        gf = diamond_product(g, f, config.delta, n_product)
-        _tally(laws, failures, "commutative", fg.coeffs == gf.coeffs)
-        left = diamond_product(fg, h, config.delta, n_product)
-        right = diamond_product(f, diamond_product(g, h, config.delta, n_product),
-                                config.delta, n_product)
-        _tally(laws, failures, "associative", left.coeffs == right.coeffs)
-        lin_l = diamond_product(a * f + g, h, config.delta, n_product)
-        lin_r = a * diamond_product(f, h, config.delta, n_product) + diamond_product(
-            g, h, config.delta, n_product)
-        _tally(laws, failures, "bilinear", lin_l.coeffs == lin_r.coeffs)
-        unit = diamond_product(f, one, config.delta, n_product)
-        _tally(laws, failures, "unital",
-               unit.coeffs == f.pad(n_product).coeffs)
+        fg = diamond_product(f, g, delta, n_product)
+        gf = diamond_product(g, f, delta, n_product)
+        laws["commutative"].append(fg.coeffs == gf.coeffs)
+        left = diamond_product(fg, h, delta, n_product)
+        right = diamond_product(f, diamond_product(g, h, delta, n_product), delta, n_product)
+        laws["associative"].append(left.coeffs == right.coeffs)
+        lin_l = diamond_product(a * f + g, h, delta, n_product)
+        lin_r = a * diamond_product(f, h, delta, n_product) + diamond_product(
+            g, h, delta, n_product)
+        laws["bilinear"].append(lin_l.coeffs == lin_r.coeffs)
+        unit = diamond_product(f, one, delta, n_product)
+        laws["unital"].append(unit.coeffs == f.pad(n_product).coeffs)
         if factor is not None:
-            lhs = norm(fg, config.beta, float(config.p))
-            rhs = factor * norm(f, config.beta, float(config.p)) * norm(
-                g, config.beta, float(config.p))
-            _tally(laws, failures, "submultiplicative", lhs <= rhs + 1e-9)
-    if factor is None:
-        laws.pop("submultiplicative")
-        failures.pop("submultiplicative")
+            lhs = norm(fg, config.beta, pf)
+            rhs = factor * norm(f, config.beta, pf) * norm(g, config.beta, pf)
+            laws["submultiplicative"].append(lhs <= rhs + 1e-9)
 
     result = {
         "samples": _LAW_SAMPLES,
-        "laws": {
-            name: {"passed": laws[name], "failed": failures[name]}
-            for name in laws
-        },
-        "all_passed": all(v == 0 for v in failures.values()),
+        "laws": {name: {"passed": sum(ok), "failed": len(ok) - sum(ok)}
+                 for name, ok in laws.items()},
+        "all_passed": all(all(ok) for ok in laws.values()),
     }
     warnings = []
     if factor is None:
         warnings.append("algebra constant is infinite; submultiplicativity not sampled")
-    return {
-        "certificates": _cert_entries([("multiplier-algebra-upper", bound_cert)]),
-        "oracle": None,
-        "result": result,
-        "warnings": warnings,
-    }
-
-
-def _tally(laws: dict, failures: dict, name: str, ok: bool) -> None:
-    if ok:
-        laws[name] += 1
-    else:
-        failures[name] += 1
+    return _cert_entries([("multiplier-algebra-upper", bound_cert)]), result, warnings
 
 
 def run(command: str, config: Config, theorem: Optional[str] = None) -> dict:
     """Execute one command against a parsed config and return the report."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
-    body: dict
+    certificates, oracle, result, warnings = [], None, None, []
     if command == "norm":
         f = _series_or_fail(config, "f")
-        body = {
-            "certificates": [], "oracle": None,
-            "result": {"value": _render_scalar(norm(f, config.beta, float(config.p)))},
-            "warnings": [],
-        }
+        result = {"value": _render_scalar(norm(f, config.beta, float(config.space.p)))}
     elif command == "product":
         f = _series_or_fail(config, "f")
         g = _series_or_fail(config, "g")
         out = diamond_product(f, g, config.delta, config.space.truncation_degree)
-        body = {
-            "certificates": [], "oracle": None,
-            "result": {"coeffs": _coeff_list(out)},
-            "warnings": [],
-        }
+        result = {"coeffs": _coeff_list(out)}
     elif command == "compose":
         f = _series_or_fail(config, "f")
         if config.phi is None:
             raise ConfigError("compose needs the symbol phi in the config")
         out = compose(f, config.phi, config.space.truncation_degree)
-        body = {
-            "certificates": [], "oracle": None,
-            "result": {"coeffs": _coeff_list(out)},
-            "warnings": [],
-        }
+        result = {"coeffs": _coeff_list(out)}
     elif command == "theta":
         if config.phi is None:
             raise ConfigError("theta needs the symbol phi in the config")
@@ -588,11 +515,7 @@ def run(command: str, config: Config, theorem: Optional[str] = None) -> dict:
         if n is None or power is None:
             raise ConfigError("theta needs integers 'n' and 'power' in the config")
         value = power_coefficient(config.phi, n, power)
-        body = {
-            "certificates": [], "oracle": None,
-            "result": {"n": n, "power": power, "value": _render_scalar(value)},
-            "warnings": [],
-        }
+        result = {"n": n, "power": power, "value": _render_scalar(value)}
     elif command == "bound":
         code = theorem or config.normalized.get("theorem")
         if code is None:
@@ -600,23 +523,19 @@ def run(command: str, config: Config, theorem: Optional[str] = None) -> dict:
         if code not in CRITERION_CODES:
             raise ConfigError(f"unknown theorem code {code!r}; expected one of {CRITERION_CODES}")
         config.normalized["theorem"] = code
-        body = {
-            "certificates": _run_criterion(code, config),
-            "oracle": None, "result": None, "warnings": [],
-        }
+        certificates = _run_criterion(code, config.request())
     elif command == "estimate":
-        body = _estimate(config)
+        certificates, oracle, warnings = _estimate(config)
     else:
-        body = _check_algebra(config)
+        certificates, result, warnings = _check_algebra(config)
 
-    warnings = list(config.beta.warnings) + list(body.pop("warnings"))
     return {
         "command": command,
         "config": config.normalized,
-        "certificates": body["certificates"],
-        "oracle": body["oracle"],
-        "result": body["result"],
-        "warnings": warnings,
+        "certificates": certificates,
+        "oracle": oracle,
+        "result": result,
+        "warnings": list(config.beta.warnings) + warnings,
         "elapsed_ms": None,
     }
 
@@ -645,7 +564,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.seed < 0:
                 raise ConfigError("seed must be nonnegative")
             config.normalized["seed"] = args.seed
-            config.seed = args.seed
         started = time.perf_counter()
         report = run(args.command, config, theorem=args.theorem)
         elapsed_ms = (time.perf_counter() - started) * 1000.0

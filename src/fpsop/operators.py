@@ -21,10 +21,10 @@ annotations are never evaluated.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from .combinatorics import PowerTable
-from .series import EXACT, FLOAT, PolynomialSymbol, TruncatedSeries
+from .series import FLOAT, PolynomialSymbol, TruncatedSeries
 from .weights import (
     DeltaSequence, ValidationError, WeightSequence, _Frozen, _ReadOnce, _safe_float,
 )
@@ -36,6 +36,7 @@ __all__ = [
     "ResourceLimitError",
     "apply",
     "build_matrix",
+    "covering_rows",
     "norm_estimate_l2",
     "norm_lower_search",
 ]
@@ -97,14 +98,6 @@ class BoundCertificate(_Frozen):
             "converged": self.converged,
             "notes": list(self.notes),
         }
-
-
-def _top_nonzero(coeffs: Sequence) -> int:
-    top = 0
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            top = i
-    return top
 
 
 class OperatorMatrix(_Frozen):
@@ -207,8 +200,14 @@ def _guard(estimate: int, label: str) -> None:
         )
 
 
-def _u_support(u: TruncatedSeries) -> list[tuple[int, object]]:
-    return [(k, c) for k, c in enumerate(u.coeffs) if c != 0]
+def covering_rows(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
+                  n_cols: int) -> int:
+    """The top row of ``u ◇ C_phi`` on columns ``0..n_cols``: ``deg(phi) *
+    n_cols`` plus the top nonzero degree of ``u``, with ``phi = z`` when
+    absent (a diamond multiplier) and ``u = 1`` when absent (a composition).
+    A matrix with this many rows holds every column whole."""
+    u_top = 0 if u is None else max((k for k, c in enumerate(u.coeffs) if c != 0), default=0)
+    return (1 if phi is None else phi.degree) * n_cols + u_top
 
 
 def build_matrix(kind: str, u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
@@ -216,60 +215,37 @@ def build_matrix(kind: str, u: Optional[TruncatedSeries], phi: Optional[Polynomi
     """Assemble the truncated matrix of a composition / diamond-mult /
     substitution operator.
 
-    Column ``L`` holds the coefficients of the operator applied to ``z**L``.
-    Monomial symbols build sparsely; general polynomial symbols are guarded
-    by an entry-count limit.  A warning is attached when ``n_rows`` is too
-    small to hold every column untruncated.
+    Column ``L`` holds the coefficients of the operator applied to ``z**L``:
+    ``phi**L`` for a composition, and ``u ◇ phi**L`` otherwise, with ``phi =
+    z`` for a diamond multiplier.  Monomial symbols build sparsely; general
+    polynomial symbols are guarded by an entry-count limit.  A warning is
+    attached when ``n_rows`` is below :func:`covering_rows`.
     """
     if kind not in MATRIX_KINDS:
         raise ValidationError(f"kind must be one of {MATRIX_KINDS}, got {kind!r}")
     _check_dims(n_rows, n_cols)
-    if kind in ("diamond-mult", "substitution") and u is None:
+    if kind != "composition" and u is None:
         raise ValidationError(f"{kind} operators require the series u")
-    if kind in ("composition", "substitution") and phi is None:
+    if kind != "diamond-mult" and phi is None:
         raise ValidationError(f"{kind} operators require the symbol phi")
-
-    modes = set()
-    if u is not None and kind != "composition":
-        modes.add(u.mode)
-    if phi is not None and kind != "diamond-mult":
-        modes.add(phi.mode)
+    u = None if kind == "composition" else u
+    phi = None if kind == "diamond-mult" else phi
+    modes = {s.mode for s in (u, phi) if s is not None}
     if len(modes) > 1:
         raise ValidationError("u and phi must share one scalar mode")
-    mode = modes.pop() if modes else EXACT
+    mode = modes.pop()
 
-    warnings = []
-    u_top = _top_nonzero(u.coeffs) if u is not None else 0
-    phi_deg = phi.degree if phi is not None else 0
-
-    if kind == "composition":
-        needed = phi_deg * n_cols
-        if phi.monomial_degree() is None:
-            _guard((n_rows + 1) * (n_cols + 1), "dense composition build")
-        powers = PowerTable(phi, degree_bound=n_rows, max_power=n_cols)
+    needed = covering_rows(u, phi, n_cols)
+    phi = PolynomialSymbol.monomial(1) if phi is None else phi
+    support = [] if u is None else [(k, c) for k, c in enumerate(u.coeffs) if c != 0]
+    if phi.monomial_degree() is None:
+        _guard((n_rows + 1) * (n_cols + 1), f"dense {kind} build")
+    elif u is not None:
+        _guard(max(len(support), 1) * (n_cols + 1), f"{kind} build")
+    powers = PowerTable(phi, degree_bound=n_rows, max_power=n_cols)
+    if u is None:
         columns = tuple(tuple(powers.row_nonzeros(L)) for L in range(n_cols + 1))
-    elif kind == "diamond-mult":
-        needed = n_cols + u_top
-        support = _u_support(u)
-        _guard(max(len(support), 1) * (n_cols + 1), "diamond-mult build")
-        cols = []
-        for L in range(n_cols + 1):
-            col = []
-            for k, c in support:
-                row = k + L
-                if row > n_rows:
-                    break
-                col.append((row, delta.kernel(row, k) * c))
-            cols.append(tuple(col))
-        columns = tuple(cols)
     else:
-        needed = phi_deg * n_cols + u_top
-        support = _u_support(u)
-        if phi.monomial_degree() is None:
-            _guard((n_rows + 1) * (n_cols + 1), "dense substitution build")
-        else:
-            _guard(max(len(support), 1) * (n_cols + 1), "substitution build")
-        powers = PowerTable(phi, degree_bound=n_rows, max_power=n_cols)
         cols = []
         for L in range(n_cols + 1):
             acc: dict[int, object] = {}
@@ -277,24 +253,21 @@ def build_matrix(kind: str, u: Optional[TruncatedSeries], phi: Optional[Polynomi
                 for k, c in support:
                     row = j + k
                     if row > n_rows:
-                        continue
-                    term = delta.kernel(row, k) * c * pc
-                    acc[row] = acc.get(row, 0) + term
+                        break
+                    acc[row] = acc.get(row, 0) + delta.kernel(row, k) * c * pc
             cols.append(tuple(sorted((r, v) for r, v in acc.items() if v != 0)))
         columns = tuple(cols)
 
+    warnings = ()
     if n_rows < needed:
-        warnings.append(
-            f"columns clipped: top column reaches row {needed} but N_rows={n_rows}; "
-            "lower bounds may be deflated"
-        )
-
+        warnings = (f"columns clipped: top column reaches row {needed} but N_rows={n_rows}; "
+                    "lower bounds may be deflated",)
     if mode == FLOAT:
         columns = tuple(
             tuple((r, float(v)) for r, v in col) for col in columns
         )
     return OperatorMatrix(kind=kind, n_rows=n_rows, n_cols=n_cols, columns=columns,
-                          mode=mode, warnings=tuple(warnings))
+                          mode=mode, warnings=warnings)
 
 
 def apply(T: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:

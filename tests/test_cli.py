@@ -35,9 +35,9 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL)
         assert cfg.normalized["delta"] == {"preset": "ones"}
         assert cfg.normalized["u"] is None
-        assert cfg.u.coeffs == (1,)
+        assert cfg.u is None
         assert cfg.space.truncation_degree == 512
-        assert cfg.seed == 0
+        assert cfg.normalized["seed"] == 0
 
     def test_p_below_one_rejected(self):
         with pytest.raises((ConfigError, Exception), match=">= 1"):
@@ -69,7 +69,7 @@ class TestParseConfig:
         cfg = parse_config(
             '{"p": "3/2", "beta": {"values": ["1", "1/2", "1/4"]},'
             ' "truncation": {"degree": 2, "tail_window": 1}}')
-        assert cfg.p == Fraction(3, 2)
+        assert cfg.space.p == Fraction(3, 2)
         assert cfg.beta.value(2) == Fraction(1, 4)
 
     def test_round_trip_identity(self):
@@ -250,6 +250,21 @@ class TestMain:
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 5
 
+    @pytest.mark.parametrize("command, config", [
+        ("check-algebra", '{"beta": "hardy", "delta": "inverse-factorial",'
+                          ' "truncation": {"degree": 32}}'),
+        # A coupled p = 3 estimate: the seed drives the oracle's random search.
+        ("estimate", '{"p": 3, "beta": "hardy", "u": {"coeffs": [1, 0, 1]},'
+                     ' "truncation": {"degree": 12}}'),
+    ])
+    def test_seed_flag_reaches_the_computation(self, capsys, command, config):
+        _, flagged = run_main(capsys, command, "--config", config, "--seed", "5")
+        seeded = config[:-1] + ', "seed": 5}'
+        assert run_main(capsys, command, "--config", seeded) == (0, flagged)
+        if command == "estimate":
+            _, unseeded = run_main(capsys, command, "--config", config)
+            assert json.loads(unseeded)["oracle"] != json.loads(flagged)["oracle"]
+
     def test_timings_flag_fills_elapsed(self, capsys):
         code, out = run_main(capsys, "theta", "--config",
                              '{"beta": {"preset": "hardy"},'
@@ -428,6 +443,23 @@ class TestSizeGuard:
     def test_estimate_matrix(self, capsys):
         self.assert_guarded(capsys, "estimate", "--config", self.HALVES,
                             label="dense composition build")
+
+    def test_diamond_mult_matrix(self, capsys):
+        self.assert_guarded(capsys, "estimate", "--config",
+                            '{"u": {"coeffs": [1, 1]}, "truncation": {"degree": 5000000}}',
+                            label="diamond-mult build")
+
+    def test_substitution_matrix(self, capsys):
+        self.assert_guarded(capsys, "estimate", "--config",
+                            '{"u": {"monomial": 1}, "phi": {"monomial": 2},'
+                            ' "truncation": {"degree": 10000000}}',
+                            label="substitution build")
+
+    def test_dense_substitution_matrix(self, capsys):
+        self.assert_guarded(capsys, "estimate", "--config",
+                            '{"u": {"monomial": 1}, "phi": {"coeffs": ["1/2", "1/2"]},'
+                            ' "truncation": {"degree": 3200}}',
+                            label="dense substitution build")
 
     def test_thm25_power_table(self, capsys):
         self.assert_guarded(capsys, "bound", "--theorem", "thm25", "--config",

@@ -20,6 +20,7 @@ from fpsop.operators import (
     _power_top,
     apply,
     build_matrix,
+    covering_rows,
     norm_estimate_l2,
     norm_lower_search,
 )
@@ -114,6 +115,51 @@ class TestBuildMatrix:
     def test_missing_symbol_rejected(self):
         with pytest.raises(ValidationError):
             build_matrix("composition", None, None, ones, 4, 4)
+
+
+# (kind, u coefficients, phi coefficients): constant symbols, multipliers with
+# trailing zeros, and float ones.
+_COVERING_CASES = [
+    ("composition", None, [0, Fraction(1, 2), Fraction(1, 2)]),
+    ("composition", None, [0, 0, 0, 1]),
+    ("composition", None, [Fraction(2, 3)]),
+    ("composition", None, [0]),
+    ("composition", None, [0.125, 0.5]),
+    ("diamond-mult", [1, Fraction(1, 2), 0, 0], None),
+    ("diamond-mult", [0, 0, 3], None),
+    ("diamond-mult", [1.0, 0.25, 0.0], None),
+    ("substitution", [0, 2, 0], [0, Fraction(1, 2), Fraction(1, 2)]),
+    ("substitution", [Fraction(1, 3), 0, 1, 0], [Fraction(2, 3)]),
+    ("substitution", [1, 0, 0], [0, 0, 1]),
+    ("substitution", [1.0, 0.25, 0.0], [0.0, 0.625, 0.25]),
+]
+
+
+class TestCoveringRows:
+    """``covering_rows`` is the highest nonzero row of the full images."""
+
+    @pytest.mark.parametrize("kind, u, phi", _COVERING_CASES)
+    @pytest.mark.parametrize("n_cols", [0, 1, 7])
+    @pytest.mark.parametrize("delta", ["ones", "factorial"])
+    def test_is_the_highest_nonzero_row(self, kind, u, phi, n_cols, delta):
+        u = None if u is None else TruncatedSeries.from_coeffs(u)
+        phi = None if phi is None else PolynomialSymbol.from_coeffs(phi)
+        rows = covering_rows(u, phi, n_cols)
+        build = lambda n_rows: build_matrix(kind, u, phi, make_delta(delta), n_rows, n_cols)
+        assert rows == max(r for col in build(rows + 5).columns for r, v in col if v != 0)
+        assert build(rows).warnings == ()
+        if rows:
+            assert "columns clipped" in build(rows - 1).warnings[0]
+
+    @pytest.mark.parametrize("kind, u, phi", _COVERING_CASES)
+    def test_estimate_matrix_is_not_clipped(self, kind, u, phi):
+        config = {"truncation": {"degree": 7, "tail_window": 2}}
+        for key, coeffs in (("u", u), ("phi", phi)):
+            if coeffs is not None:
+                config[key] = {"coeffs": [str(c) if isinstance(c, Fraction) else c
+                                          for c in coeffs]}
+        report = run("estimate", parse_config(json.dumps(config)))
+        assert not any("columns clipped" in w for w in report["warnings"])
 
 
 class TestApply:
