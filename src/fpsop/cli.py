@@ -229,8 +229,9 @@ class Config:
     ``normalized`` is the canonical JSON-ready echo; two configs are equal
     exactly when their normalized documents are equal, so a serialize/parse
     round trip is the identity.  Every value is held once: ``u`` and ``phi``
-    are None when absent, p is ``space.p``, and the power limit, cap and
-    seed are read from ``normalized``.
+    are None when absent, and ``z**m`` for a ``shift`` or ``stride`` of ``m``;
+    p is ``space.p``, and the power limit, cap and seed are read from
+    ``normalized``.
     """
 
     _fields = ("normalized", "beta", "delta", "u", "phi", "space")
@@ -256,7 +257,6 @@ class Config:
         trunc = self.normalized["truncation"]
         return CriterionRequest(
             beta=self.beta, delta=self.delta, space=self.space, u=self.u, phi=self.phi,
-            stride=self.normalized["stride"], shift=self.normalized["shift"],
             inner_power_limit=trunc["power_limit"], cap=trunc["cap"],
         )
 
@@ -336,9 +336,15 @@ def parse_config(source) -> Config:
             space=SpaceConfig(p=p, truncation_degree=degree,
                               tail_window=tail_window, tolerance=tolerance),
         )
-        config.request()  # rejects a stride or shift that disagrees with phi or u
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
+    # "stride": m and "shift": m are shorthand for phi = z**m and u = z**m.
+    for key, name, cls in (("stride", "phi", PolynomialSymbol), ("shift", "u", TruncatedSeries)):
+        m, given = normalized[key], getattr(config, name)
+        if m is not None and given is None:
+            setattr(config, name, cls.monomial(m))
+        elif m is not None and given.monomial_degree() != m:
+            raise ConfigError(f"{key}={m} conflicts with {name}, which is not z**{m}")
     return config
 
 
@@ -384,21 +390,20 @@ def _run_criterion(code: str, req: CriterionRequest) -> list[dict]:
 
 def _estimate(config: Config) -> tuple[list, dict, list]:
     """``(certificates, oracle, warnings)`` of ``u ◇ C_phi``.  The operator's
-    shape, its matrix kind, rows and evaluator, is decided here, once."""
+    shape, its matrix rows and evaluator, is decided here, once."""
     u, phi, space = config.u, config.phi, config.space
     unit_u = u is not None and u.monomial_degree() is not None
     unit_phi = phi is not None and (phi.monomial_degree() or 0) >= 1
     if phi is None:
         if u is None:
             raise ConfigError("estimate needs u, phi, or both")
-        kind, code = "diamond-mult", "cor24"
+        code = "cor24"
     elif u is None:
-        kind, code = "composition", ("thm21" if unit_phi else "thm22")
+        code = "thm21" if unit_phi else "thm22"
     else:
-        kind = "substitution"
         code = ("cor26" if unit_u else "thm23") if unit_phi else ("thm25" if unit_u else None)
     n_cols = space.truncation_degree
-    T = build_matrix(kind, u, phi, config.delta, covering_rows(u, phi, n_cols), n_cols)
+    T = build_matrix(u, phi, config.delta, covering_rows(u, phi, n_cols), n_cols)
 
     warnings = list(T.warnings)
     if float(space.p) == 2.0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .series import _NOT_FINITE, PolynomialSymbol, _exact, _power_rows
+from .series import _NOT_FINITE, PolynomialSymbol, _exact, _power_rows, _stored_degree
 from .weights import ValidationError
 
 __all__ = [
@@ -123,7 +123,8 @@ class PowerTable:
       common denominator of ``phi`` and reduced only when read.  The bound
       scans read the numerators and the denominator unreduced, through
       :meth:`theta_scaled`, :meth:`column_scaled` and
-      :meth:`row_nonzeros_scaled`.
+      :meth:`row_nonzeros_scaled`.  Rows are stored up to
+      :func:`_stored_degree`; every entry beyond it is zero.
     """
 
     def __init__(self, phi: PolynomialSymbol, degree_bound: int,
@@ -139,7 +140,8 @@ class PowerTable:
         self.method = "powers" if self._mono is None else "direct"
         self._rows: Optional[list[tuple[tuple, int]]] = None
         if self._mono is None:
-            self._rows = _power_rows(phi, self.degree_bound, self.max_power)
+            self._rows = _power_rows(phi, _stored_degree(phi, self.degree_bound, self.max_power),
+                                     self.max_power)
 
     def _check_bounds(self, n: int, L: int) -> None:
         if (type(n) is int and type(L) is int  # the common case, without the messages
@@ -158,7 +160,7 @@ class PowerTable:
         if self._mono is not None:
             return (1 if n == self._mono * L else 0), 1
         nums, den = self._rows[L]
-        return nums[n], den
+        return (nums[n] if n < len(nums) else type(nums[0])(0)), den
 
     def column_scaled(self, n: int, limit: int) -> list[tuple[int, object, int]]:
         """``(L, numerator, denominator)`` of ``theta(n, L)`` for the powers

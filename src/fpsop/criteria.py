@@ -31,6 +31,7 @@ from .series import (
     _exact,
     _float_pnorm,
     _scaled,
+    _stored_degree,
     norm,
 )
 from .weights import (
@@ -65,35 +66,24 @@ _TINY = sys.float_info.min
 class CriterionRequest(_Frozen):
     """Input bundle for the bound evaluators.
 
-    ``stride`` is the degree of a unit-monomial substitution symbol,
-    ``shift`` the degree of a unit-monomial multiplier; general symbols and
-    multipliers travel as ``phi`` and ``u``.  ``inner_power_limit`` truncates
-    the inner sums over symbol powers (default: the truncation degree) and
-    ``cap`` is the magnitude above which a still-growing scan is declared
-    divergent.
+    The operator is the pair of the multiplier ``u`` and the symbol ``phi``;
+    an evaluator that needs either as a unit monomial ``z**m`` reads ``m``
+    from it.  ``inner_power_limit`` truncates the inner sums over symbol
+    powers (default: the truncation degree) and ``cap`` is the magnitude
+    above which a still-growing scan is declared divergent.
     """
 
-    _fields = ("beta", "delta", "space", "u", "phi", "stride", "shift", "inner_power_limit",
-               "cap")
+    _fields = ("beta", "delta", "space", "u", "phi", "inner_power_limit", "cap")
 
     def __init__(self, beta: WeightSequence, delta: DeltaSequence, space: SpaceConfig,
                  u: Optional[TruncatedSeries] = None, phi: Optional[PolynomialSymbol] = None,
-                 stride: Optional[int] = None, shift: Optional[int] = None,
                  inner_power_limit: Optional[int] = None, cap: float = 1e12):
-        self._set(beta, delta, space, u, phi, stride, shift, inner_power_limit, cap)
-        for name in ("stride", "shift", "inner_power_limit"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
+        self._set(beta, delta, space, u, phi, inner_power_limit, cap)
+        v = inner_power_limit
+        if v is not None and (isinstance(v, bool) or not isinstance(v, int) or v < 0):
+            raise ValidationError(f"inner_power_limit must be a nonnegative integer, got {v!r}")
         if not (isinstance(self.cap, (int, float)) and 0 < self.cap < math.inf):
             raise ValidationError("cap must be a finite positive real")
-        for name, other in (("stride", "phi"), ("shift", "u")):
-            given, series = getattr(self, name), getattr(self, other)
-            if given is not None and series is not None and series.monomial_degree() != given:
-                raise ValidationError(
-                    f"{name}={given} conflicts with {other}, which is not z**{given}")
 
     @property
     def power_limit(self) -> int:
@@ -277,33 +267,35 @@ def _q_pairs(terms: list, qe):
     """``sum t**q`` over the nonzero scan terms, exact pairs or floats, or
     their max when ``qe`` is None (p = 1).
 
-    A row of pairs with ``qe`` None or whole is reduced once: its max by
-    cross-multiplication, or its ``en**q`` summed per distinct ``ed**q`` over
-    the LCM of those.  A fractional ``qe`` takes each pair as ``en / ed``; a
-    row with a float term reduces its pairs (``_pow`` does for a whole ``qe``).
+    A row of pairs with ``qe`` None or whole is reduced once, after
+    :func:`_pair_aggregate` of the pairs ``(en**q, ed**q)``.  A fractional
+    ``qe`` takes each pair as ``en / ed``; a row with a float term reduces its
+    pairs (``_pow`` does for a whole ``qe``).
     """
     if qe is not None and type(qe) is not int:
         terms = [_as_float(t) for t in terms]
     elif all(type(t) is tuple for t in terms):
         if qe is None:
-            best = (0, 1)
-            for t in terms:
-                if t[0] * best[1] > best[0] * t[1]:
-                    best = t
-            return _reduced(*best)
-        sums: dict = {}
-        for en, ed in terms:
-            if en:
-                sums[ed] = sums.get(ed, 0) + en ** qe
-        return _reduced(*_lcm_sum({ed ** qe: s for ed, s in sums.items()}))
+            return _reduced(*_pair_aggregate(terms, False))
+        return _reduced(*_pair_aggregate([(en ** qe, ed ** qe) for en, ed in terms if en], True))
     if qe is None:
         return max((_reduced(*t) if type(t) is tuple else t for t in terms), default=0)
     return _exact_or_fsum([_pow(t, qe) for t in terms if t != 0])
 
 
-def _lcm_sum(sums: dict) -> tuple:
-    """``sum s / d`` over ``{d: s}`` as the unreduced pair (numerator, LCM of
-    the ``d``)."""
+def _pair_aggregate(pairs: Iterable[tuple], summed: bool) -> tuple:
+    """The sum (``summed``) or the max of the exact pairs ``(en, ed)``, as an
+    unreduced pair: the max by cross-multiplication, ``(0, 1)`` when none is
+    positive; the sum per distinct ``ed`` over the LCM of those."""
+    if not summed:
+        best = (0, 1)
+        for t in pairs:
+            if t[0] * best[1] > best[0] * t[1]:
+                best = t
+        return best
+    sums: dict = {}
+    for en, ed in pairs:
+        sums[ed] = sums.get(ed, 0) + en
     den = math.lcm(*sums)
     return sum(s * (den // d) for d, s in sums.items()), den
 
@@ -436,10 +428,10 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
     While the weights read are rational and ``q`` whole or p = 1, row ``n``
     is ``c(n) sum 1 / (c(k) b(n-k))`` (p = 1: the max) over the integer pairs
     ``c(i) = (d(i) w(i))**q`` and ``b(j) = (d(j) w(j/stride))**q``, powered
-    once per index, summed per denominator over their LCM (:func:`_lcm_sum`)
-    and reduced once.  While the ``d`` read are rational and the ``w`` plain
-    floats, terms are built inline by the operations :func:`_pair` does on
-    them.  Any other row takes the per-term :func:`_pair` route.
+    once per index, aggregated by :func:`_pair_aggregate` and reduced once.
+    While the ``d`` read are rational and the ``w`` plain floats, terms are
+    built inline by the operations :func:`_pair` does on them.  Any other row
+    takes the per-term :func:`_pair` route.
     """
     beta, delta, space = req.beta, req.delta, req.space
     qe = None if space.sup_mode else _exponent(space.q)
@@ -463,20 +455,9 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
                 c.append(powered(d[n], w[n]))
                 if n % stride == 0:
                     b.append(powered(d[n], w[n // stride]))
-                if qe is None:  # c(n) times the max of 1 / (c(k) b(n-k))
-                    best = (0, 1)
-                    for k in offsets:
-                        (kn, kd), (jn, jd) = c[k], b[(n - k) // stride]
-                        if kd * jd * best[1] > best[0] * kn * jn:
-                            best = kd * jd, kn * jn
-                    yield _reduced(c[n][0] * best[0], c[n][1] * best[1])
-                    continue
-                sums: dict = {}
-                for k in offsets:
-                    (kn, kd), (jn, jd) = c[k], b[(n - k) // stride]
-                    den = kn * jn
-                    sums[den] = sums.get(den, 0) + kd * jd
-                num, den = _lcm_sum(sums)
+                # c(n) times the sum (p = 1: the max) of 1 / (c(k) b(n-k))
+                num, den = _pair_aggregate([(kd * jd, kn * jn) for (kn, kd), (jn, jd) in (
+                    (c[k], b[(n - k) // stride]) for k in offsets)], qe is not None)
                 yield _reduced(c[n][0] * num, c[n][1] * den)
                 continue
             if floats:
@@ -517,9 +498,9 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _R
 
     Float rows over plain float weights are built inline, by the operations
     :func:`_pair` does, and summed by one ``fsum`` (p = 1: the max).  Exact
-    rows over rational weights, ``q`` whole, sum ``|num|**q`` times the pair
-    ``(w(L).den, den w(L).num)**q`` of each power per denominator over their
-    LCM, times ``w(n)**q``, reduced once.  Other rows, and float rows with a
+    rows over rational weights, ``q`` whole, take the :func:`_pair_aggregate`
+    sum of ``|num|**q`` times the pair ``(w(L).den, den w(L).num)**q`` of each
+    power, times ``w(n)**q``, reduced once.  Other rows, and float rows with a
     term of 1.0 (maybe an exact pair), an aggregate outside ``(0, inf)`` or an
     overflow, take the per-term ``_pair`` route."""
     space, L_max = req.space, req.power_limit
@@ -551,16 +532,16 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _R
             if agg is not None and not (0.0 < agg < math.inf and 1.0 not in terms):
                 agg = terms = None
         elif not float_rows and nz and type(qe) is int and isinstance(wn, Rational):
-            sums: dict = {}
+            pairs = []
             for L, x, den in nz:
                 pw = powered.get(L)
                 if pw is None:
                     if not isinstance(w[L], Rational):
                         break
                     pw = powered[L] = (w[L].denominator ** qe, (den * w[L].numerator) ** qe)
-                sums[pw[1]] = sums.get(pw[1], 0) + abs(x) ** qe * pw[0]
+                pairs.append((abs(x) ** qe * pw[0], pw[1]))
             else:
-                num, den = _lcm_sum(sums)
+                num, den = _pair_aggregate(pairs, True)
                 agg = _reduced(num * wn.numerator ** qe, den * wn.denominator ** qe)
         if agg is None:
             terms = [(0, 1) if x == 0 else term(n, L, x, den) for L, x, den in entries]
@@ -612,33 +593,21 @@ def _zero_certificate(kind: str, space: SpaceConfig, note: str) -> BoundCertific
     )
 
 
-def _phi_of(req: CriterionRequest) -> PolynomialSymbol:
-    if req.phi is not None:
-        return req.phi
-    if req.stride is not None:
-        return PolynomialSymbol.monomial(req.stride)
-    raise ValidationError("this evaluator needs a substitution symbol (phi or stride)")
-
-
-def _unit_degree(given: Optional[int], series, what: str) -> int:
-    """``given``, else the degree of ``series`` when it is a unit monomial."""
-    m = series.monomial_degree() if given is None and series is not None else given
-    if m is None:
-        raise ValidationError(f"this evaluator needs a unit-monomial {what}")
-    return m
-
-
-def _stride_of(req: CriterionRequest) -> int:
-    return _unit_degree(req.stride, req.phi, "symbol degree (stride)")
-
-
-def _shift_of(req: CriterionRequest) -> int:
-    return _unit_degree(req.shift, req.u, "multiplier degree (shift)")
+def _operand(series, unit: Optional[str] = None):
+    """``series`` itself, or with ``unit`` (what its degree is to the
+    evaluator) the degree ``m`` it must have as the unit monomial ``z**m``.
+    An absent ``series`` is rejected."""
+    m = series.monomial_degree() if unit and series is not None else None
+    if series is None or unit and m is None:
+        raise ValidationError("this evaluator needs " + (
+            f"a unit-monomial {unit}" if unit else "a substitution symbol (phi or stride)"))
+    return m if unit else series
 
 
 def _build_table(phi: PolynomialSymbol, degree_bound: int, max_power: int) -> PowerTable:
     if phi.monomial_degree() is None:
-        _guard((degree_bound + 1) * (max_power + 1), "power table")
+        _guard((_stored_degree(phi, degree_bound, max_power) + 1) * (max_power + 1),
+               "power table")
     return PowerTable(phi, degree_bound=degree_bound, max_power=max_power)
 
 
@@ -659,7 +628,7 @@ def composition_norm_monomial(req: CriterionRequest) -> BoundCertificate:
     supremum of ``w(stride*n) / w(n)``; the certificate scans it up to the
     truncation degree.
     """
-    m = _stride_of(req)
+    m = _operand(req.phi, "symbol degree (stride)")
     if m == 0:
         raise ValidationError(
             "constant symbol: use composition_bounds_polynomial with degree 0"
@@ -682,7 +651,7 @@ def composition_bounds_polynomial(req: CriterionRequest
     the same degree, so it agrees exactly with the shifted variant at
     shift 0.
     """
-    phi = _phi_of(req)
+    phi = _operand(req.phi)
     beta, space = req.beta, req.space
     N = space.truncation_degree
     p = space.p
@@ -712,7 +681,7 @@ def substitution_bounds_monomial_symbol(req: CriterionRequest
     of ``u``.  Lower: the best shifted-column ratio using the coefficients
     of ``u`` along each column.
     """
-    m = _stride_of(req)
+    m = _operand(req.phi, "symbol degree (stride)")
     if m == 0:
         raise ValidationError("the symbol degree (stride) must be at least 1")
     u = req.u if req.u is not None else TruncatedSeries.unity(0)
@@ -755,8 +724,8 @@ def substitution_bounds_monomial_multiplier(req: CriterionRequest
     Upper: p-summed kernel factors times q-aggregated power coefficients.
     Lower: best per-power column ratio of the shifted coefficient rows.
     """
-    shift = _shift_of(req)
-    phi = _phi_of(req)
+    shift = _operand(req.u, "multiplier degree (shift)")
+    phi = _operand(req.phi)
     beta, delta, space = req.beta, req.delta, req.space
     N = space.truncation_degree
     p = space.p
@@ -824,8 +793,8 @@ def substitution_bounds_monomial_pair(req: CriterionRequest
     off the progression as empty entries; the lower scans them by input
     degree.
     """
-    m1 = _shift_of(req)
-    m2 = _stride_of(req)
+    m1 = _operand(req.u, "multiplier degree (shift)")
+    m2 = _operand(req.phi, "symbol degree (stride)")
     if m2 == 0:
         raise ValidationError("the symbol degree (stride) must be at least 1")
     beta, delta, space = req.beta, req.delta, req.space

@@ -31,7 +31,6 @@ from .weights import (
 
 __all__ = [
     "BoundCertificate",
-    "MATRIX_KINDS",
     "OperatorMatrix",
     "ResourceLimitError",
     "apply",
@@ -40,8 +39,6 @@ __all__ = [
     "norm_estimate_l2",
     "norm_lower_search",
 ]
-
-MATRIX_KINDS = ("composition", "diamond-mult", "substitution")
 
 DENSE_ENTRY_LIMIT = 10_000_000
 
@@ -210,30 +207,25 @@ def covering_rows(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
     return (1 if phi is None else phi.degree) * n_cols + u_top
 
 
-def build_matrix(kind: str, u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
+def build_matrix(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
                  delta: DeltaSequence, n_rows: int, n_cols: int) -> OperatorMatrix:
-    """Assemble the truncated matrix of a composition / diamond-mult /
-    substitution operator.
+    """Assemble the truncated matrix of ``u ◇ C_phi``.
 
-    Column ``L`` holds the coefficients of the operator applied to ``z**L``:
-    ``phi**L`` for a composition, and ``u ◇ phi**L`` otherwise, with ``phi =
-    z`` for a diamond multiplier.  Monomial symbols build sparsely; general
-    polynomial symbols are guarded by an entry-count limit.  A warning is
-    attached when ``n_rows`` is below :func:`covering_rows`.
+    The kind follows from the operands: a ``"composition"`` when ``u`` is
+    absent, a ``"diamond-mult"`` when ``phi`` is, a ``"substitution"``
+    otherwise.  Column ``L`` holds the coefficients of the operator applied
+    to ``z**L``: ``phi**L`` for a composition, and ``u ◇ phi**L`` otherwise,
+    with ``phi = z`` for a diamond multiplier.  Monomial symbols build
+    sparsely; general polynomial symbols are guarded by an entry-count limit.
+    A warning is attached when ``n_rows`` is below :func:`covering_rows`.
     """
-    if kind not in MATRIX_KINDS:
-        raise ValidationError(f"kind must be one of {MATRIX_KINDS}, got {kind!r}")
     _check_dims(n_rows, n_cols)
-    if kind != "composition" and u is None:
-        raise ValidationError(f"{kind} operators require the series u")
-    if kind != "diamond-mult" and phi is None:
-        raise ValidationError(f"{kind} operators require the symbol phi")
-    u = None if kind == "composition" else u
-    phi = None if kind == "diamond-mult" else phi
-    modes = {s.mode for s in (u, phi) if s is not None}
-    if len(modes) > 1:
+    if u is None and phi is None:
+        raise ValidationError("an operator needs the series u, the symbol phi, or both")
+    kind = "composition" if u is None else "diamond-mult" if phi is None else "substitution"
+    if u is not None and phi is not None and u.mode != phi.mode:
         raise ValidationError("u and phi must share one scalar mode")
-    mode = modes.pop()
+    mode = (u if phi is None else phi).mode
 
     needed = covering_rows(u, phi, n_cols)
     phi = PolynomialSymbol.monomial(1) if phi is None else phi
@@ -410,22 +402,10 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence) -> BoundCertificat
     composition and shift/stride substitution by unit monomials, or the zero
     matrix), and the value is then exact for the truncated matrix.
     """
-    import numpy as np
-
     A = _finite_scaled(T, beta)
     coupled = _coupled(A)
     n_lone = int(A.shape[1] - coupled.sum())
-    lone_best = 0.0
-    if n_lone:
-        # Entries whose squares could sum past float range are scaled by a
-        # power of two first, which is exact, and the norm scaled back.
-        top = float(np.abs(A.data).max(initial=0.0))
-        scale = 1.0
-        if top * math.sqrt(A.nnz) > 2.0 ** 500:
-            scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
-        data = A.data / scale
-        sq = np.bincount(A.indices, weights=data * data, minlength=A.shape[1])
-        lone_best = float(np.sqrt(sq[~coupled].max())) * scale
+    lone_best = float(_lone_norms(A, 2.0)[~coupled].max()) if n_lone else 0.0
 
     head, notes = [], []
     sigma, iterations, converged, delta = 0.0, 0, True, 0.0
@@ -442,6 +422,20 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence) -> BoundCertificat
         converged=converged,
         notes=tuple(head + [f"iterations={iterations}"] + notes),
     )
+
+
+def _lone_norms(A: _CSR, pf: float) -> np.ndarray:
+    """Each column's p-norm as ``_pnorm`` takes it, its largest entry (not 0)
+    times the norm of the column over that entry: no sum leaves float range,
+    and a root of a sum far from 1 would lose bits to the rounded ``1 / pf``
+    (71 ulps at 1e68).  For the lone columns of both oracles."""
+    import numpy as np
+
+    mags = abs(A.data)
+    tops = np.zeros(A.shape[1])
+    np.maximum.at(tops, A.indices, mags)
+    powers = (mags / np.maximum(tops, 5e-324)[A.indices]) ** pf
+    return tops * np.bincount(A.indices, powers, A.shape[1]) ** (1.0 / pf)
 
 
 def _pnorm(x: np.ndarray, pf: float) -> float:
@@ -486,13 +480,7 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
     col_norms = np.array([total ** (1.0 / pf) for total in A.column_power_sums(pf)])
     coupled = _coupled(A)
     if pf != 1.0 and not coupled.all():
-        # Lone norms as ``_pnorm`` takes them, scaled by each column's top (not 0): a
-        # root of a sum far from 1 loses bits to the rounded 1 / pf (71 ulps at 1e68).
-        tops = np.zeros(A.shape[1])
-        np.maximum.at(tops, A.indices, abs(A.data))
-        powers = (abs(A.data) / np.maximum(tops, 5e-324)[A.indices]) ** pf
-        lone = tops * np.bincount(A.indices, powers, A.shape[1]) ** (1.0 / pf)
-        col_norms = np.where(coupled, col_norms, lone)
+        col_norms = np.where(coupled, col_norms, _lone_norms(A, pf))
     if pf == 1.0 or not coupled.any():
         return BoundCertificate(math.ldexp(float(col_norms.max()), exp2), "lower", None, T.n_cols,
                                 0.0, True, ("largest column norm", "evaluations=0"))

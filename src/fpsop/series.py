@@ -61,6 +61,18 @@ def _normalize(coeffs) -> tuple[tuple, str]:
     return tuple(out), EXACT
 
 
+def _monomial_degree(coeffs: Sequence) -> Optional[int]:
+    """m when ``coeffs`` are those of z**m (unit coefficient), else None."""
+    hit = None
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if c != 1 or hit is not None:
+            return None
+        hit = i
+    return hit
+
+
 def _require_same_mode(f: "TruncatedSeries", g: "TruncatedSeries") -> str:
     if f.mode != g.mode:
         raise ModeMismatchError(
@@ -119,20 +131,12 @@ class TruncatedSeries(_Frozen):
 
     def monomial_degree(self) -> Optional[int]:
         """m when the series is exactly z**m (unit coefficient), else None."""
-        hit = None
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if c != 1 or hit is not None:
-                return None
-            hit = i
-        return hit
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coeffs)
+        return _monomial_degree(self.coeffs)
 
     def to_float(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.as_floats())
+        """The series in float mode; an exact coefficient beyond float range
+        is rejected, as a non-finite float coefficient is."""
+        return TruncatedSeries(tuple(map(_safe_float, self.coeffs)))
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -191,14 +195,7 @@ class PolynomialSymbol(_Frozen):
 
     def monomial_degree(self) -> Optional[int]:
         """m when the symbol is exactly z**m (unit coefficient), else None."""
-        hit = None
-        for i, a in enumerate(self.alphas):
-            if a == 0:
-                continue
-            if a != 1 or hit is not None:
-                return None
-            hit = i
-        return hit
+        return _monomial_degree(self.alphas)
 
     def min_degree(self) -> Optional[int]:
         """Smallest degree with a nonzero coefficient; None for the zero symbol."""
@@ -278,15 +275,9 @@ def _convolve(a: Sequence, b: Sequence, degree_bound: int, zero=0) -> list:
     return out
 
 
-def _float_power_step(power: Sequence[float], alphas: Sequence[float],
-                      degree_bound: int) -> list[float]:
-    """The next float power of a symbol, ``power * alphas`` truncated at
-    ``degree_bound``; a power that leaves float range is rejected, as a series
-    with such a coefficient is."""
-    out = _convolve(power, alphas, degree_bound, 0.0)
-    if not all(map(math.isfinite, out)):
-        raise ValidationError(_NOT_FINITE)
-    return out
+def _stored_degree(phi: "PolynomialSymbol", degree_bound: int, max_power: int) -> int:
+    """The top degree of ``phi**L`` for ``L <= max_power``, at most ``degree_bound``."""
+    return min(degree_bound, phi.degree * max_power)
 
 
 def _power_rows(phi: "PolynomialSymbol", degree_bound: int, max_power: int
@@ -294,15 +285,18 @@ def _power_rows(phi: "PolynomialSymbol", degree_bound: int, max_power: int
     """Coefficients of ``phi**L`` up to ``degree_bound`` for ``L = 0..max_power``,
     as ``(numerators, denominator)`` per row.
 
-    Float rows are running float products over 1.  Exact row ``L`` is
-    ``(D*phi)**L`` in integers over ``D**L``, ``D`` the LCM of the
+    Float rows are running float products over 1; a power that leaves float
+    range is rejected, as a series with such a coefficient is.  Exact row
+    ``L`` is ``(D*phi)**L`` in integers over ``D**L``, ``D`` the LCM of the
     denominators of ``phi``, left unreduced.
     """
     if phi.mode == FLOAT:
         row = [1.0] + [0.0] * degree_bound
         rows = [(tuple(row), 1)]
         for _ in range(max_power):
-            row = _float_power_step(row, phi.alphas, degree_bound)
+            row = _convolve(row, phi.alphas, degree_bound, 0.0)
+            if not all(map(math.isfinite, row)):
+                raise ValidationError(_NOT_FINITE)
             rows.append((tuple(row), 1))
         return rows
     base, lcm = _scaled(phi.alphas)
@@ -392,10 +386,10 @@ def compose(f: TruncatedSeries, phi: PolynomialSymbol, degree_bound: int
     """Substitute the polynomial ``phi`` into ``f``, truncating the result.
 
     Linear in ``f``.  The result is float whenever either operand is float;
-    floats accumulate running powers of ``phi`` (a power beyond float range
-    is rejected, even at a zero coefficient of ``f``), while exact operands
-    are evaluated by Horner's rule in integers scaled by the denominators of
-    ``f`` and ``phi``.
+    floats accumulate the float powers of ``phi`` from :func:`_power_rows` (a
+    power beyond float range is rejected, even at a zero coefficient of
+    ``f``), while exact operands are evaluated by Horner's rule in integers
+    scaled by the denominators of ``f`` and ``phi``.
     """
     min_deg = phi.min_degree()
     if min_deg is None:
@@ -405,19 +399,17 @@ def compose(f: TruncatedSeries, phi: PolynomialSymbol, degree_bound: int
     else:
         top = min(len(f.coeffs) - 1, degree_bound // min_deg)
     if f.mode == FLOAT or phi.mode == FLOAT:
-        base, fc = tuple(float(a) for a in phi.alphas), f.as_floats()
+        fc = f.to_float().coeffs
+        # from_coeffs trims an exact top coefficient that rounds to 0.0.
+        base = PolynomialSymbol.from_coeffs(map(_safe_float, phi.alphas))
+        powers = _power_rows(base, _stored_degree(base, degree_bound, top), top)
         acc = [0.0] * (degree_bound + 1)
         acc[0] = fc[0]
-        power = (1.0,)
-        for exp in range(1, top + 1):
-            power = _float_power_step(power, base, min(len(power) - 1 + phi.degree,
-                                                        degree_bound))
-            c = fc[exp]
-            if not c:
-                continue
-            for n, x in enumerate(power):
-                if x:
-                    acc[n] += c * x
+        for c, (power, _) in zip(fc[1:top + 1], powers[1:]):
+            if c:
+                for n, x in enumerate(power):
+                    if x:
+                        acc[n] += c * x
         return TruncatedSeries(tuple(acc))
     fc = f.coeffs
     while top and not fc[top]:

@@ -71,7 +71,7 @@ def test_criterion_1_composition_norm_equality(verdict):
         beta = make_beta(name)
         for m in (2, 3, 4):
             started = time.perf_counter()
-            T = build_matrix("composition", None, PolynomialSymbol.monomial(m),
+            T = build_matrix(None, PolynomialSymbol.monomial(m),
                              ones, m * 2048, 2048)
             est = norm_estimate_l2(T, beta)
             sup = max(float(beta.value(n * m)) / float(beta.value(n))
@@ -93,7 +93,7 @@ def test_criterion_2_sandwich_suites(verdict):
     beta_geo = make_beta(geometric_beta_values(2 * n + 2))
     space = SpaceConfig(p=2, truncation_degree=n)
 
-    T1 = build_matrix("composition", None, PolynomialSymbol.monomial(2),
+    T1 = build_matrix(None, PolynomialSymbol.monomial(2),
                       ones, 2 * n, n)
     oracle1 = norm_estimate_l2(T1, beta_geo).value
     up1, lo1 = composition_bounds_polynomial(CriterionRequest(
@@ -104,23 +104,24 @@ def test_criterion_2_sandwich_suites(verdict):
         failures.append("(i) endpoints drifted from 1 and 2/sqrt(3)")
 
     u = TruncatedSeries.monomial(1)
-    T2 = build_matrix("substitution", u, PolynomialSymbol.monomial(2),
+    T2 = build_matrix(u, PolynomialSymbol.monomial(2),
                       ones, 2 * n + 1, n)
     oracle2 = norm_estimate_l2(T2, beta_geo).value
     up2, lo2 = substitution_bounds_monomial_multiplier(CriterionRequest(
         beta=beta_geo, delta=ones, space=space,
-        phi=PolynomialSymbol.monomial(2), shift=1))
+        phi=PolynomialSymbol.monomial(2), u=TruncatedSeries.monomial(1)))
     if not (lo2.value - 1e-9 <= oracle2 <= up2.value + 1e-9):
         failures.append(f"(ii) bracket broken: {lo2.value} / {oracle2} / {up2.value}")
     if abs(lo2.value - 0.5) > 1e-9 or abs(up2.value - 1 / math.sqrt(3)) > 1e-9:
         failures.append("(ii) endpoints drifted from 1/2 and 1/sqrt(3)")
 
     beta_dir = make_beta("dirichlet")
-    T3 = build_matrix("substitution", u, PolynomialSymbol.monomial(2),
+    T3 = build_matrix(u, PolynomialSymbol.monomial(2),
                       ones, 2 * n + 1, n)
     oracle3 = norm_estimate_l2(T3, beta_dir).value
     gamma, kappa = substitution_bounds_monomial_pair(CriterionRequest(
-        beta=beta_dir, delta=ones, space=space, shift=1, stride=2))
+        beta=beta_dir, delta=ones, space=space, u=TruncatedSeries.monomial(1),
+        phi=PolynomialSymbol.monomial(2)))
     root2 = math.sqrt(2)
     if not (kappa.value - 1e-9 <= oracle3 <= gamma.value + 1e-9):
         failures.append(f"(iii) bracket broken: {kappa.value} / {oracle3} / {gamma.value}")
@@ -147,7 +148,7 @@ def test_criterion_3_exact_constants(verdict):
 
     up, _ = substitution_bounds_monomial_symbol(CriterionRequest(
         beta=hardy, delta=inv_fact, space=SpaceConfig(p=2, truncation_degree=100),
-        stride=2))
+        phi=PolynomialSymbol.monomial(2)))
     if abs(up.value ** 2 - float(Fraction(73, 36))) > 1e-12 or up.attained_at != 4:
         failures.append(f"stride constant: {up.value ** 2} at {up.attained_at}")
 
@@ -255,7 +256,7 @@ def test_criterion_6_two_path_equivalence(verdict):
         f = TruncatedSeries(tuple(rand_coeffs(rng, 5)))
         phi = PolynomialSymbol.from_coeffs(rand_symbol_coeffs(rng, 3))
         n_rows = 4 + 5 * 3
-        T = build_matrix("substitution", u, phi, delta, n_rows, f.degree_bound)
+        T = build_matrix(u, phi, delta, n_rows, f.degree_bound)
         via_matrix = apply(T, f)
         direct = diamond_substitute(u, f, phi, delta, n_rows)
         if via_matrix.coeffs != direct.coeffs:
@@ -284,7 +285,7 @@ def test_criterion_7_divergence_detection(verdict):
     # A lower never reads inf: it keeps its largest ratio, N + 1, flagged divergent.
     _, kappa = substitution_bounds_monomial_pair(CriterionRequest(
         beta=hardy, delta=make_delta("factorial"), space=space,
-        shift=1, stride=1))
+        u=TruncatedSeries.monomial(1), phi=PolynomialSymbol.monomial(1)))
     if not (kappa.value == 513.0 and not kappa.converged and any(
             "divergent" in note for note in kappa.notes)):
         failures.append(f"factorial progression: {kappa.value}, notes={kappa.notes}")

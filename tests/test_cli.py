@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from fpsop.cli import (COMMANDS, Config, ConfigError, _parse_once, _parse_scalar, main,
                        parse_config, run)
+from fpsop.series import PolynomialSymbol, TruncatedSeries
 
 from oracles import parse_once_reference
 
@@ -90,6 +92,16 @@ class TestParseConfig:
         })
         cfg = parse_config(text)
         assert parse_config(cfg.serialize()) == cfg
+
+    def test_stride_and_shift_are_monomial_shorthand(self):
+        cfg = parse_config('{"stride": 2, "shift": 1}')
+        assert cfg.phi == PolynomialSymbol.monomial(2)
+        assert cfg.u == TruncatedSeries.monomial(1)
+        assert (cfg.normalized["stride"], cfg.normalized["phi"]) == (2, None)
+        assert (cfg.normalized["shift"], cfg.normalized["u"]) == (1, None)
+        for key in ("stride", "shift"):
+            with pytest.raises(ConfigError, match=f"{key} must be an integer >= 0, got -1"):
+                parse_config('{"%s": -1}' % key)
 
     def test_theorem_code_validated(self):
         with pytest.raises(ConfigError, match="thm99"):
@@ -297,6 +309,19 @@ class TestConflictingSymbolKeys:
             assert code == 2
             assert "stride=3 conflicts with phi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["estimate"], ["bound", "--theorem", "thm23"]])
+    @pytest.mark.parametrize("short, long", [
+        ('"shift": 1, "stride": 2', '"u": {"monomial": 1}, "phi": {"monomial": 2}'),
+        ('"stride": 2', '"phi": {"monomial": 2}'),
+    ])
+    def test_shorthand_reads_as_monomials(self, capsys, argv, short, long):
+        """``"stride": m`` is ``phi = z**m`` and ``"shift": m`` is ``u = z**m``."""
+        reports = [run_main(capsys, *argv, "--quiet", "--config",
+                            '{"beta": "dirichlet", %s, "truncation": {"degree": 32}}' % keys)
+                   for keys in (short, long)]
+        assert reports[0][0] == 0
+        assert reports[0] == reports[1]
+
     def test_agreeing_pair_accepted(self, capsys):
         cfg = CONFLICTING_STRIDE.replace('"stride": 3', '"stride": 2')
         code, out = run_main(capsys, "bound", "--theorem", "cor26",
@@ -385,6 +410,19 @@ class TestBeyondFloatRange:
         assert captured.out == ""
         assert captured.err == "fpsop: error: coefficients must be finite\n"
 
+    @pytest.mark.parametrize("f, phi", [
+        ('[1.0, 2.0]', '[0, "1e400"]'),  # an exact symbol coefficient beyond float range
+        ('[1, "1e400"]', '[0, 0.5]'),    # an exact series coefficient beyond float range
+    ])
+    def test_mixed_compose_beyond_float_range_exits_two(self, capsys, f, phi):
+        code = main(["compose", "--quiet", "--config",
+                     '{"f": {"coeffs": %s}, "phi": {"coeffs": %s}, "truncation": {"degree": 12}}'
+                     % (f, phi)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "fpsop: error: coefficients must be finite\n"
+
     def test_estimate_with_scaled_entries_near_float_range(self, capsys):
         # beta entries of 1e-100 put 1e+100 into the scaled matrix, so its
         # power iteration squares them past float range unless it rescales
@@ -460,6 +498,16 @@ class TestSizeGuard:
                             '{"u": {"monomial": 1}, "phi": {"coeffs": ["1/2", "1/2"]},'
                             ' "truncation": {"degree": 3200}}',
                             label="dense substitution build")
+
+    def test_constant_symbol_table_stores_degree_zero(self, capsys):
+        """Every power of a constant symbol sits in degree 0, so the table
+        stores that degree alone; the report is the one a full table gave."""
+        config = '{"phi": {"coeffs": ["1/2"]}, "truncation": {"degree": %d}}'
+        assert run_main(capsys, "estimate", "--quiet", "--config", config % 3200)[0] == 0
+        code, out = run_main(capsys, "estimate", "--quiet", "--config", config % 3000)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d08784fa0abd63fa4c22779c6f4b4afe222fb2a8ee6ef897ec0650878ee49042")
 
     def test_thm25_power_table(self, capsys):
         self.assert_guarded(capsys, "bound", "--theorem", "thm25", "--config",

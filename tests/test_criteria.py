@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsop import criteria
+from fpsop.cli import ConfigError, parse_config
 from fpsop.criteria import (
     CriterionRequest,
     _certify,
     _exact_or_fsum,
     _exponent,
     _pair,
+    _pair_aggregate,
     _q_pairs,
     _reduced,
     column_lower_bound,
@@ -43,8 +45,15 @@ def geometric_beta(n_top, base=Fraction(1, 2)):
     return make_beta([base ** n for n in range(n_top + 1)])
 
 
-def request(beta, delta, p=2, degree=512, tol=1e-7, window=10, **kw):
+def request(beta, delta, p=2, degree=512, tol=1e-7, window=10, stride=None, shift=None,
+            **kw):
+    """A request; ``stride`` and ``shift`` stand for ``phi = z**stride`` and
+    ``u = z**shift``, as in a config."""
     space = SpaceConfig(p=p, truncation_degree=degree, tail_window=window, tolerance=tol)
+    if stride is not None:
+        kw["phi"] = PolynomialSymbol.monomial(stride)
+    if shift is not None:
+        kw["u"] = TruncatedSeries.monomial(shift)
     return CriterionRequest(beta=beta, delta=delta, space=space, **kw)
 
 
@@ -274,7 +283,7 @@ class TestSubstitutionBoundsMonomialPair:
 
 
 def identity_matrix(n):
-    return build_matrix("composition", None, PolynomialSymbol.monomial(1), ones, n, n)
+    return build_matrix(None, PolynomialSymbol.monomial(1), ones, n, n)
 
 
 def column_lower(T, beta, p=2):
@@ -292,7 +301,7 @@ class TestColumnLowerBound:
 
     def test_dirichlet_substitution_ties_resolve_low(self):
         u = TruncatedSeries.monomial(1)
-        T = build_matrix("substitution", u, PolynomialSymbol.monomial(2), ones, 33, 16)
+        T = build_matrix(u, PolynomialSymbol.monomial(2), ones, 33, 16)
         cert = column_lower(T, make_beta("dirichlet"), 2)
         assert cert.value == pytest.approx(math.sqrt(2), abs=1e-12)
 
@@ -301,7 +310,7 @@ class TestColumnLowerBound:
         for _ in range(10):
             coeffs = [Fraction(int(x), 4) for x in rng.integers(-8, 9, size=5)]
             u = TruncatedSeries.from_coeffs(coeffs)
-            T = build_matrix("diamond-mult", u, None, ones, 16, 8)
+            T = build_matrix(u, None, ones, 16, 8)
             beta = make_beta("bergman")
             lower = column_lower(T, beta, 2)
             oracle = norm_estimate_l2(T, beta)
@@ -385,22 +394,23 @@ class TestTruncationWindowRule:
 
 
 class TestConflictingSymbolKeys:
+    """``stride`` and ``shift`` are config shorthand, checked by ``parse_config``."""
+
     def test_stride_must_match_monomial_phi(self):
-        with pytest.raises(ValidationError, match="stride=3 conflicts with phi"):
-            request(hardy, ones, phi=PolynomialSymbol.monomial(2), stride=3)
+        with pytest.raises(ConfigError, match="stride=3 conflicts with phi"):
+            parse_config('{"phi": {"monomial": 2}, "stride": 3}')
 
     def test_stride_with_non_monomial_phi_rejected(self):
-        phi = PolynomialSymbol((0, Fraction(1, 2), Fraction(1, 3)))
-        with pytest.raises(ValidationError, match="stride=2 conflicts with phi"):
-            request(hardy, ones, phi=phi, stride=2)
+        with pytest.raises(ConfigError, match="stride=2 conflicts with phi"):
+            parse_config('{"phi": {"coeffs": [0, "1/2", "1/3"]}, "stride": 2}')
 
     def test_shift_must_match_monomial_u(self):
-        with pytest.raises(ValidationError, match="shift=1 conflicts with u"):
-            request(hardy, ones, u=TruncatedSeries((0, 0, 1)), shift=1)
+        with pytest.raises(ConfigError, match="shift=1 conflicts with u"):
+            parse_config('{"u": {"coeffs": [0, 0, 1]}, "shift": 1}')
 
     def test_agreeing_keys_accepted(self):
-        req = request(hardy, ones, phi=PolynomialSymbol.monomial(2), stride=2,
-                      u=TruncatedSeries((0, 1)), shift=1)
+        req = parse_config('{"phi": {"monomial": 2}, "stride": 2, '
+                           '"u": {"coeffs": [0, 1]}, "shift": 1}').request()
         assert substitution_bounds_monomial_pair(req)[0].value == 1.0
 
 
@@ -515,10 +525,17 @@ class TestPairAggregation:
         for i, f in floats:
             if row:
                 row[i % len(row)][0].append(f)
-        got = _q_pairs([_pair(nums, dens) for nums, dens in row], qe)
+        terms = [_pair(nums, dens) for nums, dens in row]
+        got = _q_pairs(terms, qe)
         want = q_aggregate_reference([_reduced_pair(nums, dens) for nums, dens in row], qe)
         assert got == want
         assert _safe_float(got).hex() == _safe_float(want).hex()
+        if qe != 1.5 and all(type(t) is tuple for t in terms):
+            # the aggregator the scans share, on pairs they have powered themselves
+            e = qe or 1
+            powers = [Fraction(en, ed) ** e for en, ed in terms]
+            agg = _pair_aggregate([(en ** e, ed ** e) for en, ed in terms], qe is not None)
+            assert Fraction(*agg) == (sum(powers) if qe else max(powers, default=0))
 
     @given(st.lists(st.one_of(st.none(), st.tuples(st.lists(_TIED_FACTORS, max_size=3),
                                                    st.lists(_TIED_FACTORS, max_size=3))),
@@ -656,7 +673,7 @@ def _kernel_requests(draw):
                         truncation_degree=degree,
                         tail_window=draw(st.integers(1, min(degree, 4))))
     return CriterionRequest(beta=beta, delta=delta, space=space, u=u,
-                            stride=draw(st.integers(1, 3)))
+                            phi=PolynomialSymbol.monomial(draw(st.integers(1, 3))))
 
 
 class TestKernelRowsMatchPerTermReference:
@@ -677,7 +694,7 @@ class TestKernelRowsMatchPerTermReference:
     def test_rows_equal_the_reference_rows(self, req):
         """Each row, not only the certificate: an exact row stays exact and a
         float row has the same type and bits."""
-        for stride in {1, req.stride}:
+        for stride in {1, req.phi.monomial_degree()}:
             assert _kernel_rows(req, stride) == _reference_rows(req, stride)
 
     def test_infinite_scale_on_a_vanishing_ratio(self):
@@ -808,7 +825,8 @@ class TestPowerSumRowsMatchPerTermReference:
     def test_evaluators_equal_the_reference(self, case):
         req, _, shift = case
         u_req = CriterionRequest(beta=req.beta, delta=req.delta, space=req.space, phi=req.phi,
-                                 shift=shift, inner_power_limit=req.inner_power_limit)
+                                 u=TruncatedSeries.monomial(shift),
+                                 inner_power_limit=req.inner_power_limit)
         for evaluate, r in ((composition_bounds_polynomial, req),
                             (substitution_bounds_monomial_multiplier, u_req)):
             outcomes = []

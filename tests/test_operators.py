@@ -40,7 +40,7 @@ ones = make_delta("ones")
 
 
 def identity_matrix(n):
-    return build_matrix("composition", None, PolynomialSymbol.monomial(1), ones, n, n)
+    return build_matrix(None, PolynomialSymbol.monomial(1), ones, n, n)
 
 
 def column_lower(T, beta, p):
@@ -78,25 +78,25 @@ class TestBoundCertificate:
 
 class TestBuildMatrix:
     def test_composition_monomial_pattern(self):
-        T = build_matrix("composition", None, PolynomialSymbol.monomial(3), ones, 12, 4)
+        T = build_matrix(None, PolynomialSymbol.monomial(3), ones, 12, 4)
         for big_l in range(5):
             assert dense_column(T, big_l) == [1 if n == 3 * big_l else 0 for n in range(13)]
 
     def test_substitution_monomial_pattern(self):
         u = TruncatedSeries.monomial(1)
-        T = build_matrix("substitution", u, PolynomialSymbol.monomial(2), ones, 9, 4)
+        T = build_matrix(u, PolynomialSymbol.monomial(2), ones, 9, 4)
         for big_l in range(5):
             assert dense_column(T, big_l) == [1 if n == 1 + 2 * big_l else 0 for n in range(10)]
 
     def test_diamond_mult_unity_is_identity(self):
         u = TruncatedSeries.unity(0)
-        T = build_matrix("diamond-mult", u, None, make_delta("factorial"), 5, 5)
+        T = build_matrix(u, None, make_delta("factorial"), 5, 5)
         for big_l in range(6):
             assert dense_column(T, big_l) == [1 if n == big_l else 0 for n in range(6)]
 
     def test_composition_general_matches_powers(self):
         phi = PolynomialSymbol.from_coeffs([0, 1, 1])
-        T = build_matrix("composition", None, phi, ones, 8, 3)
+        T = build_matrix(None, phi, ones, 8, 3)
         base = TruncatedSeries.from_coeffs([0, 1, 1], degree_bound=8)
         acc = TruncatedSeries.unity(8)
         from fpsop.series import cauchy_product
@@ -105,16 +105,12 @@ class TestBuildMatrix:
             acc = cauchy_product(acc, base, 8)
 
     def test_clipping_warns(self):
-        T = build_matrix("composition", None, PolynomialSymbol.monomial(2), ones, 4, 4)
+        T = build_matrix(None, PolynomialSymbol.monomial(2), ones, 4, 4)
         assert any("clipped" in w for w in T.warnings)
-
-    def test_kind_validated(self):
-        with pytest.raises(ValidationError):
-            build_matrix("rotation", None, PolynomialSymbol.monomial(1), ones, 4, 4)
 
     def test_missing_symbol_rejected(self):
         with pytest.raises(ValidationError):
-            build_matrix("composition", None, None, ones, 4, 4)
+            build_matrix(None, None, ones, 4, 4)
 
 
 # (kind, u coefficients, phi coefficients): constant symbols, multipliers with
@@ -145,11 +141,17 @@ class TestCoveringRows:
         u = None if u is None else TruncatedSeries.from_coeffs(u)
         phi = None if phi is None else PolynomialSymbol.from_coeffs(phi)
         rows = covering_rows(u, phi, n_cols)
-        build = lambda n_rows: build_matrix(kind, u, phi, make_delta(delta), n_rows, n_cols)
+        build = lambda n_rows: build_matrix(u, phi, make_delta(delta), n_rows, n_cols)
         assert rows == max(r for col in build(rows + 5).columns for r, v in col if v != 0)
         assert build(rows).warnings == ()
         if rows:
             assert "columns clipped" in build(rows - 1).warnings[0]
+
+    @pytest.mark.parametrize("kind, u, phi", _COVERING_CASES)
+    def test_kind_follows_from_the_operands(self, kind, u, phi):
+        u = None if u is None else TruncatedSeries.from_coeffs(u)
+        phi = None if phi is None else PolynomialSymbol.from_coeffs(phi)
+        assert build_matrix(u, phi, ones, 8, 3).kind == kind
 
     @pytest.mark.parametrize("kind, u, phi", _COVERING_CASES)
     def test_estimate_matrix_is_not_clipped(self, kind, u, phi):
@@ -165,7 +167,7 @@ class TestCoveringRows:
 class TestApply:
     def test_columns_are_basis_images(self):
         phi = PolynomialSymbol.from_coeffs([0, 2, 1])
-        T = build_matrix("composition", None, phi, ones, 10, 4)
+        T = build_matrix(None, phi, ones, 10, 4)
         for big_l in range(5):
             e = TruncatedSeries.monomial(big_l).pad(4)
             assert list(apply(T, e).coeffs) == dense_column(T, big_l)
@@ -187,7 +189,7 @@ class TestApply:
             phi = PolynomialSymbol.from_coeffs(alphas)
             n_cols = f.degree_bound
             n_rows = 24
-            T = build_matrix("substitution", u, phi, delta, n_rows, n_cols)
+            T = build_matrix(u, phi, delta, n_rows, n_cols)
             via_matrix = apply(T, f)
             direct = diamond_substitute(u, f, phi, delta, n_rows)
             assert via_matrix.coeffs == direct.coeffs
@@ -200,7 +202,7 @@ class TestApply:
             fc = rand_coeffs(rng, 4)
             u = TruncatedSeries.from_coeffs(uc)
             f = TruncatedSeries.from_coeffs(fc)
-            T = build_matrix("diamond-mult", u, None, delta, 12, f.degree_bound)
+            T = build_matrix(u, None, delta, 12, f.degree_bound)
             assert apply(T, f).coeffs == diamond_product(u, f, delta, 12).coeffs
 
     def test_wide_input_rejected(self):
@@ -224,7 +226,7 @@ class TestNormEstimateL2:
 
     def test_composition_monomial_hardy_is_one(self):
         for m in (2, 3):
-            T = build_matrix("composition", None, PolynomialSymbol.monomial(m),
+            T = build_matrix(None, PolynomialSymbol.monomial(m),
                              ones, 3 * 64, 64)
             cert = norm_estimate_l2(T, make_beta("hardy"))
             assert cert.value == pytest.approx(1.0, abs=1e-9)
@@ -233,7 +235,7 @@ class TestNormEstimateL2:
         beta = make_beta("dirichlet")
         last = 0.0
         for n_cols in (64, 256, 1024, 2048):
-            T = build_matrix("composition", None, PolynomialSymbol.monomial(2),
+            T = build_matrix(None, PolynomialSymbol.monomial(2),
                              ones, 2 * n_cols, n_cols)
             cert = norm_estimate_l2(T, beta)
             assert last < cert.value < math.sqrt(2)
@@ -246,7 +248,7 @@ class TestNormEstimateL2:
         for _ in range(5):
             coeffs = [float(x) for x in rng.normal(size=6)]
             u = TruncatedSeries.from_coeffs(coeffs)
-            T = build_matrix("diamond-mult", u, None, make_delta("ones"), 20, 14)
+            T = build_matrix(u, None, make_delta("ones"), 20, 14)
             dense = csr_toarray(T.scaled_array(beta))
             want = np.linalg.svd(dense, compute_uv=False)[0]
             got = norm_estimate_l2(T, beta)
@@ -268,7 +270,7 @@ def dense_top(T, beta):
 class TestLoneColumnSplit:
     def test_all_lone_is_largest_column_norm(self):
         beta = make_beta("dirichlet")
-        T = build_matrix("composition", None, PolynomialSymbol.monomial(3),
+        T = build_matrix(None, PolynomialSymbol.monomial(3),
                          ones, 3 * 300, 300)
         cert = norm_estimate_l2(T, beta)
         want = float(np.abs(csr_toarray(T.scaled_array(beta))).max())
@@ -297,7 +299,7 @@ class TestLoneColumnSplit:
     def test_all_coupled_keeps_the_whole_matrix(self):
         beta = make_beta("bergman")
         u = TruncatedSeries.from_coeffs([1.0, -0.5, 0.25, 2.0])
-        T = build_matrix("diamond-mult", u, None, ones, 24, 20)
+        T = build_matrix(u, None, ones, 24, 20)
         cert = norm_estimate_l2(T, beta)
         sigma, iterations, converged, delta, _ = _power_top(
             _finite_scaled(T, beta), _L2_ITERATIONS, _L2_TOL)
@@ -311,7 +313,7 @@ class TestLoneColumnSplit:
         # 2**400 * tol is the run on A, scaled
         beta = make_beta("bergman")
         u = TruncatedSeries.from_coeffs([1.0, -0.5, 0.25, 2.0])
-        A = _finite_scaled(build_matrix("diamond-mult", u, None, ones, 24, 20), beta)
+        A = _finite_scaled(build_matrix(u, None, ones, 24, 20), beta)
         small = _power_top(A, 50_000, 1e-12)
         big = _power_top(A * 2.0 ** 400, 50_000, math.ldexp(1e-12, 400))
         assert big[0] == math.ldexp(small[0], 400)
@@ -324,7 +326,7 @@ class TestLoneColumnSplit:
         # matrix takes the same run as its scaled copy, scaled down.
         beta = make_beta("bergman")
         u = TruncatedSeries.from_coeffs([1.0, -0.5, 0.25, 2.0])
-        A = _finite_scaled(build_matrix("diamond-mult", u, None, ones, 24, 20), beta)
+        A = _finite_scaled(build_matrix(u, None, ones, 24, 20), beta)
         A = A * math.ldexp(1.0, -math.frexp(float(np.abs(A.data).max()))[1])
         unit = _power_top(A, 50_000, 1e-12)
         small = _power_top(A * math.ldexp(1.0, -exp2), 50_000, 1e-12)
@@ -354,7 +356,7 @@ class TestLoneColumnSplit:
 @settings(max_examples=40, deadline=None)
 def test_lone_and_coupled_mix_matches_dense_svd(u_coeffs, block_cols, lone_cols, rnd):
     u = TruncatedSeries.from_coeffs([Fraction(c, 2) for c in u_coeffs]).to_float()
-    block = build_matrix("diamond-mult", u, None, ones,
+    block = build_matrix(u, None, ones,
                          block_cols + len(u_coeffs) - 1, block_cols)
     row = block.n_rows + 1
     columns = list(block.columns)
@@ -380,7 +382,7 @@ class TestNormLowerSearch:
         for trial in range(8):
             coeffs = [float(x) for x in rng.normal(size=8)]
             u = TruncatedSeries.from_coeffs(coeffs)
-            T = build_matrix("diamond-mult", u, None, ones, 26, 19)
+            T = build_matrix(u, None, ones, 26, 19)
             l2 = norm_estimate_l2(T, beta)
             search = norm_lower_search(T, beta, 2, seed=trial)
             assert search.value == pytest.approx(l2.value, rel=1e-6)
@@ -391,14 +393,14 @@ class TestNormLowerSearch:
         for p in (1, 2, Fraction(3, 2), 4):
             coeffs = [float(x) for x in rng.normal(size=5)]
             u = TruncatedSeries.from_coeffs(coeffs)
-            T = build_matrix("diamond-mult", u, None, ones, 14, 9)
+            T = build_matrix(u, None, ones, 14, 9)
             col = column_lower(T, beta, p)
             search = norm_lower_search(T, beta, p, seed=0)
             assert search.value >= col.value - 1e-12
 
     def test_deterministic_for_fixed_seed(self):
         u = TruncatedSeries.from_coeffs([1.0, -0.5, 0.25, 2.0])
-        T = build_matrix("diamond-mult", u, None, ones, 12, 8)
+        T = build_matrix(u, None, ones, 12, 8)
         beta = make_beta("bergman")
         a = norm_lower_search(T, beta, Fraction(5, 2), seed=7)
         b = norm_lower_search(T, beta, Fraction(5, 2), seed=7)
@@ -412,8 +414,7 @@ class TestNormLowerSearch:
         beta = make_beta("dirichlet")
         n = 40
         u = None if shift is None else TruncatedSeries.monomial(shift)
-        T = build_matrix("composition" if u is None else "substitution", u,
-                         PolynomialSymbol.monomial(m), ones, m * n + (shift or 0), n)
+        T = build_matrix(u, PolynomialSymbol.monomial(m), ones, m * n + (shift or 0), n)
         cert = norm_lower_search(T, beta, p, seed=5)
         assert _evaluations(cert) == 0
         assert cert.converged and cert.tail_delta == 0.0
@@ -427,7 +428,7 @@ class TestNormLowerSearch:
     def test_p1_is_the_largest_column_sum_of_a_coupled_matrix(self):
         beta = make_beta("bergman")
         u = TruncatedSeries.from_coeffs([1.0, -0.5, 0.25, 2.0])
-        T = build_matrix("diamond-mult", u, None, make_delta("factorial"), 23, 20)
+        T = build_matrix(u, None, make_delta("factorial"), 23, 20)
         cert = norm_lower_search(T, beta, 1)
         assert cert.value == _max_column_pnorm(T, beta, 1)
         assert _evaluations(cert) == 0 and cert.converged
@@ -436,7 +437,7 @@ class TestNormLowerSearch:
         """An E08-shaped request of the benchmark: every column is coupled, so
         the whole matrix is searched; its bits and its budget are pinned."""
         u = TruncatedSeries.from_coeffs([1, Fraction(-1, 2), Fraction(1, 4)])
-        T = build_matrix("diamond-mult", u, None, make_delta("geometric", Fraction(1, 2)), 50, 48)
+        T = build_matrix(u, None, make_delta("geometric", Fraction(1, 2)), 50, 48)
         cert = norm_lower_search(T, make_beta("hardy"), 3, seed=123)
         assert cert.value.hex() == "0x1.bf91de690590cp+0"
         assert _evaluations(cert) == 600 and not cert.converged
@@ -466,7 +467,7 @@ def test_search_of_a_lone_and_coupled_mix(u_coeffs, block_cols, lone_cols, p, rn
     """The search of a shuffled mix is the larger of its lone columns and the
     search of its block columns alone, in the same order and rows."""
     u = TruncatedSeries.from_coeffs([Fraction(c, 2) for c in u_coeffs]).to_float()
-    block = build_matrix("diamond-mult", u, None, ones,
+    block = build_matrix(u, None, ones,
                          block_cols + len(u_coeffs) - 1, block_cols)
     row = block.n_rows + 1
     lone = []
@@ -488,7 +489,7 @@ def test_search_of_a_lone_and_coupled_mix(u_coeffs, block_cols, lone_cols, p, rn
 @settings(max_examples=20, deadline=None)
 def test_substitution_monomial_columns(m1, m2):
     u = TruncatedSeries.monomial(m1)
-    T = build_matrix("substitution", u, PolynomialSymbol.monomial(m2), ones,
+    T = build_matrix(u, PolynomialSymbol.monomial(m2), ones,
                      m1 + 5 * m2, 5)
     for big_l in range(6):
         col = dense_column(T, big_l)
@@ -525,7 +526,8 @@ def _matrices_and_weights(draw):
             [[0.0, 0.0, 1.0], [0.0, 0.5, 0.5]] if mode == "float"
             else [[0, 0, 1], [0, Fraction(1, 2), 3]])))
         delta = draw(st.sampled_from([ones, make_delta("factorial")]))
-        T = build_matrix(kind, u, phi, delta, n_rows, n)
+        T = build_matrix(None if kind == "composition" else u,
+                         None if kind == "diamond-mult" else phi, delta, n_rows, n)
     family = draw(st.sampled_from(["bergman", "dirichlet", "hardy", -150.0, 150.0, "list",
                                    "floats"]))
     if family == "list":
@@ -608,7 +610,7 @@ class TestSearchScalesLargeEntries:
         scaled entries reach ``41**150``, about 1e242, whose cubes overflow.
         Unscaled, numpy warned and the search reported ``inf`` as converged
         (pytest turns the warnings into errors)."""
-        T = build_matrix("composition", None, PolynomialSymbol.monomial(0), ones, 40, 40)
+        T = build_matrix(None, PolynomialSymbol.monomial(0), ones, 40, 40)
         beta = make_beta(-150.0)
         col = column_lower(T, beta, 3)
         cert = norm_lower_search(T, beta, 3)

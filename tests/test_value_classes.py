@@ -38,9 +38,8 @@ FROZEN = [
           mode="exact"),
      dict(warnings=("w",))),
     (CriterionRequest,
-     ("beta", "delta", "space", "u", "phi", "stride", "shift", "inner_power_limit",
-      "cap"),
-     dict(beta=BETA, delta=DELTA, space=SPACE, phi=PolynomialSymbol.monomial(2), stride=2),
+     ("beta", "delta", "space", "u", "phi", "inner_power_limit", "cap"),
+     dict(beta=BETA, delta=DELTA, space=SPACE, phi=PolynomialSymbol.monomial(2)),
      dict(cap=1e6)),
 ]
 
@@ -63,8 +62,8 @@ SIGNATURES = {
     OperatorMatrix: [("kind", _NO_DEFAULT), ("n_rows", _NO_DEFAULT), ("n_cols", _NO_DEFAULT),
                      ("columns", _NO_DEFAULT), ("mode", _NO_DEFAULT), ("warnings", ())],
     CriterionRequest: [("beta", _NO_DEFAULT), ("delta", _NO_DEFAULT), ("space", _NO_DEFAULT),
-                       ("u", None), ("phi", None), ("stride", None), ("shift", None),
-                       ("inner_power_limit", None), ("cap", 1e12)],
+                       ("u", None), ("phi", None), ("inner_power_limit", None),
+                       ("cap", 1e12)],
     Config: [(name, _NO_DEFAULT) for name in CONFIG_FIELDS],
 }
 
@@ -180,16 +179,10 @@ class TestConfig:
      "attained_at must be None or a nonnegative index"),
     (lambda: BoundCertificate(1, "upper", None, 3.0, 0.0, True),
      "truncation_degree must be a nonnegative integer"),
-    (lambda: CriterionRequest(BETA, DELTA, SPACE, stride=-1),
-     "stride must be a nonnegative integer, got -1"),
     (lambda: CriterionRequest(BETA, DELTA, SPACE, inner_power_limit=True),
      "inner_power_limit must be a nonnegative integer, got True"),
     (lambda: CriterionRequest(BETA, DELTA, SPACE, cap=math.inf),
      "cap must be a finite positive real"),
-    (lambda: CriterionRequest(BETA, DELTA, SPACE, phi=PolynomialSymbol.monomial(2), stride=3),
-     r"stride=3 conflicts with phi, which is not z\*\*3"),
-    (lambda: CriterionRequest(BETA, DELTA, SPACE, u=TruncatedSeries((0, 1)), shift=2),
-     r"shift=2 conflicts with u, which is not z\*\*2"),
 ])
 def test_constructor_rejections_keep_their_text(build, message):
     with pytest.raises(ValidationError, match=message):
