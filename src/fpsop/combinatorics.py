@@ -122,19 +122,15 @@ class PowerTable:
       the last; exact rows are kept as integer numerators over a power of the
       common denominator of ``phi`` and reduced only when read.  The bound
       scans read the numerators and the denominator unreduced, through
-      :meth:`theta_scaled`, :meth:`column_scaled` and
-      :meth:`row_nonzeros_scaled`.  Rows are stored up to
+      :meth:`column_scaled` and :meth:`row_nonzeros_scaled`.  Rows are stored up to
       :func:`_stored_degree`; every entry beyond it is zero.
     """
 
-    def __init__(self, phi: PolynomialSymbol, degree_bound: int,
-                 max_power: Optional[int] = None):
+    def __init__(self, phi: PolynomialSymbol, degree_bound: int, max_power: int):
         if not isinstance(phi, PolynomialSymbol):
             raise ValidationError("phi must be a PolynomialSymbol")
         self.phi = phi
         self.degree_bound = _check_index(degree_bound, "degree_bound")
-        if max_power is None:
-            max_power = degree_bound
         self.max_power = _check_index(max_power, "max_power")
         self._mono = phi.monomial_degree()
         self.method = "powers" if self._mono is None else "direct"
@@ -153,14 +149,6 @@ class PowerTable:
             raise ValidationError(f"n={n} exceeds table degree bound {self.degree_bound}")
         if L > self.max_power:
             raise ValidationError(f"L={L} exceeds table max power {self.max_power}")
-
-    def theta_scaled(self, n: int, L: int) -> tuple:
-        """``theta(n, L)`` as an unreduced ``(numerator, denominator)``."""
-        self._check_bounds(n, L)
-        if self._mono is not None:
-            return (1 if n == self._mono * L else 0), 1
-        nums, den = self._rows[L]
-        return (nums[n] if n < len(nums) else type(nums[0])(0)), den
 
     def column_scaled(self, n: int, limit: int) -> list[tuple[int, object, int]]:
         """``(L, numerator, denominator)`` of ``theta(n, L)`` for the powers
@@ -206,9 +194,7 @@ class PowerTable:
         hi = self.max_power if low == 0 else min(self.max_power, n // low)
         if deg == 0 and n > 0:
             return range(0)
-        if lo > hi:
-            return range(0)
-        return range(lo, hi + 1)
+        return range(lo, hi + 1)  # empty when lo > hi
 
 
 def stride_offsets(n: int, stride: int) -> range:

@@ -12,7 +12,8 @@ Monomial compositions and shift/stride substitutions have lone columns only,
 so their estimate is exact at every p and reports ``iterations=0``, as does
 every p = 1 estimate (the largest column sum).
 
-The oracles run on ``_CSR``, a sparse matrix in numpy arrays.  numpy is
+The p = 2 oracle takes a matrix of lone columns only in plain floats.  The
+other oracles run on ``_CSR``, a sparse matrix in numpy arrays.  numpy is
 imported inside the functions that use it, so importing this module (and the
 exact-arithmetic side of the package) does not load it; the ``np``
 annotations are never evaluated.
@@ -126,18 +127,22 @@ class OperatorMatrix(_Frozen):
         """
         import numpy as np
 
-        columns, exact = self.columns, self.mode != FLOAT
-        wf = _ReadOnce(beta.as_float)
-        # Weights are read column by column, w(L) first: a short list fails at
-        # the first index this order reaches.
-        data = [(_safe_float(value) if exact else value) * wf[row] / inv
-                for L, col in enumerate(columns) for inv in (wf[L],) for row, value in col]
+        columns, data = self.columns, _scaled_entries(self, beta)
         rows = np.array([row for col in columns for row, _ in col], dtype=np.intp)
         cols = [L for L, col in enumerate(columns) for _ in col]
         # A stable sort by row keeps each row's entries in column order.
         order = rows.argsort(kind="stable")
         return _CSR(np.array(data, dtype=np.float64)[order],
                     np.array(cols, dtype=np.intp)[order], rows[order], self.shape)
+
+
+def _scaled_entries(T: OperatorMatrix, beta: WeightSequence) -> list[float]:
+    """The entries of ``T.scaled_array(beta)`` in column order, as floats,
+    reading the weights column by column, ``w(L)`` first: a short list fails
+    at the first index this order reaches."""
+    exact, wf = T.mode != FLOAT, _ReadOnce(beta.as_float)
+    return [(_safe_float(value) if exact else value) * wf[row] / inv
+            for L, col in enumerate(T.columns) for inv in (wf[L],) for row, value in col]
 
 
 class _CSR:
@@ -184,12 +189,6 @@ class _CSR:
         return [float(powers[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])]
 
 
-def _check_dims(n_rows: int, n_cols: int) -> None:
-    for name, v in (("N_rows", n_rows), ("N_cols", n_cols)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
-
-
 def _guard(estimate: int, label: str) -> None:
     if estimate > DENSE_ENTRY_LIMIT:
         raise ResourceLimitError(
@@ -219,7 +218,9 @@ def build_matrix(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
     sparsely; general polynomial symbols are guarded by an entry-count limit.
     A warning is attached when ``n_rows`` is below :func:`covering_rows`.
     """
-    _check_dims(n_rows, n_cols)
+    for name, v in (("N_rows", n_rows), ("N_cols", n_cols)):
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
     if u is None and phi is None:
         raise ValidationError("an operator needs the series u, the symbol phi, or both")
     kind = "composition" if u is None else "diamond-mult" if phi is None else "substitution"
@@ -367,12 +368,9 @@ def _power_top(A: _CSR, iter_limit: int, tol: float):
     alternating = ones * np.where(np.arange(cols) % 2 == 0, 1.0, -1.0)
     gaussian = np.random.default_rng(0).standard_normal(cols)
     probe_iters = min(iter_limit, 80)
-    for probe in (alternating, gaussian):
-        n_probe = float(np.linalg.norm(probe))
-        if n_probe == 0.0:
-            continue
+    for probe in (alternating, gaussian):  # both nonzero: gaussian[0] is 0.1257...
         p_sigma, p_iters, _, _, p_x = _power_run(
-            A, probe / n_probe, probe_iters, tol)
+            A, probe / float(np.linalg.norm(probe)), probe_iters, tol)
         total_iters += p_iters
         if p_sigma > sigma + margin:
             r_sigma, r_iters, r_conv, r_delta, _ = _power_run(
@@ -400,28 +398,44 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence) -> BoundCertificat
     ``converged`` and ``tail_delta`` come from the power iteration; the note
     ``iterations=0`` means none ran because every column is lone (weighted
     composition and shift/stride substitution by unit monomials, or the zero
-    matrix), and the value is then exact for the truncated matrix.
+    matrix), and the value is then exact, taken in plain floats (``_lone_l2``).
     """
+    rows = [row for col in T.columns for row, _ in col]
+    if len(set(rows)) == len(rows):
+        return BoundCertificate(_lone_l2(T, beta), "lower", None, T.n_cols, 0.0, True,
+                                ("iterations=0", f"{T.n_cols + 1} lone columns taken exactly"))
     A = _finite_scaled(T, beta)
     coupled = _coupled(A)
     n_lone = int(A.shape[1] - coupled.sum())
-    lone_best = float(_lone_norms(A, 2.0)[~coupled].max()) if n_lone else 0.0
-
-    head, notes = [], []
-    sigma, iterations, converged, delta = 0.0, 0, True, 0.0
-    if n_lone < A.shape[1]:
-        B = A.take_columns(coupled) if n_lone else A
-        sigma, iterations, converged, delta, notes = _power_top(B, _L2_ITERATIONS, _L2_TOL)
-        head.append("power iteration on the scaled normal matrix")
+    sigma, iterations, converged, delta, notes = _power_top(
+        A.take_columns(coupled) if n_lone else A, _L2_ITERATIONS, _L2_TOL)
     if n_lone:
+        sigma = max(sigma, float(_lone_norms(A, 2.0)[~coupled].max()))
         notes.append(f"{n_lone} lone columns taken exactly")
-    return BoundCertificate(
-        value=max(sigma, lone_best), kind="lower", attained_at=None,
-        truncation_degree=T.n_cols,
-        tail_delta=(0.0 if math.isinf(delta) else delta),
-        converged=converged,
-        notes=tuple(head + [f"iterations={iterations}"] + notes),
-    )
+    return BoundCertificate(sigma, "lower", None, T.n_cols, 0.0 if math.isinf(delta) else delta,
+                            converged, ("power iteration on the scaled normal matrix",
+                                        f"iterations={iterations}", *notes))
+
+
+def _lone_l2(T: OperatorMatrix, beta: WeightSequence) -> float:
+    """``_lone_norms(_finite_scaled(T, beta), 2.0).max()`` bit for bit, without
+    numpy, when every column of ``T`` is lone: squares as ``r * r`` (libm's
+    ``r ** 2`` rounds otherwise), added in row order by ``+=`` (``sum``
+    compensates since Python 3.12).  A one-entry column's norm is ``|v|``."""
+    data = _scaled_entries(T, beta)
+    if not all(map(math.isfinite, data)):
+        raise ValidationError("operator has non-finite scaled entries")
+    if all(len(col) <= 1 for col in T.columns):
+        return max(map(abs, data), default=0.0)
+    best, end = 0.0, 0
+    for col in T.columns:
+        start, end = end, end + len(col)
+        top, total = max(map(abs, data[start:end]), default=0.0), 0.0
+        for _, v in sorted(zip([row for row, _ in col], data[start:end])):
+            r = abs(v) / max(top, 5e-324)
+            total += r * r
+        best = max(best, top * math.sqrt(total))
+    return best
 
 
 def _lone_norms(A: _CSR, pf: float) -> np.ndarray:

@@ -266,9 +266,18 @@ def float_convolve_reference(a, b, degree_bound):
     return out
 
 
+def table_theta_scaled(table, n, L):
+    """The ``z**n`` coefficient of ``phi**L`` from a ``PowerTable``, as an
+    unreduced ``(numerator, denominator)`` read from its stored row; an index
+    beyond the table is rejected."""
+    table.power_range(n)  # checks n
+    pairs, den = table.row_nonzeros_scaled(L)
+    return dict(pairs).get(n, 0), den
+
+
 def table_theta(table, n, L):
     """The ``z**n`` coefficient of ``phi**L`` from a ``PowerTable``, reduced."""
-    return _exact(*table.theta_scaled(n, L))
+    return _exact(*table_theta_scaled(table, n, L))
 
 
 def table_row(table, L):
@@ -300,7 +309,7 @@ def power_sum_upper_reference(req, table, shift, w, scaled, row, note):
         for L in table.power_range(j):
             if L > L_max:
                 break
-            num, den = table.theta_scaled(j, L)
+            num, den = table_theta_scaled(table, j, L)
             terms.append((0, 1) if num == 0 else term(n, L, num, den))
         if _natural_power_cut(table.phi, j, L_max) and not _decayed(
                 [_as_float(t) for t in terms[-3:]]):

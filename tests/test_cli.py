@@ -767,19 +767,25 @@ _IMPORT_GUARD = textwrap.dedent("""
         return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 
     def run(command, config):
+        if not config.startswith("{"):
+            config = "configs/" + config + ".json"
         with contextlib.redirect_stdout(io.StringIO()):
-            return fpsop.cli.main([command, "--config", "configs/" + config + ".json",
-                                   "--quiet"])
+            return fpsop.cli.main([command, "--config", config, "--quiet"])
 
     assert numerics() == [], numerics()
     for command, config in (
             ("bound", "bound-progression-pair"), ("norm", "norm-two-term"),
             ("product", "product-binomial-kernel"), ("compose", "compose-affine-cube"),
             ("theta", "theta-shifted-square"),
-            ("check-algebra", "check-algebra-inverse-factorial")):
+            ("check-algebra", "check-algebra-inverse-factorial"),
+            # p = 2 with lone columns only: the oracle takes plain floats.
+            ("estimate", "estimate-composition-geometric"),
+            ("estimate", "estimate-substitution-tight")):
         assert run(command, config) == 0, command
         assert numerics() == [], (command, numerics())
-    assert run("estimate", "estimate-substitution-tight") == 0
+    # An E07-shaped diamond multiplier has coupled columns, which need numpy.
+    assert run("estimate", '{"beta": "hardy", "delta": "inverse-factorial", '
+               '"u": {"coeffs": [1, "1/2", "1/5"]}, "truncation": {"degree": 48}}') == 0
     assert numerics() == ["numpy"], numerics()
 """)
 

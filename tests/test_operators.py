@@ -16,6 +16,7 @@ from fpsop.operators import (
     BoundCertificate,
     OperatorMatrix,
     _finite_scaled,
+    _lone_norms,
     _pnorm,
     _power_top,
     apply,
@@ -616,3 +617,160 @@ class TestSearchScalesLargeEntries:
         cert = norm_lower_search(T, beta, 3)
         assert math.isfinite(cert.value)
         assert col.value <= cert.value <= col.value * 41 ** (2 / 3)
+
+
+def _numpy_lone_route(T, beta):
+    """``norm_estimate_l2`` of a matrix of lone columns as the numpy route
+    takes it: the reference for the plain-float route."""
+    A = _finite_scaled(T, beta)
+    with np.errstate(over="ignore"):  # a column norm past float range reads inf
+        value = float(_lone_norms(A, 2.0).max())
+    return BoundCertificate(value, "lower", None, T.n_cols, 0.0, True,
+                            ("iterations=0", f"{A.shape[1]} lone columns taken exactly"))
+
+
+def _lone(T):
+    rows = [row for col in T.columns for row, _ in col]
+    return len(set(rows)) == len(rows)
+
+
+def _l2_outcome(route, T, beta):
+    try:
+        cert = route(T, beta)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return cert.value.hex(), cert.notes, cert.converged, cert.tail_delta.hex()
+
+
+def _assert_routes_agree(T, beta):
+    assert _lone(T)
+    assert _l2_outcome(norm_estimate_l2, T, beta) == _l2_outcome(_numpy_lone_route, T, beta)
+
+
+def _exact_matrix(columns):
+    T = float_matrix(columns)
+    return OperatorMatrix(T.kind, T.n_rows, T.n_cols, T.columns, "exact")
+
+
+_POW_ROUNDED = 0.923854799557242  # x ** 2.0 != x * x under glibc's pow
+_BETAS = ("hardy", "dirichlet", "bergman", 0.4, -150.0)
+
+
+class TestPlainFloatLoneRouteMatchesNumpy:
+    """Every report of an all-lone p = 2 oracle keeps the numpy route's bits."""
+
+    @pytest.mark.parametrize("beta", _BETAS)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_monomial_compositions(self, m, beta):
+        T = build_matrix(None, PolynomialSymbol.monomial(m), ones, m * 40, 40)
+        _assert_routes_agree(T, make_beta(beta))
+
+    @pytest.mark.parametrize("delta", [ones, make_delta("factorial"),
+                                       make_delta("inverse-factorial"),
+                                       make_delta("geometric", Fraction(1, 3))])
+    @pytest.mark.parametrize("shift,stride", [(1, 1), (2, 3), (0, 2)])
+    def test_monomial_substitutions(self, shift, stride, delta):
+        u, phi = TruncatedSeries.monomial(shift), PolynomialSymbol.monomial(stride)
+        T = build_matrix(u, phi, delta, covering_rows(u, phi, 30), 30)
+        for beta in _BETAS:
+            _assert_routes_agree(T, make_beta(beta))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("coeffs,stride", [
+        ([1, Fraction(1, 2)], 3), ([1, Fraction(1, 2), Fraction(1, 5)], 3),
+        ([0, 3, Fraction(-7, 4), Fraction(2, 9)], 5),
+    ])
+    def test_multi_entry_lone_columns(self, coeffs, stride, mode):
+        """``u = 1 + z/2`` with ``phi = z**3``: each column holds ``u``'s
+        terms on rows no other column reaches."""
+        u, phi = TruncatedSeries.from_coeffs(coeffs), PolynomialSymbol.monomial(stride)
+        if mode == "float":
+            u, phi = u.to_float(), PolynomialSymbol.from_coeffs(map(float, phi.alphas))
+        for delta in (ones, make_delta("factorial"), make_delta("inverse-factorial")):
+            T = build_matrix(u, phi, delta, covering_rows(u, phi, 24), 24)
+            assert any(len(col) > 1 for col in T.columns)
+            for beta in _BETAS:
+                _assert_routes_agree(T, make_beta(beta))
+
+    @pytest.mark.parametrize("columns", [
+        [(), (), ()],
+        [(), ((1, 0.0),), ((2, 3.0), (3, 0.0)), ()],
+        [((0, -0.0), (1, 0.0)), ((2, -2.0),)],
+        # subnormal, near 1e300 and past float range after the root
+        [((0, 5e-324),), ((1, 1e-310), (2, 5e-324), (3, -5e-324)), ((4, 4e-320),)],
+        [((0, 1e300), (1, -1.5e300), (2, 1e299)), ((3, 7e299),)],
+        [((0, 1.7e308), (1, -1.7e308))],
+        # rows out of order: the squares still add up by row
+        [((5, 0.3), (2, 1.0), (3, 0.7)), ((0, 0.1), (4, 0.2), (1, 1e-3))],
+        # an entry whose ``** 2.0`` and ``* itself`` differ, and ones where
+        # the difference reaches the norm
+        [((0, 1.0), (1, _POW_ROUNDED))],
+        [((0, 1.0), (1, 0.633541589146366))],
+        [((0, 3.0), (1, 0.9986569026569787 * 3.0))],
+        # squares a compensated sum keeps and a left-to-right one drops
+        [((0, 1.0),) + tuple((k, 1e-8) for k in range(1, 5))],
+    ])
+    @pytest.mark.parametrize("beta", ["hardy", "bergman", -150.0])
+    def test_float_entries(self, columns, beta):
+        _assert_routes_agree(float_matrix(columns), make_beta(beta))
+
+    @pytest.mark.parametrize("columns", [
+        [((0, 1),), ((1, Fraction(1, 3)), (2, Fraction(-5, 7))), ()],
+        [((0, Fraction(10 ** 300, 3)),), ((1, Fraction(1, 10 ** 310)), (2, 1))],
+        [((0, 10 ** 400),), ((1, 1),)],  # beyond float range: non-finite
+    ])
+    def test_exact_entries(self, columns):
+        for beta in ("hardy", "dirichlet", -150.0):
+            _assert_routes_agree(_exact_matrix(columns), make_beta(beta))
+
+    def test_non_finite_entries_fail_with_the_same_text(self):
+        T = float_matrix([((0, 1.0),), ((1, 2.0), (2, 1.0))])
+        beta = WeightSequence(_explicit_fn((1.0, 1e-300, 1e300), "beta"))
+        assert _l2_outcome(norm_estimate_l2, T, beta) == (
+            "error", "operator has non-finite scaled entries")
+        _assert_routes_agree(T, beta)
+
+    @pytest.mark.parametrize("length", range(1, 12))
+    def test_short_weight_lists_fail_at_the_same_index(self, length):
+        """Column ``L`` reads ``w(L)`` before its rows, even when empty."""
+        u, phi = TruncatedSeries.from_coeffs([1, Fraction(1, 2)]), PolynomialSymbol.monomial(3)
+        T = build_matrix(u, phi, ones, 7, 3)
+        beta = make_beta([Fraction(1, k + 1) for k in range(length)])
+        _assert_routes_agree(T, beta)
+        _assert_routes_agree(float_matrix([(), ((5, 1.0),), (), ((9, 2.0),)]), beta)
+
+    @given(_matrices_and_weights())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_lone_matrices(self, case):
+        T, beta = case
+        if _lone(T):
+            _assert_routes_agree(T, beta)
+
+    @given(st.lists(st.lists(st.sampled_from(_ENTRIES + (_POW_ROUNDED, 1e-8, -3.75)),
+                             max_size=5), min_size=1, max_size=12),
+           st.randoms(use_true_random=False),
+           st.sampled_from(["hardy", "dirichlet", "bergman", -150.0, 150.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_lone_columns(self, values, rnd, beta):
+        rows = list(range(sum(map(len, values))))
+        rnd.shuffle(rows)
+        columns, it = [], iter(rows)
+        for col in values:
+            columns.append(tuple((next(it), v) for v in col))
+        _assert_routes_agree(float_matrix(columns), make_beta(beta))
+
+
+class TestLoneRouteSkipsTheScaledArray:
+    def test_only_coupled_columns_build_it(self, monkeypatch):
+        def refuse(self, beta):
+            raise RuntimeError("scaled_array was built")
+
+        monkeypatch.setattr(OperatorMatrix, "scaled_array", refuse)
+        beta = make_beta("dirichlet")
+        u = TruncatedSeries.from_coeffs([1, Fraction(1, 2)])
+        lone = build_matrix(u, PolynomialSymbol.monomial(3), ones, 3 * 20 + 1, 20)
+        assert norm_estimate_l2(lone, beta).notes == ("iterations=0",
+                                                       "21 lone columns taken exactly")
+        coupled = build_matrix(u, None, ones, 21, 20)
+        with pytest.raises(RuntimeError, match="scaled_array was built"):
+            norm_estimate_l2(coupled, beta)
