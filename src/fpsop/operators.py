@@ -6,22 +6,25 @@ symbols scale to large truncations while general polynomial symbols stay
 within a guarded dense budget.  Norm estimates are certified lower bounds:
 truncation can only shrink an operator norm, never inflate it.
 
-Both oracles take the norm of every *lone* column (one that shares no row
-with another column) exactly, and iterate only on the *coupled* columns.
-Monomial compositions and shift/stride substitutions have lone columns only,
-so their estimate is exact at every p and reports ``iterations=0``, as does
-every p = 1 estimate (the largest column sum).
+Both oracles start from one plain-float front (``_lone_front``): it takes
+the norm of every *lone* column (one that shares no row with another column)
+exactly, and the oracles iterate only on the *coupled* columns.  Monomial
+compositions and shift/stride substitutions have lone columns only, so their
+estimate is exact at every p and reports ``iterations=0``, as does every
+p = 1 estimate (the largest column sum).
 
-The p = 2 oracle takes a matrix of lone columns only in plain floats.  The
-other oracles run on ``_CSR``, a sparse matrix in numpy arrays.  numpy is
-imported inside the functions that use it, so importing this module (and the
-exact-arithmetic side of the package) does not load it; the ``np``
+Only the coupled columns at p > 1 run on ``_CSR``, a sparse matrix in numpy
+arrays.  numpy is imported inside the functions that use it, so importing
+this module (and the exact-arithmetic side of the package), and every
+estimate without a coupled column at p > 1, does not load it; the ``np``
 annotations are never evaluated.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 from typing import Optional
 
 from .combinatorics import PowerTable
@@ -125,15 +128,7 @@ class OperatorMatrix(_Frozen):
         Entry ``(n, L)`` is ``w(n) * T[n, L] / w(L)``; p-norm ratios of this
         matrix equal weighted-norm ratios of the operator, for every p.
         """
-        import numpy as np
-
-        columns, data = self.columns, _scaled_entries(self, beta)
-        rows = np.array([row for col in columns for row, _ in col], dtype=np.intp)
-        cols = [L for L, col in enumerate(columns) for _ in col]
-        # A stable sort by row keeps each row's entries in column order.
-        order = rows.argsort(kind="stable")
-        return _CSR(np.array(data, dtype=np.float64)[order],
-                    np.array(cols, dtype=np.intp)[order], rows[order], self.shape)
+        return _csr(self, _scaled_entries(self, beta))
 
 
 def _scaled_entries(T: OperatorMatrix, beta: WeightSequence) -> list[float]:
@@ -143,6 +138,19 @@ def _scaled_entries(T: OperatorMatrix, beta: WeightSequence) -> list[float]:
     exact, wf = T.mode != FLOAT, _ReadOnce(beta.as_float)
     return [(_safe_float(value) if exact else value) * wf[row] / inv
             for L, col in enumerate(T.columns) for inv in (wf[L],) for row, value in col]
+
+
+def _csr(T: OperatorMatrix, data: list[float]) -> _CSR:
+    """The ``_CSR`` of ``T`` with the entries ``data``, in ``_scaled_entries``'
+    order."""
+    import numpy as np
+
+    rows = np.array([row for col in T.columns for row, _ in col], dtype=np.intp)
+    cols = [L for L, col in enumerate(T.columns) for _ in col]
+    # A stable sort by row keeps each row's entries in column order.
+    order = rows.argsort(kind="stable")
+    return _CSR(np.array(data, dtype=np.float64)[order],
+                np.array(cols, dtype=np.intp)[order], rows[order], T.shape)
 
 
 class _CSR:
@@ -280,21 +288,48 @@ def apply(T: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _finite_scaled(T: OperatorMatrix, beta: WeightSequence) -> _CSR:
-    import numpy as np
+def _lone_front(T: OperatorMatrix, beta: WeightSequence, pf: float
+                ) -> tuple[list[float], list[bool], float]:
+    """``(data, coupled, lone)``, in plain floats, for both oracles: ``T``'s
+    scaled entries (``_scaled_entries``), checked finite; which columns are
+    coupled (hold a row that another entry also holds, explicit zeros
+    included; none at p = 1, where the largest column sum is the norm); and
+    the largest p-norm of the other, lone, columns.
 
-    A = T.scaled_array(beta)
-    if A.nnz and not np.isfinite(A.data).all():
+    A one-entry column's norm is ``|v|``.  At p = 1 a column's entries are
+    added in row order by ``+=``.  Otherwise the norm is taken as ``_pnorm``
+    takes a vector: the largest entry times the norm of the column over it,
+    so no sum leaves float range and a root of a sum far from 1 loses no bits
+    to the rounded ``1 / pf`` (71 ulps at 1e68); at p = 2 the squares are
+    ``r * r`` (libm's ``r ** 2`` rounds otherwise), added in row order by
+    ``+=`` (``sum`` compensates since Python 3.12).  A norm past float range
+    reads ``sys.float_info.max``, still below the true norm.
+    """
+    data = _scaled_entries(T, beta)
+    if not all(map(math.isfinite, data)):
         raise ValidationError("operator has non-finite scaled entries")
-    return A
-
-
-def _coupled(A: _CSR) -> np.ndarray:
-    """Mask of the columns of ``A`` that share a row (explicit zeros count)."""
-    import numpy as np
-
-    shared = np.repeat(np.diff(A.indptr) > 1, np.diff(A.indptr))
-    return np.bincount(A.indices[shared], minlength=A.shape[1]) > 0
+    columns = T.columns
+    coupled = [False] * len(columns)
+    rows = [row for col in columns for row, _ in col]
+    if pf != 1.0 and len(set(rows)) != len(rows):
+        counts = Counter(rows)
+        coupled = [any(counts[row] > 1 for row, _ in col) for col in columns]
+    if all(len(col) <= 1 for col in columns) and not any(coupled):
+        return data, coupled, max(map(abs, data), default=0.0)
+    best, end = 0.0, 0
+    for col, shared in zip(columns, coupled):
+        start, end = end, end + len(col)
+        if shared or start == end:
+            continue
+        mags = [abs(v) for _, v in sorted(zip(rows[start:end], data[start:end]),
+                                          key=lambda entry: entry[0])]
+        top, total = max(mags), 0.0
+        for m in mags:
+            r = m / max(top, 5e-324)
+            total += m if pf == 1.0 else r * r if pf == 2.0 else r ** pf
+        best = max(best, total if pf == 1.0 else
+                   top * (math.sqrt(total) if pf == 2.0 else total ** (1.0 / pf)))
+    return data, coupled, min(best, sys.float_info.max)
 
 
 def _power_run(A: _CSR, x: np.ndarray, iter_limit: int, tol: float):
@@ -389,67 +424,34 @@ def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence) -> BoundCertificat
     Independent of the bound evaluators: works directly on the truncated
     matrix.  A *lone* column shares none of its rows with another column, so
     it is a 1x1 block of the normal matrix and its singular value is its own
-    2-norm, taken exactly.  The *coupled* columns (all the others) go through
-    deterministic power iteration with probe restarts (``_power_top``); when
-    every column is coupled the matrix is passed on whole.  The estimate is
-    the larger of the two parts.  Column norms and Rayleigh quotients never
-    exceed the true norm, so the estimate is a certified lower bound.
+    2-norm, which ``_lone_front`` takes exactly, in plain floats.  The
+    *coupled* columns (all the others) go through deterministic power
+    iteration with probe restarts (``_power_top``); when every column is
+    coupled the matrix is passed on whole.  The estimate is the larger of the
+    two parts.  Column norms and Rayleigh quotients never exceed the true
+    norm, so the estimate is a certified lower bound.
 
     ``converged`` and ``tail_delta`` come from the power iteration; the note
     ``iterations=0`` means none ran because every column is lone (weighted
     composition and shift/stride substitution by unit monomials, or the zero
-    matrix), and the value is then exact, taken in plain floats (``_lone_l2``).
+    matrix), and the value is then exact and numpy is not imported.
     """
-    rows = [row for col in T.columns for row, _ in col]
-    if len(set(rows)) == len(rows):
-        return BoundCertificate(_lone_l2(T, beta), "lower", None, T.n_cols, 0.0, True,
-                                ("iterations=0", f"{T.n_cols + 1} lone columns taken exactly"))
-    A = _finite_scaled(T, beta)
-    coupled = _coupled(A)
-    n_lone = int(A.shape[1] - coupled.sum())
+    data, coupled, lone = _lone_front(T, beta, 2.0)
+    n_lone = coupled.count(False)
+    if n_lone == len(coupled):
+        return BoundCertificate(lone, "lower", None, T.n_cols, 0.0, True,
+                                ("iterations=0", f"{n_lone} lone columns taken exactly"))
+    import numpy as np
+
+    A = _csr(T, data)
     sigma, iterations, converged, delta, notes = _power_top(
-        A.take_columns(coupled) if n_lone else A, _L2_ITERATIONS, _L2_TOL)
+        A.take_columns(np.array(coupled)) if n_lone else A, _L2_ITERATIONS, _L2_TOL)
     if n_lone:
-        sigma = max(sigma, float(_lone_norms(A, 2.0)[~coupled].max()))
+        sigma = max(sigma, lone)
         notes.append(f"{n_lone} lone columns taken exactly")
     return BoundCertificate(sigma, "lower", None, T.n_cols, 0.0 if math.isinf(delta) else delta,
                             converged, ("power iteration on the scaled normal matrix",
                                         f"iterations={iterations}", *notes))
-
-
-def _lone_l2(T: OperatorMatrix, beta: WeightSequence) -> float:
-    """``_lone_norms(_finite_scaled(T, beta), 2.0).max()`` bit for bit, without
-    numpy, when every column of ``T`` is lone: squares as ``r * r`` (libm's
-    ``r ** 2`` rounds otherwise), added in row order by ``+=`` (``sum``
-    compensates since Python 3.12).  A one-entry column's norm is ``|v|``."""
-    data = _scaled_entries(T, beta)
-    if not all(map(math.isfinite, data)):
-        raise ValidationError("operator has non-finite scaled entries")
-    if all(len(col) <= 1 for col in T.columns):
-        return max(map(abs, data), default=0.0)
-    best, end = 0.0, 0
-    for col in T.columns:
-        start, end = end, end + len(col)
-        top, total = max(map(abs, data[start:end]), default=0.0), 0.0
-        for _, v in sorted(zip([row for row, _ in col], data[start:end])):
-            r = abs(v) / max(top, 5e-324)
-            total += r * r
-        best = max(best, top * math.sqrt(total))
-    return best
-
-
-def _lone_norms(A: _CSR, pf: float) -> np.ndarray:
-    """Each column's p-norm as ``_pnorm`` takes it, its largest entry (not 0)
-    times the norm of the column over that entry: no sum leaves float range,
-    and a root of a sum far from 1 would lose bits to the rounded ``1 / pf``
-    (71 ulps at 1e68).  For the lone columns of both oracles."""
-    import numpy as np
-
-    mags = abs(A.data)
-    tops = np.zeros(A.shape[1])
-    np.maximum.at(tops, A.indices, mags)
-    powers = (mags / np.maximum(tops, 5e-324)[A.indices]) ** pf
-    return tops * np.bincount(A.indices, powers, A.shape[1]) ** (1.0 / pf)
 
 
 def _pnorm(x: np.ndarray, pf: float) -> float:
@@ -470,36 +472,32 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
     """Best weighted ratio ``norm(T x) / norm(x)`` found within
     ``_SEARCH_BUDGET`` ratio evaluations.
 
-    At p = 1, and when every column is lone (``_coupled``) so that
-    ``norm(A x)**p = sum_L norm(A[:, L])**p |x_L|**p``, the largest column
-    p-norm is the norm (``evaluations=0``).  Otherwise the search runs on the
-    coupled columns alone and reports the larger of its best and the lone columns.
+    At p = 1, and when every column is lone so that ``norm(A x)**p =
+    sum_L norm(A[:, L])**p |x_L|**p``, the largest column p-norm
+    (``_lone_front``, in plain floats) is the norm (``evaluations=0``), and
+    numpy is not imported.  Otherwise the search runs on the coupled columns
+    alone and reports the larger of its best and the lone columns.
     Candidates: every monomial column, dual-scaling fixed-point iterations
     from three fixed dense starts, seeded random sparse vectors, and
     coordinate ascent around the incumbent.  Deterministic for a fixed seed;
     up to rounding, the value never falls below the monomial column bound.
     """
-    import numpy as np
-
     pf = float(p)
     if not math.isfinite(pf) or pf < 1:
         raise ValidationError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
-    A = _finite_scaled(T, beta)
+    data, coupled, lone = _lone_front(T, beta, pf)
+    if not any(coupled):
+        return BoundCertificate(lone, "lower", None, T.n_cols, 0.0, True,
+                                ("largest column norm", "evaluations=0"))
+    import numpy as np
+
     # |entries|**p and the dual iterates, up to (top * nnz)**max(p, q), could
     # leave float range: then A is scaled by a power of two, which is exact.
-    top = float(np.abs(A.data).max(initial=0.0))
-    worst = max(pf, pf / (pf - 1.0)) if pf > 1.0 else 1.0
-    exp2 = math.frexp(top)[1] if top * A.nnz > 2.0 ** (1000 / worst) else 0
+    top = max(map(abs, data))
+    exp2 = math.frexp(top)[1] if top * len(data) > 2.0 ** (1000 / max(pf, pf / (pf - 1.0))) else 0
+    A = _csr(T, data).take_columns(np.array(coupled))
     A = A * math.ldexp(1.0, -exp2) if exp2 else A
     col_norms = np.array([total ** (1.0 / pf) for total in A.column_power_sums(pf)])
-    coupled = _coupled(A)
-    if pf != 1.0 and not coupled.all():
-        col_norms = np.where(coupled, col_norms, _lone_norms(A, pf))
-    if pf == 1.0 or not coupled.any():
-        return BoundCertificate(math.ldexp(float(col_norms.max()), exp2), "lower", None, T.n_cols,
-                                0.0, True, ("largest column norm", "evaluations=0"))
-    lone_best = float(col_norms[~coupled].max(initial=0.0))
-    A, col_norms = A.take_columns(coupled), col_norms[coupled]
     cols = A.shape[1]
     evals = 0
     product = None  # A @ x of the last ratio evaluated
@@ -585,7 +583,7 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
 
     gain = math.ldexp(last_gain, exp2)
     return BoundCertificate(
-        value=math.ldexp(max(best, lone_best), exp2), kind="lower", attained_at=None,
+        value=max(math.ldexp(best, exp2), lone), kind="lower", attained_at=None,
         truncation_degree=T.n_cols, tail_delta=gain, converged=gain <= _SEARCH_TOL,
         notes=("randomized lower-bound search", f"evaluations={evals}", f"seed={seed}"),
     )

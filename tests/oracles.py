@@ -12,7 +12,10 @@ per-term routes on the package's own ``_pair`` and ``_q_pairs``, which
 ``test_criteria.py`` pins against ``ratio_reference`` and
 ``q_aggregate_reference``; ``scaled_array_reference`` reads the package's
 weights; ``csr_toarray`` is the dense view of the package's ``_CSR``, kept
-here since only tests read it.
+here since only tests read it; ``finite_scaled_reference`` and
+``lone_norms_reference`` are the numpy route to the lone-column norms on the
+package's ``scaled_array``, the reference for the plain-float front that
+replaced it.
 """
 
 from __future__ import annotations
@@ -390,3 +393,32 @@ def csr_toarray(A):
     out = np.zeros(A.shape)
     out[A.row, A.indices] += A.data
     return out
+
+
+def finite_scaled_reference(T, beta):
+    """``T.scaled_array(beta)``, refused as the oracles refuse it when an
+    entry is not finite."""
+    import numpy as np
+
+    A = T.scaled_array(beta)
+    if A.nnz and not np.isfinite(A.data).all():
+        raise ValidationError("operator has non-finite scaled entries")
+    return A
+
+
+def lone_norms_reference(A, pf):
+    """Each column's p-norm of an ``operators._CSR`` matrix, as numpy took
+    the lone columns: at p != 1 its largest entry (not 0) times the norm of
+    the column over that entry; at p = 1 the plain sum.  ``np.bincount``
+    adds each column's terms in row order from 0.0.  (The search once took
+    its p = 1 sums by ``np.sum``, which pairs terms from the eighth on and so
+    can differ from these in the last bit on longer columns.)"""
+    import numpy as np
+
+    mags = abs(A.data)
+    if pf == 1.0:
+        return np.bincount(A.indices, mags, A.shape[1])
+    tops = np.zeros(A.shape[1])
+    np.maximum.at(tops, A.indices, mags)
+    powers = (mags / np.maximum(tops, 5e-324)[A.indices]) ** pf
+    return tops * np.bincount(A.indices, powers, A.shape[1]) ** (1.0 / pf)

@@ -778,12 +778,16 @@ _IMPORT_GUARD = textwrap.dedent("""
             ("product", "product-binomial-kernel"), ("compose", "compose-affine-cube"),
             ("theta", "theta-shifted-square"),
             ("check-algebra", "check-algebra-inverse-factorial"),
-            # p = 2 with lone columns only: the oracle takes plain floats.
+            # Lone columns only, or p = 1: the oracle takes plain floats.
             ("estimate", "estimate-composition-geometric"),
-            ("estimate", "estimate-substitution-tight")):
+            ("estimate", "estimate-substitution-tight"),
+            ("estimate", '{"p": 3, "beta": "bergman", "phi": {"monomial": 2}, "seed": 7, '
+                         '"truncation": {"degree": 64}}'),
+            ("estimate", '{"p": 1, "beta": "hardy", "delta": "inverse-factorial", '
+                         '"u": {"coeffs": [1, "1/2", "1/5"]}, "truncation": {"degree": 48}}')):
         assert run(command, config) == 0, command
         assert numerics() == [], (command, numerics())
-    # An E07-shaped diamond multiplier has coupled columns, which need numpy.
+    # An E07-shaped diamond multiplier has coupled columns, which need numpy at p = 2.
     assert run("estimate", '{"beta": "hardy", "delta": "inverse-factorial", '
                '"u": {"coeffs": [1, "1/2", "1/5"]}, "truncation": {"degree": 48}}') == 0
     assert numerics() == ["numpy"], numerics()
