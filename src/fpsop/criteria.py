@@ -11,7 +11,8 @@ that has not settled, ``converged=False``.  All of that is :func:`_certify`;
 the evaluators only supply one contribution per outer index, through three
 shared scan shapes or, for ``thm21`` and ``cor26``, as plain weight-ratio
 lists.  The column-ratio lowers, ``estimate``'s among them, share one scan,
-:func:`_column_lower`.
+:func:`_column_lower`.  ``thm22`` is ``thm25`` at shift 0 (``C_phi`` is
+``z**0 ◇ C_phi``): both run :func:`_power_bounds`.
 """
 
 from __future__ import annotations
@@ -185,6 +186,11 @@ def _pair(nums: Sequence, dens: Sequence, divisor: int = 1):
     times the float scale.  The scans keep pairs unreduced and reduce once
     per row or certificate (Knuth, TAOCP vol. 2, 4.5.1).
     """
+    return _pair_of(*_pair_parts(nums, dens, divisor))
+
+
+def _pair_parts(nums: Sequence, dens: Sequence, divisor: int = 1) -> tuple:
+    """:func:`_pair`'s integer pair and float products ``(en, ed, num, den)``."""
     en, ed = 1, divisor
     num, den = 1.0, 1.0
     for v in nums:
@@ -209,12 +215,15 @@ def _pair(nums: Sequence, dens: Sequence, divisor: int = 1):
             ed *= v.numerator
         else:
             den *= _safe_float(v)
+    return en, ed, num, den
+
+
+def _pair_of(en: int, ed: int, num: float, den: float):
     if num == 1.0 and den == 1.0:
         return en, ed
     if den == 0.0 or (math.isinf(num) and math.isinf(den)):
         raise ValidationError(
-            "ratio of weights is numerically indeterminate; use exact weight lists"
-        )
+            "ratio of weights is numerically indeterminate; use exact weight lists")
     scale = num / den
     if math.isinf(scale):
         return math.inf if en > 0 else 0.0
@@ -490,48 +499,39 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
 
 
 def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _ReadOnce,
-                     scaled: bool, row: Callable, note: str) -> BoundCertificate:
+                     row: Callable, note: str) -> BoundCertificate:
     """The p-summed bound: row ``n >= shift`` contributes ``row(n, j, agg)``,
-    ``agg`` the q-aggregate of ``|theta(j, L)| w(n) / w(L)`` (no ``w(n)``
-    unless ``scaled``), ``j = n - shift``, reading the weights ``w`` in the
-    per-term order: ``w(n)``, then ``w(L)`` for each nonzero ``theta``.
+    ``agg`` the q-aggregate of ``|theta(j, L)| / w(L)``, ``j = n - shift``,
+    reading ``w(L)`` once per nonzero ``theta``, in the per-term order.
 
     Float rows over plain float weights are built inline, by the operations
     :func:`_pair` does, and summed by one ``fsum`` (p = 1: the max).  Exact
     rows over rational weights, ``q`` whole, take the :func:`_pair_aggregate`
     sum of ``|num|**q`` times the pair ``(w(L).den, den w(L).num)**q`` of each
-    power, times ``w(n)**q``, reduced once.  Other rows, and float rows with a
-    term of 1.0 (maybe an exact pair), an aggregate outside ``(0, inf)`` or an
-    overflow, take the per-term ``_pair`` route."""
+    power, passed unreduced for ``row`` to reduce once.  Other rows, and float
+    rows with a term of 1.0 (maybe an exact pair), an aggregate outside
+    ``(0, inf)`` or an overflow, take the per-term ``_pair`` route."""
     space, L_max = req.space, req.power_limit
     qe = None if space.sup_mode else _exponent(space.q)
     qf = None if qe is None else float(qe)
     float_rows = table.phi.mode == FLOAT
     powered: dict = {}
-
-    def term(n, L, num, den):
-        return _pair([abs(num), w[n]] if scaled else [abs(num)], [w[L]], den)
-
     inner_ok = True
     rows = [None] * min(shift, space.truncation_degree + 1)
     for n in range(shift, space.truncation_degree + 1):
         j = n - shift
         entries = table.column_scaled(j, L_max)
         nz = [e for e in entries if e[1]]
-        wn = (w[n] if scaled else 1) if nz else None
-        ws = [w[L] for L, _, _ in nz]
         agg = terms = None
-        if float_rows and nz and (not scaled or type(wn) is float) and all(
-                type(v) is float for v in ws):
-            wn = float(wn)
+        if float_rows and nz and all(type(w[L]) is float for L, _, _ in nz):
             try:
-                terms = [abs(x) * wn / w[L] if x else 0.0 for L, x, _ in entries]
+                terms = [abs(x) / w[L] if x else 0.0 for L, x, _ in entries]
                 agg = max(terms) if qe is None else math.fsum([t ** qf for t in terms])
             except OverflowError:
                 pass
             if agg is not None and not (0.0 < agg < math.inf and 1.0 not in terms):
                 agg = terms = None
-        elif not float_rows and nz and type(qe) is int and isinstance(wn, Rational):
+        elif not float_rows and nz and type(qe) is int:
             pairs = []
             for L, x, den in nz:
                 pw = powered.get(L)
@@ -541,14 +541,13 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _R
                     pw = powered[L] = (w[L].denominator ** qe, (den * w[L].numerator) ** qe)
                 pairs.append((abs(x) ** qe * pw[0], pw[1]))
             else:
-                num, den = _pair_aggregate(pairs, True)
-                agg = _reduced(num * wn.numerator ** qe, den * wn.denominator ** qe)
+                agg = _pair_aggregate(pairs, True)
         if agg is None:
-            terms = [(0, 1) if x == 0 else term(n, L, x, den) for L, x, den in entries]
+            terms = [(0, 1) if x == 0 else _pair([abs(x)], [w[L]], den) for L, x, den in entries]
             agg = _q_pairs(terms, qe)
         if _natural_power_cut(table.phi, j, L_max):
             last3 = terms[-3:] if terms is not None else [
-                term(n, L, x, den) if x else 0.0 for L, x, den in entries[-3:]]
+                _pair([abs(x)], [w[L]], den) if x else 0.0 for L, x, den in entries[-3:]]
             inner_ok = inner_ok and _decayed([_as_float(t) for t in last3])
         rows.append(row(n, j, agg))
     return _certify(
@@ -631,8 +630,7 @@ def composition_norm_monomial(req: CriterionRequest) -> BoundCertificate:
     m = _operand(req.phi, "symbol degree (stride)")
     if m == 0:
         raise ValidationError(
-            "constant symbol: use composition_bounds_polynomial with degree 0"
-        )
+            "constant symbol: use composition_bounds_polynomial with degree 0")
     beta, space = req.beta, req.space
     return _certify(
         _ratios([(1, beta.value(n * m), 1, 1, beta.value(n))
@@ -642,35 +640,80 @@ def composition_norm_monomial(req: CriterionRequest) -> BoundCertificate:
     )
 
 
+def _power_bounds(req: CriterionRequest, shift: int
+                  ) -> tuple[BoundCertificate, BoundCertificate]:
+    """Bounds for ``z**shift ◇ C_phi`` with a polynomial symbol ``phi``.
+
+    Upper: p-summed kernels ``d(n) w(n) / (d(shift) d(j))``, ``j = n - shift``,
+    times q-aggregated power coefficients.  Lower: best per-power column
+    ratio of the shifted coefficient rows.  At shift 0 the multiplier
+    ``z**0`` is the diamond unit, every kernel is 1 and no delta is read.
+    """
+    space, N = req.space, req.space.truncation_degree
+    table = _build_table(_operand(req.phi), degree_bound=max(N - shift, 0),
+                         max_power=max(req.power_limit, N))
+    pe = _exponent(space.p)
+    e = pe if space.sup_mode else _exponent(space.p, space.q)
+    d, w = _ReadOnce(req.delta.value if shift else lambda n: 1), _ReadOnce(req.beta.value)
+    pf, qf = float(pe), None if space.sup_mode else float(space.q)
+    kernel = _ReadOnce(lambda j: _pair_parts([d[j + shift], w[j + shift]], [d[shift], d[j]]))
+
+    def split_row(n, j):
+        """``row(n, j, agg)`` from the kernel's and the terms' mantissas and
+        powers of two, for a row where ``kern**p`` or ``agg`` leaves the
+        normal float range though the row itself may not."""
+        km, ke = _split([d[n], w[n]], [d[shift], d[j]])
+        terms = [_split([abs(x)], [den, w[L]])
+                 for L, x, den in table.column_scaled(j, req.power_limit) if x]
+        if not terms:
+            return 0
+        top = max(te for _, te in terms)
+        ts = [tm * 2.0 ** (te - top) for tm, te in terms]
+        s = max(ts) if qf is None else math.fsum([t ** qf for t in ts]) ** (1 / qf)
+        ex = pf * (ke + top)
+        whole = math.floor(ex)
+        try:
+            return math.ldexp((km * s) ** pf * 2.0 ** (ex - whole), whole)
+        except OverflowError:
+            return math.inf
+
+    def row(n, j, agg):
+        kern = _pair_of(*kernel[j])
+        if type(agg) is tuple:
+            if type(kern) is tuple and type(e) is int:  # the kernel folded in, reduced once
+                return _reduced(kern[0] ** pe * agg[0] ** e, kern[1] ** pe * agg[1] ** e)
+            agg = _reduced(*agg)
+        if agg == 0 and type(agg) is not float:
+            return 0
+        try:
+            kp, ap = _pow(kern, pe), _pow(agg, e)
+            out = kp * ap
+        except OverflowError:  # an exact kernel power beyond float range times a float
+            return split_row(n, j)
+        if type(out) is not float or (
+                _TINY <= out < math.inf and _TINY <= kp and _TINY <= ap and _TINY <= agg):
+            return out
+        return split_row(n, j)  # a float factor lost its precision or its range
+
+    upper_cert = _power_sum_upper(
+        req, table, shift, w, row=row, note="shifted power-coefficient sum bound")
+
+    def column(l):  # kern(j) |x| / den: the kernel's parts times |x|, as one _pair takes it
+        pairs, den = table.row_nonzeros_scaled(l)
+        return [(_as_float(_pair_of(en * abs(x), ed * den, num, fden) if type(x) is int
+                           else _pair_of(en, ed * den, num * abs(x), fden)), 1.0)
+                for j, x in pairs for en, ed, num, fden in (kernel[j],)]
+
+    lower_cert = _column_lower(req, column, "shifted monomial-image ratios")
+    return upper_cert, lower_cert
+
+
 def composition_bounds_polynomial(req: CriterionRequest
                                   ) -> tuple[BoundCertificate, BoundCertificate]:
-    """Upper and lower norm bounds for composition with a polynomial symbol.
-
-    Upper: the p-summed, q-aggregated power-coefficient bound.  Lower: the
-    best monomial image ratio ``norm(C z**n) / w(n)`` with rows truncated at
-    the same degree, so it agrees exactly with the shifted variant at
-    shift 0.
-    """
-    phi = _operand(req.phi)
-    beta, space = req.beta, req.space
-    N = space.truncation_degree
-    p = space.p
-    table = _build_table(phi, degree_bound=N, max_power=max(req.power_limit, N))
-    # At p = 1 only an int p keeps the rows exact; a Fraction p is taken as float.
-    e = (p if isinstance(p, int) else float(p)) if space.sup_mode else _exponent(p, space.q)
-    wf = _ReadOnce(beta.as_float)
-    upper_cert = _power_sum_upper(
-        req, table, 0, _ReadOnce(beta.value), True,
-        row=lambda n, j, agg: _pow(agg, e), note="power-coefficient sum bound",
-    )
-
-    def column(n):
-        pairs, den = table.row_nonzeros_scaled(n)
-        return [(x if den == 1 else _as_float((x, den)), wf[j]) for j, x in pairs]
-
-    lower_cert = _column_lower(
-        req, column, "monomial image ratios, rows truncated at the scan degree", wf)
-    return upper_cert, lower_cert
+    """Bounds for composition with a polynomial symbol: the shifted power-sum
+    bounds of :func:`_power_bounds` at shift 0, where ``z**0`` is the diamond
+    unit, so every kernel is 1 and no delta is read."""
+    return _power_bounds(req, 0)
 
 
 def substitution_bounds_monomial_symbol(req: CriterionRequest
@@ -719,67 +762,9 @@ def multiplier_algebra_bound(req: CriterionRequest) -> BoundCertificate:
 
 def substitution_bounds_monomial_multiplier(req: CriterionRequest
                                             ) -> tuple[BoundCertificate, BoundCertificate]:
-    """Bounds for a unit-monomial multiplier with a polynomial symbol.
-
-    Upper: p-summed kernel factors times q-aggregated power coefficients.
-    Lower: best per-power column ratio of the shifted coefficient rows.
-    """
-    shift = _operand(req.u, "multiplier degree (shift)")
-    phi = _operand(req.phi)
-    beta, delta, space = req.beta, req.delta, req.space
-    N = space.truncation_degree
-    p = space.p
-    table = _build_table(phi, degree_bound=max(N - shift, 0),
-                         max_power=max(req.power_limit, N))
-    pe = _exponent(p)
-    e = pe if space.sup_mode else _exponent(p, space.q)
-
-    d, w = _ReadOnce(delta.value), _ReadOnce(beta.value)
-    pf, qf = float(pe), None if space.sup_mode else float(space.q)
-
-    def split_row(n, j):
-        """``row(n, j, agg)`` from the kernel's and the terms' mantissas and
-        powers of two, for a row where ``kern**p`` or ``agg`` leaves the
-        normal float range though the row itself may not."""
-        km, ke = _split([d[n], w[n]], [d[shift], d[j]])
-        terms = [_split([abs(x)], [den, w[L]])
-                 for L, x, den in table.column_scaled(j, req.power_limit) if x]
-        if not terms:
-            return 0
-        top = max(te for _, te in terms)
-        ts = [tm * 2.0 ** (te - top) for tm, te in terms]
-        s = max(ts) if qf is None else math.fsum([t ** qf for t in ts]) ** (1 / qf)
-        ex = pf * (ke + top)
-        whole = math.floor(ex)
-        try:
-            return math.ldexp((km * s) ** pf * 2.0 ** (ex - whole), whole)
-        except OverflowError:
-            return math.inf
-
-    def row(n, j, agg):
-        kern = _pair([d[n], w[n]], [d[shift], d[j]])
-        if agg == 0 and type(agg) is not float:
-            return 0
-        try:
-            kp, ap = _pow(kern, pe), _pow(agg, e)
-            out = kp * ap
-        except OverflowError:  # an exact kernel power beyond float range times a float
-            return split_row(n, j)
-        if type(out) is not float or (
-                _TINY <= out < math.inf and _TINY <= kp and _TINY <= ap and _TINY <= agg):
-            return out
-        return split_row(n, j)  # a float factor lost its precision or its range
-
-    upper_cert = _power_sum_upper(
-        req, table, shift, w, False, row=row, note="shifted power-coefficient sum bound")
-
-    def column(l):
-        pairs, den = table.row_nonzeros_scaled(l)
-        return [(_as_float(_pair([d[j + shift], w[j + shift], abs(x)], [d[shift], d[j]], den)),
-                 1.0) for j, x in pairs]
-
-    lower_cert = _column_lower(req, column, "shifted monomial-image ratios")
-    return upper_cert, lower_cert
+    """Bounds for a unit-monomial multiplier ``u = z**shift`` with a
+    polynomial symbol: the shifted power-sum bounds of :func:`_power_bounds`."""
+    return _power_bounds(req, _operand(req.u, "multiplier degree (shift)"))
 
 
 def substitution_bounds_monomial_pair(req: CriterionRequest

@@ -332,6 +332,11 @@ def _lone_front(T: OperatorMatrix, beta: WeightSequence, pf: float
     return data, coupled, min(best, sys.float_info.max)
 
 
+def _ldexp(x: float, exp2: int) -> float:
+    """``x * 2**exp2``, ``sys.float_info.max`` past float range (a lower stays one)."""
+    return math.ldexp(x, exp2) if math.frexp(x)[1] + exp2 <= 1024 else sys.float_info.max
+
+
 def _power_run(A: _CSR, x: np.ndarray, iter_limit: int, tol: float):
     """Power iteration on the normal matrix from a given start vector.
 
@@ -415,7 +420,7 @@ def _power_top(A: _CSR, iter_limit: int, tol: float):
                 sigma, converged, delta = r_sigma, r_conv, r_delta
                 if "restarted from a dominating probe start" not in notes:
                     notes.append("restarted from a dominating probe start")
-    return math.ldexp(sigma, exp2), total_iters, converged, math.ldexp(delta, exp2), notes
+    return _ldexp(sigma, exp2), total_iters, converged, _ldexp(delta, exp2), notes
 
 
 def norm_estimate_l2(T: OperatorMatrix, beta: WeightSequence) -> BoundCertificate:
@@ -581,9 +586,9 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
         if not improved:
             step /= 2.0
 
-    gain = math.ldexp(last_gain, exp2)
+    gain = _ldexp(last_gain, exp2)
     return BoundCertificate(
-        value=max(math.ldexp(best, exp2), lone), kind="lower", attained_at=None,
+        value=max(_ldexp(best, exp2), lone), kind="lower", attained_at=None,
         truncation_degree=T.n_cols, tail_delta=gain, converged=gain <= _SEARCH_TOL,
         notes=("randomized lower-bound search", f"evaluations={evals}", f"seed={seed}"),
     )

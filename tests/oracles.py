@@ -294,13 +294,13 @@ def table_row(table, L):
     return tuple(out)
 
 
-def power_sum_upper_reference(req, table, shift, w, scaled, row, note):
+def power_sum_upper_reference(req, table, shift, w, row, note):
     """``criteria._power_sum_upper`` as it built each term through ``_pair``,
     reading ``theta`` term by term, and each row through ``_q_pairs``: kept
     verbatim behind the current signature, it is the reference for the
     inline float rows and the powered exact rows."""
     def term(n, L, num, den):
-        return _pair([abs(num), w[n]] if scaled else [abs(num)], [w[L]], den)
+        return _pair([abs(num)], [w[L]], den)
 
     space, L_max = req.space, req.power_limit
     qe = None if space.sup_mode else _exponent(space.q)

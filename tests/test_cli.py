@@ -437,6 +437,16 @@ class TestBeyondFloatRange:
         assert math.isfinite(estimate)
         assert named["monomial-column-lower"] <= estimate <= named["multiplier-algebra-upper"]
 
+    def test_estimate_with_a_coupled_norm_past_float_range(self, capsys):
+        """Every column of the constant symbol's matrix sits in row 0, so the
+        block is coupled; its norm passes float range though its entries do
+        not, and the p = 3 search reports the largest float."""
+        code, out = run_main(capsys, "estimate", "--quiet", "--config",
+                             '{"p": 3, "beta": {"power": -136.5}, "phi": {"monomial": 0},'
+                             ' "truncation": {"degree": 180}}')
+        assert code == 0
+        assert json.loads(out)["oracle"]["estimate"] == sys.float_info.max
+
 
     @pytest.mark.parametrize("f, g", [
         ("[1e308, 1e308]", "[1.0, 1.0]"),      # fsum's intermediate overflow
@@ -507,7 +517,7 @@ class TestSizeGuard:
         code, out = run_main(capsys, "estimate", "--quiet", "--config", config % 3000)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d08784fa0abd63fa4c22779c6f4b4afe222fb2a8ee6ef897ec0650878ee49042")
+            "8580f4b5adfe1a336baf4cc2d99ec27b80c006ef3814ca34944b30f8ba4927c0")
 
     def test_thm25_power_table(self, capsys):
         self.assert_guarded(capsys, "bound", "--theorem", "thm25", "--config",
@@ -543,6 +553,14 @@ class TestExplicitWeightLists:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"fpsop: error: {message}\n"
+
+    def test_thm22_reads_no_delta(self, capsys):
+        """``C_phi`` is ``z**0 ◇ C_phi``, whose kernel is 1: a delta list of
+        two entries, far short of degree 10, is never read."""
+        config = ('{"delta": {"values": [1, 2]}, "phi": {"coeffs": [0, "1/2", "1/2"]},'
+                  ' "truncation": {"degree": 10}}')
+        assert main(["bound", "--theorem", "thm22", "--quiet", "--config", config]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("config, message", [
         ('{"delta": {"values": [1, 1, 1]}, "f": {"coeffs": [1, 1]},'

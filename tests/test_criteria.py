@@ -799,25 +799,27 @@ class TestPowerSumRowsMatchPerTermReference:
     it replaced."""
 
     @staticmethod
-    def _run(upper, req, table, shift, scaled):
+    def _run(upper, req, table, shift):
         w, aggs = _ReadOnce(req.beta.value), []
 
         def row(n, j, agg):
+            # An exact row comes as its unreduced pair, for ``row`` to reduce.
+            agg = criteria._reduced(*agg) if type(agg) is tuple else agg
             aggs.append(agg)
             return agg
 
         try:
-            cert = _cert_fields(upper(req, table, shift, w, scaled, row, ""))
+            cert = _cert_fields(upper(req, table, shift, w, row, ""))
         except ValidationError as exc:
             cert = ("error", str(exc))
         return [_typed(a) for a in aggs], list(w), cert
 
-    @given(_power_sum_cases(), st.booleans())
+    @given(_power_sum_cases())
     @settings(max_examples=300, deadline=None)
-    def test_rows_reads_and_certificate_equal_the_reference(self, case, scaled):
+    def test_rows_reads_and_certificate_equal_the_reference(self, case):
         req, table, shift = case
-        got = self._run(criteria._power_sum_upper, req, table, shift, scaled)
-        want = self._run(power_sum_upper_reference, req, table, shift, scaled)
+        got = self._run(criteria._power_sum_upper, req, table, shift)
+        want = self._run(power_sum_upper_reference, req, table, shift)
         assert got == want
 
     @given(_power_sum_cases())
@@ -839,15 +841,50 @@ class TestPowerSumRowsMatchPerTermReference:
             assert outcomes[0] == outcomes[1]
 
     def test_rows_of_underflowing_terms_keep_the_exact_zero(self):
-        """On odd degrees every term of ``(1e-300 z + z**2 / 2)**L`` times
-        ``w(n) / w(L)`` of the power law -150 is 0.0 or an exact zero pair:
-        the inline row reads 0.0, and its per-term route gives the exact 0."""
+        """On odd degrees every term of ``(1e-300 z + z**2 / 2)**L`` over
+        ``w(L)`` of the power law 150 is 0.0 or an exact zero pair: the
+        inline row reads 0.0, and its per-term route gives the exact 0."""
         phi = PolynomialSymbol.from_coeffs([0.0, 1e-300, 0.5])
-        req = request(make_beta(-150.0), ones, degree=11, phi=phi)
+        req = request(make_beta(150.0), ones, degree=11, phi=phi)
         table = criteria._build_table(phi, degree_bound=11, max_power=11)
-        got = self._run(criteria._power_sum_upper, req, table, 0, True)
-        assert got == self._run(power_sum_upper_reference, req, table, 0, True)
+        got = self._run(criteria._power_sum_upper, req, table, 0)
+        assert got == self._run(power_sum_upper_reference, req, table, 0)
         assert got[0][9] == (int, 0)
+
+
+class TestThm22IsThm25AtShiftZero:
+    """``C_phi`` is ``z**0 ◇ C_phi``: ``thm22`` is the shifted power-sum
+    bound at shift 0, reads no delta (the kernel is 1) and ignores ``u``."""
+
+    @staticmethod
+    def _outcome(evaluate, req):
+        try:
+            return [_cert_fields(c) for c in evaluate(req)]
+        except ValidationError as exc:
+            return ("error", str(exc))
+
+    @given(_power_sum_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_thm22_equals_thm25_at_the_unit_monomial(self, case):
+        req = case[0]
+        unit = CriterionRequest(beta=req.beta, delta=req.delta, space=req.space, phi=req.phi,
+                                u=TruncatedSeries.monomial(0),
+                                inner_power_limit=req.inner_power_limit)
+        assert self._outcome(composition_bounds_polynomial, req) == self._outcome(
+            substitution_bounds_monomial_multiplier, unit)
+
+    @pytest.mark.parametrize("shift", [2, 3])
+    def test_thm22_ignores_a_unit_monomial_u(self, shift):
+        """The data of seed-11 draw 680 of ``tests/configgen.py`` (``u = z**3``):
+        ``thm25`` with ``u = z**2`` or ``z**3`` reads above 1e70, ``thm22`` ``C_phi``."""
+        space = SpaceConfig(p=3, truncation_degree=13, tail_window=4)
+        kw = dict(beta=make_beta(150.0), delta=ones, space=space,
+                  phi=PolynomialSymbol.from_coeffs([0.125, 0.5]))
+        plain = self._outcome(composition_bounds_polynomial, CriterionRequest(**kw))
+        with_u = CriterionRequest(u=TruncatedSeries.monomial(shift), **kw)
+        assert self._outcome(composition_bounds_polynomial, with_u) == plain
+        assert float.fromhex(plain[0][0]) == 1.0455159171493411
+        assert substitution_bounds_monomial_multiplier(with_u)[0].value > 1e70
 
 
 @st.composite

@@ -760,6 +760,16 @@ class TestPlainFloatLoneRouteMatchesNumpy:
             assert cert.value == sys.float_info.max and cert.converged
         _assert_routes_agree(T, beta)
 
+    def test_a_coupled_norm_past_float_range_reads_the_largest_float(self):
+        """Both columns hold rows 0 and 1, so the block is coupled, and its
+        norm, about ``sqrt(2) * 1.7e308``, passes float range: both oracles
+        scale their result back to ``sys.float_info.max``, as the lone
+        columns do, instead of raising from ``math.ldexp``."""
+        T = float_matrix([((0, 1.7e308), (1, 1.0)), ((0, 1.7e308), (1, -1.0))])
+        beta = make_beta("hardy")
+        for cert in (norm_estimate_l2(T, beta), norm_lower_search(T, beta, 3)):
+            assert cert.value == sys.float_info.max
+
     @pytest.mark.parametrize("columns", [
         [((0, 1),), ((1, Fraction(1, 3)), (2, Fraction(-5, 7))), ()],
         [((0, Fraction(10 ** 300, 3)),), ((1, Fraction(1, 10 ** 310)), (2, 1))],
