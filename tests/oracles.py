@@ -7,8 +7,9 @@ borrow only their error types).  The exceptions are the routes kept verbatim
 from the package as bit-for-bit references for the code that replaced them:
 ``q_aggregate_reference`` aggregates reduced values with the package's own
 ``_pow`` and ``_exact_or_fsum``; ``kernel_rows_reference``,
-``power_sum_upper_reference`` and the two ratio-list references keep their
-per-term routes on the package's own ``_pair`` and ``_q_pairs``, which
+``power_sum_upper_reference``, ``shifted_lower_reference`` and the two
+ratio-list references keep their per-term routes on the package's own
+``_pair``, ``_q_pairs`` and ``_column_lower``, which
 ``test_criteria.py`` pins against ``ratio_reference`` and
 ``q_aggregate_reference``; ``scaled_array_reference`` reads the package's
 weights; ``csr_toarray`` is the dense view of the package's ``_CSR``, kept
@@ -27,8 +28,9 @@ from numbers import Rational
 
 from fpsop.cli import ConfigError
 from fpsop.combinatorics import stride_offsets
-from fpsop.criteria import (_as_float, _certify, _decayed, _exact_or_fsum, _exponent,
-                            _natural_power_cut, _pair, _pow, _q_pairs)
+from fpsop.criteria import (_as_float, _build_table, _certify, _column_lower, _decayed,
+                            _exact_or_fsum, _exponent, _natural_power_cut, _pair, _pow,
+                            _q_pairs)
 from fpsop.series import _exact
 from fpsop.weights import ValidationError, _ReadOnce, _safe_float
 
@@ -323,6 +325,24 @@ def power_sum_upper_reference(req, table, shift, w, row, note):
         outer_exponent=_exponent(1, space.p), inner_ok=inner_ok, q_sup=space.sup_mode,
         notes=(note,),
     )
+
+
+def shifted_lower_reference(req, shift):
+    """The lower of ``z**shift ◇ C_phi`` as ``thm25`` built it, one ``_pair``
+    per column term, delta read as ones at shift 0: the reference for the
+    kernel read once per degree."""
+    N = req.space.truncation_degree
+    table = _build_table(req.phi, degree_bound=max(N - shift, 0),
+                         max_power=max(req.power_limit, N))
+    d = _ReadOnce(req.delta.value if shift else lambda n: 1)
+    w = _ReadOnce(req.beta.value)
+
+    def column(l):
+        pairs, den = table.row_nonzeros_scaled(l)
+        return [(_as_float(_pair([d[j + shift], w[j + shift], abs(x)], [d[shift], d[j]], den)),
+                 1.0) for j, x in pairs]
+
+    return _column_lower(req, column, "shifted monomial-image ratios")
 
 
 def thm21_ratios_reference(beta, m, degree):

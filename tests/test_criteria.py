@@ -35,7 +35,7 @@ from fpsop.weights import (DeltaSequence, SpaceConfig, ValidationError, WeightSe
 
 from oracles import (cor26_ratios_reference, kernel_rows_reference, power_sum_upper_reference,
                      q_aggregate_reference, rand_symbol_coeffs, ratio_reference,
-                     thm21_ratios_reference)
+                     shifted_lower_reference, thm21_ratios_reference)
 
 ones = make_delta("ones")
 hardy = make_beta("hardy")
@@ -839,6 +839,23 @@ class TestPowerSumRowsMatchPerTermReference:
                     except ValidationError as exc:
                         outcomes.append(("error", str(exc)))
             assert outcomes[0] == outcomes[1]
+
+    @given(_power_sum_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_lowers_equal_the_per_term_reference(self, case):
+        """The column terms multiply ``|x|`` into the kernel's ``_pair_parts``,
+        read once per degree: each lower has the bits of one ``_pair`` per term."""
+        req, _, shift = case
+        u_req = CriterionRequest(beta=req.beta, delta=req.delta, space=req.space, phi=req.phi,
+                                 u=TruncatedSeries.monomial(shift),
+                                 inner_power_limit=req.inner_power_limit)
+        for evaluate, r in ((composition_bounds_polynomial, req),
+                            (substitution_bounds_monomial_multiplier, u_req)):
+            try:
+                got = _cert_fields(evaluate(r)[1])
+            except ValidationError:
+                continue  # the upper, which runs first, failed
+            assert got == _cert_fields(shifted_lower_reference(r, shift if r is u_req else 0))
 
     def test_rows_of_underflowing_terms_keep_the_exact_zero(self):
         """On odd degrees every term of ``(1e-300 z + z**2 / 2)**L`` over
