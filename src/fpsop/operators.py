@@ -333,7 +333,7 @@ def _lone_front(T: OperatorMatrix, beta: WeightSequence, pf: float
 
 
 def _ldexp(x: float, exp2: int) -> float:
-    """``x * 2**exp2``, ``sys.float_info.max`` past float range (a lower stays one)."""
+    """``x * 2**exp2``, or ``sys.float_info.max`` past float range: a lower stays one."""
     return math.ldexp(x, exp2) if math.frexp(x)[1] + exp2 <= 1024 else sys.float_info.max
 
 

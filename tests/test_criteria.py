@@ -804,7 +804,7 @@ class TestPowerSumRowsMatchPerTermReference:
 
         def row(n, j, agg):
             # An exact row comes as its unreduced pair, for ``row`` to reduce.
-            agg = criteria._reduced(*agg) if type(agg) is tuple else agg
+            agg = _reduced(*agg) if type(agg) is tuple else agg
             aggs.append(agg)
             return agg
 
