@@ -468,11 +468,11 @@ def _check_algebra(config: Config) -> tuple[list, dict, list]:
         gf = diamond_product(g, f, delta, n_product)
         laws["commutative"].append(fg.coeffs == gf.coeffs)
         left = diamond_product(fg, h, delta, n_product)
-        right = diamond_product(f, diamond_product(g, h, delta, n_product), delta, n_product)
+        gh = diamond_product(g, h, delta, n_product)
+        right = diamond_product(f, gh, delta, n_product)
         laws["associative"].append(left.coeffs == right.coeffs)
         lin_l = diamond_product(a * f + g, h, delta, n_product)
-        lin_r = a * diamond_product(f, h, delta, n_product) + diamond_product(
-            g, h, delta, n_product)
+        lin_r = a * diamond_product(f, h, delta, n_product) + gh
         laws["bilinear"].append(lin_l.coeffs == lin_r.coeffs)
         unit = diamond_product(f, one, delta, n_product)
         laws["unital"].append(unit.coeffs == f.pad(n_product).coeffs)

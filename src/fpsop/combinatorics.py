@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .series import _NOT_FINITE, PolynomialSymbol, _exact, _power_rows, _stored_degree
+from .series import _NOT_FINITE, FLOAT, PolynomialSymbol, _exact, _power_rows, _stored_degree
 from .weights import ValidationError
 
 __all__ = [
@@ -170,8 +170,8 @@ class PowerTable:
         common denominator, unreduced."""
         self._check_bounds(0, L)
         if self._mono is not None:
-            pos = self._mono * L
-            return ([(pos, 1)] if pos <= self.degree_bound else []), 1
+            pos, one = self._mono * L, 1.0 if self.phi.mode == FLOAT else 1
+            return ([(pos, one)] if pos <= self.degree_bound else []), 1
         nums, den = self._rows[L]
         return [(n, value) for n, value in enumerate(nums) if value != 0], den
 

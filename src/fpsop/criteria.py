@@ -440,7 +440,8 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
     once per index, aggregated by :func:`_pair_aggregate` and reduced once.
     While the ``d`` read are rational and the ``w`` plain floats, terms are
     built inline by the operations :func:`_pair` does on them.  Any other row
-    takes the per-term :func:`_pair` route.
+    takes the per-term :func:`_pair` route.  At stride 1 term ``n-k`` is term
+    ``k`` bit for bit: the fast rows build ``k <= n/2``, mirrored for a sum.
     """
     beta, delta, space = req.beta, req.delta, req.space
     qe = None if space.sup_mode else _exponent(space.q)
@@ -449,6 +450,9 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
     def powered(x, y):
         return (x.numerator * y.numerator) ** qp, (x.denominator * y.denominator) ** qp
 
+    def whole(terms, n):  # row n from its terms k <= n/2 at stride 1; a max reads only those
+        return terms + terms[n % 2 - 2::-1] if stride == 1 and qe is not None else terms
+
     def rows():
         # Row n reads no index above n, so each weight is read once, in order.
         d, w, c, b, dn, dd = [], [], [], [], [], []
@@ -456,17 +460,17 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
         for n in range(space.truncation_degree + 1):
             d.append(delta.value(n))
             w.append(beta.value(n))
-            offsets = stride_offsets(n, stride)
+            ks = range(n // 2 + 1) if stride == 1 else stride_offsets(n, stride)
             exact_d = isinstance(d[n], Rational)
             factored = factored and exact_d and isinstance(w[n], Rational)
             floats = floats and exact_d and type(w[n]) is float
             if factored:
                 c.append(powered(d[n], w[n]))
                 if n % stride == 0:
-                    b.append(powered(d[n], w[n // stride]))
+                    b.append(c[n] if stride == 1 else powered(d[n], w[n // stride]))
                 # c(n) times the sum (p = 1: the max) of 1 / (c(k) b(n-k))
-                num, den = _pair_aggregate([(kd * jd, kn * jn) for (kn, kd), (jn, jd) in (
-                    (c[k], b[(n - k) // stride]) for k in offsets)], qe is not None)
+                num, den = _pair_aggregate(whole([(kd * jd, kn * jn) for (kn, kd), (jn, jd) in (
+                    (c[k], b[(n - k) // stride]) for k in ks)], n), qe is not None)
                 yield _reduced(c[n][0] * num, c[n][1] * den)
                 continue
             if floats:
@@ -475,11 +479,11 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
                 wn, nn, nd = w[n], dn[n], dd[n]
                 try:
                     terms = [nn * dd[k] * dd[n - k] / (nd * dn[k] * dn[n - k])
-                             * (wn / (w[k] * w[(n - k) // stride])) for k in offsets]
+                             * (wn / (w[k] * w[(n - k) // stride])) for k in ks]
                     if qe is None:
                         agg, check = max(terms), sum(terms)
                     else:
-                        agg = check = math.fsum([t ** qf for t in terms])
+                        agg = check = math.fsum(whole([t ** qf for t in terms], n))
                 except (OverflowError, ZeroDivisionError):
                     check = math.nan
                 # A nan term, a zero row or w(n) = 1.0 (exact terms): per-term route.
@@ -488,7 +492,7 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
                     continue
             yield _q_pairs([
                 _pair([d[n], w[n]], [d[k], d[n - k], w[k], w[(n - k) // stride]])
-                for k in offsets
+                for k in stride_offsets(n, stride)
             ], qe)
 
     return _certify(
@@ -699,9 +703,10 @@ def _power_bounds(req: CriterionRequest, shift: int
         req, table, shift, w, row=row, note="shifted power-coefficient sum bound")
 
     def column(l):  # kern(j) |x| / den: the kernel's parts times |x|, as one _pair takes it
-        pairs, den = table.row_nonzeros_scaled(l)
-        return [(_as_float(_pair_of(en * abs(x), ed * den, num, fden) if type(x) is int
-                           else _pair_of(en, ed * den, num * abs(x), fden)), 1.0)
+        pairs, den = table.row_nonzeros_scaled(l)  # a plain float kernel as |x|'s weight
+        return [(x, num) if type(x) is float and en == ed * den == 1 and fden == 1.0
+                else (_as_float(_pair_of(en * abs(x), ed * den, num, fden) if type(x) is int
+                                else _pair_of(en, ed * den, num * abs(x), fden)), 1.0)
                 for j, x in pairs for en, ed, num, fden in (kernel[j],)]
 
     lower_cert = _column_lower(req, column, "shifted monomial-image ratios")

@@ -225,6 +225,8 @@ def build_matrix(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
     with ``phi = z`` for a diamond multiplier.  Monomial symbols build
     sparsely; general polynomial symbols are guarded by an entry-count limit.
     A warning is attached when ``n_rows`` is below :func:`covering_rows`.
+    FLOAT entries are floats by construction: the powers of a float ``phi``
+    are, and a float ``u`` coefficient makes every product one.
     """
     for name, v in (("N_rows", n_rows), ("N_cols", n_cols)):
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
@@ -263,10 +265,6 @@ def build_matrix(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
     if n_rows < needed:
         warnings = (f"columns clipped: top column reaches row {needed} but N_rows={n_rows}; "
                     "lower bounds may be deflated",)
-    if mode == FLOAT:
-        columns = tuple(
-            tuple((r, float(v)) for r, v in col) for col in columns
-        )
     return OperatorMatrix(kind=kind, n_rows=n_rows, n_cols=n_cols, columns=columns,
                           mode=mode, warnings=warnings)
 

@@ -368,13 +368,16 @@ def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence
             d[i] = delta.value(i)
     if not all(isinstance(v, Rational) for v in d.values()):
         return diamond_product(f.to_float(), g.to_float(), delta, degree_bound)
-    a, b = [0] * size, [0] * size
-    for k in fs:
-        a[k] = Fraction(fc[k]) / d[k]
-    for j in gs:
-        b[j] = Fraction(gc[j]) / d[j]
-    an, ad = _scaled(a)
-    bn, bd = _scaled(b)
+
+    def over_d(cs, idx):  # cs[i] / d(i), as _scaled gives the reduced quotients
+        dens = {i: cs[i].denominator * d[i].numerator for i in idx}
+        den, nums = math.lcm(*dens.values()), [0] * size
+        for i, q in dens.items():
+            nums[i] = cs[i].numerator * d[i].denominator * (den // q)
+        g = math.gcd(den, *nums)  # den // g: the LCM of the reduced denominators
+        return [x // g for x in nums], den // g
+
+    (an, ad), (bn, bd) = over_d(fc, fs), over_d(gc, gs)
     den = ad * bd
     return TruncatedSeries(tuple(
         _exact(d[n].numerator * c, d[n].denominator * den) if c else 0

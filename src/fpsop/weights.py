@@ -59,9 +59,7 @@ def _exact_scalar(value, what: str) -> Union[int, Fraction]:
     """Convert a list entry to an exact rational (floats convert exactly)."""
     if isinstance(value, bool):
         raise ValidationError(f"{what} entries must be numbers, got bool")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -291,18 +289,14 @@ def conjugate_exponent(p):
     """
     if isinstance(p, bool) or not isinstance(p, (int, float, Fraction)):
         raise ValidationError(f"exponent must be a number, got {type(p).__name__}")
-    if isinstance(p, float):
-        if math.isinf(p):
-            return 1.0
-        if not math.isfinite(p) or p < 1:
-            raise ValidationError(f"exponent must satisfy p >= 1, got {p!r}")
-        if p == 1:
-            return math.inf
-        return p / (p - 1.0)
-    if p < 1:
+    if isinstance(p, float) and math.isinf(p):
+        return 1.0
+    if not p >= 1:  # a nan float too
         raise ValidationError(f"exponent must satisfy p >= 1, got {p!r}")
     if p == 1:
         return math.inf
+    if isinstance(p, float):
+        return p / (p - 1.0)
     q = Fraction(p) / (Fraction(p) - 1)
     return int(q) if q.denominator == 1 else q
 

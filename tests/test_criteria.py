@@ -734,6 +734,29 @@ class TestKernelRowsMatchPerTermReference:
             assert _kernel_outcomes(req) == expected
 
 
+class TestKernelRowsMirrorAtStrideOne:
+    """At stride 1 the fast rows build the terms ``k <= n/2`` and mirror them
+    (term ``n-k`` is term ``k``).  Rows 0 to 3 hold the edge cases: a lone
+    term, odd rows with no middle term and an even row with one."""
+
+    @pytest.mark.parametrize("beta", [
+        make_beta("bergman"), make_beta(0.75), hardy, geometric_beta(3, Fraction(2, 3)),
+        make_beta([1, Fraction(1, 3), Fraction(5, 7), 2]),
+    ])
+    @pytest.mark.parametrize("delta", [
+        ones, make_delta("factorial"), make_delta([1, Fraction(2, 3), Fraction(9, 4), 5]),
+    ])
+    @pytest.mark.parametrize("p", [2, Fraction(3, 2), 1])
+    def test_rows_zero_to_three_equal_the_reference(self, beta, delta, p):
+        req = request(beta, delta, p=p, degree=3, window=1)
+        with mock.patch.object(criteria, "_q_pairs", wraps=criteria._q_pairs) as per_term:
+            rows = _kernel_rows(req, 1)
+        assert len(rows) == 4
+        assert rows == _reference_rows(req, 1)
+        # Every row is a fast one but row 0 of float weights, where w(0) = 1.0.
+        assert per_term.call_count == (1 if type(beta.value(1)) is float else 0)
+
+
 def _typed_or_error(compute):
     """``compute()`` as a list of typed rows, or ``[("error", text)]``."""
     try:

@@ -113,6 +113,27 @@ class TestBuildMatrix:
         with pytest.raises(ValidationError):
             build_matrix(None, None, ones, 4, 4)
 
+    @pytest.mark.parametrize("u, phi, delta", [
+        (None, [0.0, 1.0], ones),
+        (None, [0.0, 0.0, 1.0], ones),
+        (None, [0.5], ones),
+        (None, [0.25, 0.5, 0.25], ones),
+        ([1.0, -0.5, 0.0, 2.0], [0.0, 0.75], make_delta("factorial")),
+        ([0.5, 1.5], [0.0, 1.0], make_delta("inverse-factorial")),
+        ([1.0, 0.25, 0.0, 3.0], None, make_delta("factorial")),
+        ([0.5, 0.0, 1.0], None, make_delta([1, Fraction(2, 3), Fraction(9, 4), 5, 7, 11, 13])),
+    ])
+    def test_float_entries_are_floats(self, u, phi, delta):
+        """Every entry of a float matrix is a plain float as built: a float
+        unit monomial's powers are 1.0, and a float ``u`` coefficient times an
+        exact kernel (an int or a Fraction) is a float."""
+        u = None if u is None else TruncatedSeries(tuple(u))
+        phi = None if phi is None else PolynomialSymbol(tuple(phi))
+        T = build_matrix(u, phi, delta, 6, 6)
+        assert T.mode == "float"
+        assert T.nnz > 0
+        assert all(type(v) is float for col in T.columns for _, v in col)
+
 
 # (kind, u coefficients, phi coefficients): constant symbols, multipliers with
 # trailing zeros, and float ones.
