@@ -133,6 +133,7 @@ class PowerTable:
         self.degree_bound = _check_index(degree_bound, "degree_bound")
         self.max_power = _check_index(max_power, "max_power")
         self._mono = phi.monomial_degree()
+        self._one = 1.0 if phi.mode == FLOAT else 1  # theta of a unit monomial, in phi's mode
         self.method = "powers" if self._mono is None else "direct"
         self._rows: Optional[list[tuple[tuple, int]]] = None
         if self._mono is None:
@@ -170,8 +171,8 @@ class PowerTable:
         common denominator, unreduced."""
         self._check_bounds(0, L)
         if self._mono is not None:
-            pos, one = self._mono * L, 1.0 if self.phi.mode == FLOAT else 1
-            return ([(pos, one)] if pos <= self.degree_bound else []), 1
+            pos = self._mono * L
+            return ([(pos, self._one)] if pos <= self.degree_bound else []), 1
         nums, den = self._rows[L]
         return [(n, value) for n, value in enumerate(nums) if value != 0], den
 

@@ -225,8 +225,7 @@ def build_matrix(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
     with ``phi = z`` for a diamond multiplier.  Monomial symbols build
     sparsely; general polynomial symbols are guarded by an entry-count limit.
     A warning is attached when ``n_rows`` is below :func:`covering_rows`.
-    FLOAT entries are floats by construction: the powers of a float ``phi``
-    are, and a float ``u`` coefficient makes every product one.
+    FLOAT entries are floats by construction, so none is converted.
     """
     for name, v in (("N_rows", n_rows), ("N_cols", n_cols)):
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
