@@ -32,7 +32,6 @@ from .weights import (
     SpaceConfig,
     ValidationError,
     WeightSequence,
-    _Frozen,
     _safe_float,
     conjugate_exponent,
     make_beta,
@@ -51,16 +50,6 @@ _LAW_DEGREE = 12
 
 class ConfigError(ValueError):
     """The configuration document is malformed or inconsistent."""
-
-
-def _parse_scalar(value, what: str):
-    if isinstance(value, str):
-        return _parse_text(value, what)[1]
-    if isinstance(value, bool):
-        raise ConfigError(f"{what} must be a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return value
-    raise ConfigError(f"{what} must be a number or 'num/den' string, got {type(value).__name__}")
 
 
 def _parse_text(text: str, what: str):
@@ -123,8 +112,11 @@ def _parse_echo(value, what: str):
     parsed value."""
     if isinstance(value, str):
         return _parse_text(value, what)
-    scalar = _parse_scalar(value, what)
-    return _render_scalar(scalar), scalar
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got a boolean")
+    if isinstance(value, (int, float)):
+        return _render_scalar(value), value
+    raise ConfigError(f"{what} must be a number or 'num/den' string, got {type(value).__name__}")
 
 
 def _parse_once(value, what: str):
@@ -196,7 +188,7 @@ def _build_series(norm_spec: Optional[dict], cls=TruncatedSeries, what: str = "s
         return None
     if "monomial" in norm_spec:
         return cls.monomial(norm_spec["monomial"])
-    return cls.from_coeffs(_parse_scalar(v, f"{what} coefficient") for v in norm_spec["coeffs"])
+    return cls.from_coeffs(_parse_echo(v, f"{what} coefficient")[1] for v in norm_spec["coeffs"])
 
 
 _TOP_KEYS = {
@@ -223,21 +215,18 @@ def _check_positive(value, what: str) -> float:
     return out
 
 
-class Config:
-    """A validated configuration with constructed weight and series objects.
+class Config(CriterionRequest):
+    """A validated configuration: the criterion request the evaluators take,
+    plus ``normalized``, the canonical JSON-ready echo.
 
-    ``normalized`` is the canonical JSON-ready echo; two configs are equal
-    exactly when their normalized documents are equal, so a serialize/parse
-    round trip is the identity.  Every value is held once: ``u`` and ``phi``
-    are None when absent, and ``z**m`` for a ``shift`` or ``stride`` of ``m``;
-    p is ``space.p``, and the power limit, cap and seed are read from
-    ``normalized``.
+    Two configs are equal exactly when their normalized documents are equal,
+    so a serialize/parse round trip is the identity.  Every value is held
+    once: ``u`` and ``phi`` are None when absent, and ``z**m`` for a
+    ``shift`` or ``stride`` of ``m``; p and the truncation block are
+    ``space``, and the seed is read from ``normalized``.
     """
 
     _fields = ("normalized", "beta", "delta", "u", "phi", "space")
-    # Mutable, so not a _Frozen: it borrows only the field setter and the repr.
-    _set = _Frozen._set
-    __repr__ = _Frozen.__repr__
     __hash__ = None
 
     def __init__(self, normalized: dict, beta: WeightSequence, delta: DeltaSequence,
@@ -252,13 +241,6 @@ class Config:
 
     def serialize(self) -> str:
         return json.dumps(self.normalized, indent=2, sort_keys=True) + "\n"
-
-    def request(self) -> CriterionRequest:
-        trunc = self.normalized["truncation"]
-        return CriterionRequest(
-            beta=self.beta, delta=self.delta, space=self.space, u=self.u, phi=self.phi,
-            inner_power_limit=trunc["power_limit"], cap=trunc["cap"],
-        )
 
 
 def parse_config(source) -> Config:
@@ -284,7 +266,7 @@ def parse_config(source) -> Config:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    p = _parse_scalar(raw.get("p", 2), "p")
+    p_echo, p = _parse_echo(raw.get("p", 2), "p")
     conjugate_exponent(p)
 
     trunc = raw.get("truncation", {})
@@ -306,7 +288,7 @@ def parse_config(source) -> Config:
     beta_spec, build_beta = _normalize_weight_spec(raw.get("beta"), "beta")
     delta_spec, build_delta = _normalize_weight_spec(raw.get("delta"), "delta")
     normalized = {
-        "p": _render_scalar(p),
+        "p": p_echo,
         "beta": beta_spec,
         "delta": delta_spec,
         "u": _normalize_series_spec(raw.get("u"), "u"),
@@ -329,23 +311,20 @@ def parse_config(source) -> Config:
     }
 
     try:
-        config = Config(
-            normalized=normalized, beta=build_beta(), delta=build_delta(),
-            u=_build_series(normalized["u"]),
-            phi=_build_series(normalized["phi"], PolynomialSymbol, "symbol"),
-            space=SpaceConfig(p=p, truncation_degree=degree,
-                              tail_window=tail_window, tolerance=tolerance),
-        )
+        beta, delta = build_beta(), build_delta()
+        operator = {"u": _build_series(normalized["u"]),
+                    "phi": _build_series(normalized["phi"], PolynomialSymbol, "symbol")}
+        space = SpaceConfig(p, degree, tail_window, tolerance, power_limit, cap)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     # "stride": m and "shift": m are shorthand for phi = z**m and u = z**m.
     for key, name, cls in (("stride", "phi", PolynomialSymbol), ("shift", "u", TruncatedSeries)):
-        m, given = normalized[key], getattr(config, name)
+        m, given = normalized[key], operator[name]
         if m is not None and given is None:
-            setattr(config, name, cls.monomial(m))
+            operator[name] = cls.monomial(m)
         elif m is not None and given.monomial_degree() != m:
             raise ConfigError(f"{key}={m} conflicts with {name}, which is not z**{m}")
-    return config
+    return Config(normalized, beta, delta, operator["u"], operator["phi"], space)
 
 
 def _series_or_fail(config: Config, key: str) -> TruncatedSeries:
@@ -421,10 +400,9 @@ def _estimate(config: Config) -> tuple[list, dict, list]:
         "converged": oracle_cert.converged,
     }
 
-    req = config.request()
-    certificates = _cert_entries([("monomial-column-lower", column_lower_bound(T, req))])
+    certificates = _cert_entries([("monomial-column-lower", column_lower_bound(T, config))])
     if code == "cor24":
-        cert = criteria.multiplier_algebra_bound(req)
+        cert = criteria.multiplier_algebra_bound(config)
         unorm = norm(u, config.beta, float(space.p))
         scaled = 0.0 if unorm == 0.0 else cert.value * unorm
         cert = BoundCertificate(
@@ -433,7 +411,7 @@ def _estimate(config: Config) -> tuple[list, dict, list]:
         certificates.extend(_cert_entries([("multiplier-algebra-upper", cert)]))
     elif code is not None:
         try:
-            certificates.extend(_run_criterion(code, req))
+            certificates.extend(_run_criterion(code, config))
         except ValidationError as exc:
             warnings.append(f"criterion {code} not applicable: {exc}")
     else:
@@ -452,7 +430,7 @@ def _check_algebra(config: Config) -> tuple[list, dict, list]:
         coeffs = [Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(deg + 1)]
         return TruncatedSeries(tuple(coeffs))
 
-    bound_cert = criteria.multiplier_algebra_bound(config.request())
+    bound_cert = criteria.multiplier_algebra_bound(config)
     factor = bound_cert.value if math.isfinite(bound_cert.value) else None
 
     n_product = 3 * _LAW_DEGREE + 1
@@ -528,7 +506,7 @@ def run(command: str, config: Config, theorem: Optional[str] = None) -> dict:
         if code not in CRITERION_CODES:
             raise ConfigError(f"unknown theorem code {code!r}; expected one of {CRITERION_CODES}")
         config.normalized["theorem"] = code
-        certificates = _run_criterion(code, config.request())
+        certificates = _run_criterion(code, config)
     elif command == "estimate":
         certificates, oracle, warnings = _estimate(config)
     else:

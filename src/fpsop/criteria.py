@@ -12,7 +12,9 @@ the evaluators only supply one contribution per outer index, through three
 shared scan shapes or, for ``thm21`` and ``cor26``, as plain weight-ratio
 lists.  The column-ratio lowers, ``estimate``'s among them, share one scan,
 :func:`_column_lower`.  ``thm22`` is ``thm25`` at shift 0 (``C_phi`` is
-``z**0 ◇ C_phi``): both run :func:`_power_bounds`.
+``z**0 ◇ C_phi``): both run :func:`_power_bounds`.  Every evaluator takes one
+:class:`CriterionRequest`, whose ``space`` holds p and the truncation block;
+the parsed ``cli.Config`` is one.
 """
 
 from __future__ import annotations
@@ -65,32 +67,19 @@ _TINY = sys.float_info.min
 
 
 class CriterionRequest(_Frozen):
-    """Input bundle for the bound evaluators.
+    """Input bundle for the bound evaluators: the weights, the space (p and
+    the truncation block) and the operator.
 
     The operator is the pair of the multiplier ``u`` and the symbol ``phi``;
     an evaluator that needs either as a unit monomial ``z**m`` reads ``m``
-    from it.  ``inner_power_limit`` truncates the inner sums over symbol
-    powers (default: the truncation degree) and ``cap`` is the magnitude
-    above which a still-growing scan is declared divergent.
+    from it.  The parsed ``cli.Config`` is itself a request.
     """
 
-    _fields = ("beta", "delta", "space", "u", "phi", "inner_power_limit", "cap")
+    _fields = ("beta", "delta", "space", "u", "phi")
 
     def __init__(self, beta: WeightSequence, delta: DeltaSequence, space: SpaceConfig,
-                 u: Optional[TruncatedSeries] = None, phi: Optional[PolynomialSymbol] = None,
-                 inner_power_limit: Optional[int] = None, cap: float = 1e12):
-        self._set(beta, delta, space, u, phi, inner_power_limit, cap)
-        v = inner_power_limit
-        if v is not None and (isinstance(v, bool) or not isinstance(v, int) or v < 0):
-            raise ValidationError(f"inner_power_limit must be a nonnegative integer, got {v!r}")
-        if not (isinstance(self.cap, (int, float)) and 0 < self.cap < math.inf):
-            raise ValidationError("cap must be a finite positive real")
-
-    @property
-    def power_limit(self) -> int:
-        if self.inner_power_limit is not None:
-            return self.inner_power_limit
-        return self.space.truncation_degree
+                 u: Optional[TruncatedSeries] = None, phi: Optional[PolynomialSymbol] = None):
+        self._set(beta, delta, space, u, phi)
 
 
 def _gt(a, b, bf: float) -> bool:
@@ -330,10 +319,9 @@ def _tail_stats(trajectory: Sequence[float], window: int, tolerance: float
     return delta, abs(delta) <= tolerance
 
 
-def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: float,
-             summed: bool = False, outer_exponent=1, scale: float = 1.0,
-             inner_ok: bool = True, q_sup: bool = False, notes: Iterable[str] = ()
-             ) -> BoundCertificate:
+def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, summed: bool = False,
+             outer_exponent=1, scale: float = 1.0, inner_ok: bool = True,
+             q_sup: bool = False, notes: Iterable[str] = ()) -> BoundCertificate:
     """Certify the running supremum (or, ``summed``, sum) of the contributions.
 
     One contribution per outer index, ``None`` for an empty one; a sup scan
@@ -395,9 +383,9 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, cap: flo
         diverged = True
         note_list.append("scan overflowed to infinity")
     elif tail_delta > tol:
-        if value > cap:
+        if value > space.cap:
             diverged = True
-            note_list.append(f"still growing past the cap {cap:g}")
+            note_list.append(f"still growing past the cap {space.cap:g}")
         elif n_top >= 8:
             mid, quarter = traj[n_top // 2], traj[n_top // 4]
             d_last = hi - mid
@@ -496,7 +484,7 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
             ], qe)
 
     return _certify(
-        rows(), kind="upper", space=space, cap=req.cap,
+        rows(), kind="upper", space=space,
         outer_exponent=1 if space.sup_mode else _exponent(1, space.q),
         scale=scale, q_sup=space.sup_mode, notes=(note,),
     )
@@ -515,7 +503,7 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _R
     power, passed unreduced for ``row`` to reduce once.  Other rows, and float
     rows with a term of 1.0 (maybe an exact pair), an aggregate outside
     ``(0, inf)`` or an overflow, take the per-term ``_pair`` route."""
-    space, L_max = req.space, req.power_limit
+    space, L_max = req.space, req.space.power_limit
     qe = None if space.sup_mode else _exponent(space.q)
     qf = None if qe is None else float(qe)
     float_rows = table.phi.mode == FLOAT
@@ -555,7 +543,7 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _R
             inner_ok = inner_ok and _decayed([_as_float(t) for t in last3])
         rows.append(row(n, j, agg))
     return _certify(
-        rows, kind="upper", space=space, cap=req.cap, summed=True,
+        rows, kind="upper", space=space, summed=True,
         outer_exponent=_exponent(1, space.p), inner_ok=inner_ok, q_sup=space.sup_mode,
         notes=(note,),
     )
@@ -571,7 +559,7 @@ def _column_lower(req: CriterionRequest, column: Callable, note: str,
     wf = _ReadOnce(req.beta.as_float) if wf is None else wf
     return _certify(
         [_float_pnorm(column(l), pf) / wf[l] for l in range(space.truncation_degree + 1)],
-        kind="lower", space=space, cap=req.cap, notes=(note,),
+        kind="lower", space=space, notes=(note,),
     )
 
 
@@ -639,7 +627,7 @@ def composition_norm_monomial(req: CriterionRequest) -> BoundCertificate:
     return _certify(
         _ratios([(1, beta.value(n * m), 1, 1, beta.value(n))
                  for n in range(space.truncation_degree + 1)]),
-        kind="exact", space=space, cap=req.cap,
+        kind="exact", space=space,
         notes=(f"weight-ratio supremum for the degree-{m} monomial symbol",),
     )
 
@@ -655,7 +643,7 @@ def _power_bounds(req: CriterionRequest, shift: int
     """
     space, N = req.space, req.space.truncation_degree
     table = _build_table(_operand(req.phi), degree_bound=max(N - shift, 0),
-                         max_power=max(req.power_limit, N))
+                         max_power=max(space.power_limit, N))
     pe = _exponent(space.p)
     e = pe if space.sup_mode else _exponent(space.p, space.q)
     d, w = _ReadOnce(req.delta.value if shift else lambda n: 1), _ReadOnce(req.beta.value)
@@ -668,7 +656,7 @@ def _power_bounds(req: CriterionRequest, shift: int
         normal float range though the row itself may not."""
         km, ke = _split([d[n], w[n]], [d[shift], d[j]])
         terms = [_split([abs(x)], [den, w[L]])
-                 for L, x, den in table.column_scaled(j, req.power_limit) if x]
+                 for L, x, den in table.column_scaled(j, space.power_limit) if x]
         if not terms:
             return 0
         top = max(te for _, te in terms)
@@ -798,8 +786,8 @@ def substitution_bounds_monomial_pair(req: CriterionRequest
     by_output = [None] * (m1 + m2 * N + 1)
     by_output[m1::m2] = ratios
     return (
-        _certify(by_output, kind="upper", space=space, cap=req.cap,
+        _certify(by_output, kind="upper", space=space,
                  notes=("progression ratio supremum by output degree",)),
-        _certify(ratios, kind="lower", space=space, cap=req.cap,
+        _certify(ratios, kind="lower", space=space,
                  notes=("progression ratio supremum by input degree",)),
     )

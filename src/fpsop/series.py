@@ -111,13 +111,10 @@ class TruncatedSeries(_Frozen):
         return cls((1,) + (0,) * degree_bound)
 
     @classmethod
-    def monomial(cls, m: int, degree_bound: Optional[int] = None) -> "TruncatedSeries":
+    def monomial(cls, m: int) -> "TruncatedSeries":
         if m < 0:
             raise ValidationError("monomial degree must be nonnegative")
-        n = m if degree_bound is None else degree_bound
-        if n < m:
-            raise ValidationError("degree_bound is smaller than the monomial degree")
-        return cls((0,) * m + (1,) + (0,) * (n - m))
+        return cls((0,) * m + (1,))
 
     @property
     def degree_bound(self) -> int:

@@ -304,7 +304,7 @@ def power_sum_upper_reference(req, table, shift, w, row, note):
     def term(n, L, num, den):
         return _pair([abs(num)], [w[L]], den)
 
-    space, L_max = req.space, req.power_limit
+    space, L_max = req.space, req.space.power_limit
     qe = None if space.sup_mode else _exponent(space.q)
     inner_ok = True
     rows = [None] * min(shift, space.truncation_degree + 1)
@@ -321,7 +321,7 @@ def power_sum_upper_reference(req, table, shift, w, row, note):
             inner_ok = False
         rows.append(row(n, j, _q_pairs(terms, qe)))
     return _certify(
-        rows, kind="upper", space=space, cap=req.cap, summed=True,
+        rows, kind="upper", space=space, summed=True,
         outer_exponent=_exponent(1, space.p), inner_ok=inner_ok, q_sup=space.sup_mode,
         notes=(note,),
     )
@@ -333,7 +333,7 @@ def shifted_lower_reference(req, shift):
     kernel read once per degree."""
     N = req.space.truncation_degree
     table = _build_table(req.phi, degree_bound=max(N - shift, 0),
-                         max_power=max(req.power_limit, N))
+                         max_power=max(req.space.power_limit, N))
     d = _ReadOnce(req.delta.value if shift else lambda n: 1)
     w = _ReadOnce(req.beta.value)
 

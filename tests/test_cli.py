@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsop.cli import (COMMANDS, Config, ConfigError, _parse_once, _parse_scalar, main,
+from fpsop.cli import (COMMANDS, Config, ConfigError, _parse_echo, _parse_once, main,
                        parse_config, run)
 from fpsop.series import PolynomialSymbol, TruncatedSeries
 
@@ -755,7 +755,7 @@ class TestScalarTextRoute:
             got_echo, got_value = _parse_once(text, "beta")
             assert (got_echo, type(got_echo)) == (echo, type(echo))
             assert (got_value, type(got_value)) == (value, type(value))
-            scalar = _parse_scalar(text, "p")
+            scalar = _parse_echo(text, "p")[1]
             assert scalar == value and type(scalar) is Fraction
             return
         with pytest.raises(ConfigError) as raised:

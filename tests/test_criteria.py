@@ -46,10 +46,11 @@ def geometric_beta(n_top, base=Fraction(1, 2)):
 
 
 def request(beta, delta, p=2, degree=512, tol=1e-7, window=10, stride=None, shift=None,
-            **kw):
+            cap=1e12, **kw):
     """A request; ``stride`` and ``shift`` stand for ``phi = z**stride`` and
     ``u = z**shift``, as in a config."""
-    space = SpaceConfig(p=p, truncation_degree=degree, tail_window=window, tolerance=tol)
+    space = SpaceConfig(p=p, truncation_degree=degree, tail_window=window, tolerance=tol,
+                        cap=cap)
     if stride is not None:
         kw["phi"] = PolynomialSymbol.monomial(stride)
     if shift is not None:
@@ -334,7 +335,7 @@ class TestLowerSideRule:
     space = SpaceConfig(p=2, truncation_degree=9, tail_window=2)
 
     def certify(self, contributions, kind="lower"):
-        return _certify(contributions, kind=kind, space=self.space, cap=1e12)
+        return _certify(contributions, kind=kind, space=self.space)
 
     def test_a_divergent_scan_keeps_its_largest_value(self):
         rows = [float(n + 1) for n in range(10)]
@@ -410,8 +411,23 @@ class TestConflictingSymbolKeys:
 
     def test_agreeing_keys_accepted(self):
         req = parse_config('{"phi": {"monomial": 2}, "stride": 2, '
-                           '"u": {"coeffs": [0, 1]}, "shift": 1}').request()
+                           '"u": {"coeffs": [0, 1]}, "shift": 1}')
         assert substitution_bounds_monomial_pair(req)[0].value == 1.0
+
+
+def test_the_parsed_config_is_the_request():
+    """``SpaceConfig`` holds the whole truncation block, and the evaluators
+    take the parsed config as they take the request of the same fields."""
+    cfg = parse_config('{"phi": {"coeffs": [0, "1/2", 4]}, '
+                       '"truncation": {"degree": 20, "power_limit": 5, "cap": 1e6}}')
+    assert isinstance(cfg, CriterionRequest)
+    assert (cfg.space.power_limit, cfg.space.cap) == (5, 1e6)
+    assert parse_config('{"truncation": {"degree": 20}}').space.power_limit == 20
+    certs = composition_bounds_polynomial(cfg)
+    assert certs == composition_bounds_polynomial(
+        CriterionRequest(cfg.beta, cfg.delta, cfg.space, cfg.u, cfg.phi))
+    assert "inner power sums truncated without certified decay" in certs[0].notes
+    assert "still growing past the cap 1e+06" in certs[1].notes
 
 
 @pytest.mark.parametrize("cap", [0, -1.0, math.inf, math.nan])
@@ -548,7 +564,7 @@ class TestPairAggregation:
 
         def cert(ratio):
             return _certify([None if r is None else ratio(*r) for r in rows],
-                            kind="exact", space=space, cap=1e12)
+                            kind="exact", space=space)
 
         assert cert(_pair) == cert(_reduced_pair)
 
@@ -577,7 +593,7 @@ def _reference_kernel_sup(req, stride, scale, note):
     """``criteria._kernel_sup`` on the per-term reference rows."""
     space = req.space
     return _certify(
-        kernel_rows_reference(req, stride), kind="upper", space=space, cap=req.cap,
+        kernel_rows_reference(req, stride), kind="upper", space=space,
         outer_exponent=1 if space.sup_mode else _exponent(1, space.q),
         scale=scale, q_sup=space.sup_mode, notes=(note,),
     )
@@ -807,11 +823,11 @@ def _power_sum_cases(draw):
     beta = draw(_weights(top + 1))
     delta = draw(st.sampled_from([ones, make_delta("factorial"), make_delta("inverse-factorial")]))
     space = SpaceConfig(p=draw(st.sampled_from([2, Fraction(3, 2), 3, 1, 2.5])),
-                        truncation_degree=degree, tail_window=1)
-    req = CriterionRequest(beta=beta, delta=delta, space=space, phi=phi,
-                           inner_power_limit=draw(st.integers(0, degree)))
+                        truncation_degree=degree, tail_window=1,
+                        power_limit=draw(st.integers(0, degree)))
+    req = CriterionRequest(beta=beta, delta=delta, space=space, phi=phi)
     table = criteria._build_table(phi, degree_bound=max(degree - shift, 0),
-                                  max_power=max(req.power_limit, degree))
+                                  max_power=max(space.power_limit, degree))
     return req, table, shift
 
 
@@ -850,8 +866,7 @@ class TestPowerSumRowsMatchPerTermReference:
     def test_evaluators_equal_the_reference(self, case):
         req, _, shift = case
         u_req = CriterionRequest(beta=req.beta, delta=req.delta, space=req.space, phi=req.phi,
-                                 u=TruncatedSeries.monomial(shift),
-                                 inner_power_limit=req.inner_power_limit)
+                                 u=TruncatedSeries.monomial(shift))
         for evaluate, r in ((composition_bounds_polynomial, req),
                             (substitution_bounds_monomial_multiplier, u_req)):
             outcomes = []
@@ -870,8 +885,7 @@ class TestPowerSumRowsMatchPerTermReference:
         read once per degree: each lower has the bits of one ``_pair`` per term."""
         req, _, shift = case
         u_req = CriterionRequest(beta=req.beta, delta=req.delta, space=req.space, phi=req.phi,
-                                 u=TruncatedSeries.monomial(shift),
-                                 inner_power_limit=req.inner_power_limit)
+                                 u=TruncatedSeries.monomial(shift))
         for evaluate, r in ((composition_bounds_polynomial, req),
                             (substitution_bounds_monomial_multiplier, u_req)):
             try:
@@ -908,8 +922,7 @@ class TestThm22IsThm25AtShiftZero:
     def test_thm22_equals_thm25_at_the_unit_monomial(self, case):
         req = case[0]
         unit = CriterionRequest(beta=req.beta, delta=req.delta, space=req.space, phi=req.phi,
-                                u=TruncatedSeries.monomial(0),
-                                inner_power_limit=req.inner_power_limit)
+                                u=TruncatedSeries.monomial(0))
         assert self._outcome(composition_bounds_polynomial, req) == self._outcome(
             substitution_bounds_monomial_multiplier, unit)
 

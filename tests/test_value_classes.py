@@ -1,6 +1,7 @@
 """The value-class contract: equality, hash, repr, immutability, the
-constructor signatures and the constructor checks of the seven value classes
-(six frozen ones and the mutable ``cli.Config``)."""
+constructor signatures and the constructor checks of the seven frozen value
+classes (``cli.Config`` is a ``CriterionRequest`` compared by its
+``normalized`` document alone)."""
 
 import inspect
 import math
@@ -20,9 +21,9 @@ SPACE = SpaceConfig(p=2, truncation_degree=64, tail_window=4, tolerance=1e-6)
 
 # (class, field names, keyword arguments of one value, a change of one field)
 FROZEN = [
-    (SpaceConfig, ("p", "truncation_degree", "tail_window", "tolerance"),
-     dict(p=2, truncation_degree=64, tail_window=4, tolerance=1e-6),
-     dict(tolerance=1e-5)),
+    (SpaceConfig, ("p", "truncation_degree", "tail_window", "tolerance", "power_limit", "cap"),
+     dict(p=2, truncation_degree=64, tail_window=4, tolerance=1e-6, power_limit=8),
+     dict(cap=1e6)),
     (TruncatedSeries, ("coeffs", "mode"),
      dict(coeffs=(1, Fraction(1, 2))), dict(coeffs=(1, 0.5))),
     (PolynomialSymbol, ("alphas", "mode"),
@@ -37,10 +38,9 @@ FROZEN = [
      dict(kind="substitution", n_rows=2, n_cols=1, columns=(((0, 1),), ((2, 1),)),
           mode="exact"),
      dict(warnings=("w",))),
-    (CriterionRequest,
-     ("beta", "delta", "space", "u", "phi", "inner_power_limit", "cap"),
+    (CriterionRequest, ("beta", "delta", "space", "u", "phi"),
      dict(beta=BETA, delta=DELTA, space=SPACE, phi=PolynomialSymbol.monomial(2)),
-     dict(cap=1e6)),
+     dict(space=SpaceConfig(p=2, truncation_degree=64, tail_window=4, cap=1e6))),
 ]
 
 CONFIG_FIELDS = ("normalized", "beta", "delta", "u", "phi", "space")
@@ -52,7 +52,7 @@ _NO_DEFAULT = inspect.Parameter.empty
 # The constructor parameters, in order, with their defaults.
 SIGNATURES = {
     SpaceConfig: [("p", 2), ("truncation_degree", 512), ("tail_window", 10),
-                  ("tolerance", 1e-7)],
+                  ("tolerance", 1e-7), ("power_limit", None), ("cap", 1e12)],
     TruncatedSeries: [("coeffs", (0,))],
     PolynomialSymbol: [("alphas", (0,))],
     BoundCertificate: [("value", _NO_DEFAULT), ("kind", _NO_DEFAULT),
@@ -62,8 +62,7 @@ SIGNATURES = {
     OperatorMatrix: [("kind", _NO_DEFAULT), ("n_rows", _NO_DEFAULT), ("n_cols", _NO_DEFAULT),
                      ("columns", _NO_DEFAULT), ("mode", _NO_DEFAULT), ("warnings", ())],
     CriterionRequest: [("beta", _NO_DEFAULT), ("delta", _NO_DEFAULT), ("space", _NO_DEFAULT),
-                       ("u", None), ("phi", None), ("inner_power_limit", None),
-                       ("cap", 1e12)],
+                       ("u", None), ("phi", None)],
     Config: [(name, _NO_DEFAULT) for name in CONFIG_FIELDS],
 }
 
@@ -116,12 +115,17 @@ def test_constructor_signature(cls):
 
 
 def test_positional_arguments_follow_the_field_order():
-    assert SpaceConfig(3, 20, 2, 0.5) == SpaceConfig(p=3, truncation_degree=20,
-                                                     tail_window=2, tolerance=0.5)
+    assert SpaceConfig(3, 20, 2, 0.5, 4, 1e6) == SpaceConfig(
+        p=3, truncation_degree=20, tail_window=2, tolerance=0.5, power_limit=4, cap=1e6)
+    assert SpaceConfig(truncation_degree=20).power_limit == 20
+    assert SpaceConfig(truncation_degree=20, power_limit=None) == SpaceConfig(
+        truncation_degree=20, power_limit=20)
     cert = BoundCertificate(2, "exact", None, 5, 1, 0, [1])
     assert (cert.value, cert.tail_delta, cert.converged, cert.notes) == (2.0, 1.0, False, ("1",))
     assert OperatorMatrix("k", 1, 0, ((),), "float").warnings == ()
-    assert CriterionRequest(BETA, DELTA, SPACE).cap == 1e12
+    assert SpaceConfig().cap == 1e12
+    req = CriterionRequest(BETA, DELTA, SPACE, None, PolynomialSymbol.monomial(2))
+    assert (req.u, req.phi) == (None, PolynomialSymbol.monomial(2))
 
 
 @pytest.mark.parametrize("cls", [TruncatedSeries, PolynomialSymbol])
@@ -133,13 +137,12 @@ def test_mode_is_derived_not_passed(cls):
 
 class TestConfig:
     def test_compares_by_normalized_only(self):
-        a, b = parse_config(MINIMAL), parse_config(MINIMAL)
+        a = parse_config(MINIMAL)
+        b = Config(dict(a.normalized), make_beta("hardy"), DELTA, None, None, SPACE)
         assert a.beta is not b.beta
-        assert a == b
-        b.phi = None  # mutable, and phi is not compared
-        assert a == b
-        b.normalized = dict(b.normalized, seed=99)
-        assert a != b
+        assert a == b  # no field but normalized is compared
+        c = Config(dict(a.normalized, seed=99), a.beta, a.delta, a.u, a.phi, a.space)
+        assert a != c
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
@@ -155,12 +158,16 @@ class TestConfig:
         body = ", ".join(f"{f}={getattr(cfg, f)!r}" for f in CONFIG_FIELDS)
         assert repr(cfg) == f"Config({body})"
 
-    def test_fields_can_be_assigned_and_deleted(self):
+    def test_fields_cannot_be_assigned_or_deleted(self):
         cfg = parse_config(MINIMAL)
-        cfg.space = SPACE
-        assert cfg.space is SPACE
-        del cfg.space
-        assert not hasattr(cfg, "space")
+        before = repr(cfg)
+        for f in CONFIG_FIELDS + ("unknown_field",):
+            with pytest.raises(AttributeError):
+                setattr(cfg, f, SPACE)
+            if f in CONFIG_FIELDS:
+                with pytest.raises(AttributeError):
+                    delattr(cfg, f)
+        assert repr(cfg) == before
 
 
 @pytest.mark.parametrize("build, message", [
@@ -169,6 +176,23 @@ class TestConfig:
     (lambda: SpaceConfig(tail_window=0), "tail_window must be at least 1"),
     (lambda: SpaceConfig(truncation_degree=5), "truncation_degree must be >= tail_window"),
     (lambda: SpaceConfig(tolerance=0), "tolerance must be a finite positive real"),
+    (lambda: SpaceConfig(tolerance=True), "tolerance must be a finite positive real"),
+    (lambda: SpaceConfig(truncation_degree=12.5, tail_window=2),
+     "truncation_degree must be a nonnegative integer, got 12.5"),
+    (lambda: SpaceConfig(truncation_degree=True, tail_window=1),
+     "truncation_degree must be a nonnegative integer, got True"),
+    (lambda: SpaceConfig(truncation_degree=-1, tail_window=1),
+     "truncation_degree must be a nonnegative integer, got -1"),
+    (lambda: SpaceConfig(truncation_degree="8"),
+     "truncation_degree must be a nonnegative integer, got '8'"),
+    (lambda: SpaceConfig(tail_window=2.5), "tail_window must be a nonnegative integer, got 2.5"),
+    (lambda: SpaceConfig(tail_window=False), "tail_window must be a nonnegative integer, got False"),
+    (lambda: SpaceConfig(power_limit=True), "power_limit must be a nonnegative integer, got True"),
+    (lambda: SpaceConfig(power_limit=-1), "power_limit must be a nonnegative integer, got -1"),
+    (lambda: SpaceConfig(power_limit=3.0), "power_limit must be a nonnegative integer, got 3.0"),
+    (lambda: SpaceConfig(cap=math.inf), "cap must be a finite positive real"),
+    (lambda: SpaceConfig(cap=True), "cap must be a finite positive real"),
+    (lambda: SpaceConfig(cap=0), "cap must be a finite positive real"),
     (lambda: PolynomialSymbol((1, 0)), "top polynomial coefficient is zero"),
     (lambda: BoundCertificate(math.nan, "upper", None, 3, 0.0, True),
      "certificate value must be nonnegative, got nan"),
@@ -179,10 +203,6 @@ class TestConfig:
      "attained_at must be None or a nonnegative index"),
     (lambda: BoundCertificate(1, "upper", None, 3.0, 0.0, True),
      "truncation_degree must be a nonnegative integer"),
-    (lambda: CriterionRequest(BETA, DELTA, SPACE, inner_power_limit=True),
-     "inner_power_limit must be a nonnegative integer, got True"),
-    (lambda: CriterionRequest(BETA, DELTA, SPACE, cap=math.inf),
-     "cap must be a finite positive real"),
 ])
 def test_constructor_rejections_keep_their_text(build, message):
     with pytest.raises(ValidationError, match=message):
