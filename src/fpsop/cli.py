@@ -196,7 +196,7 @@ _TOP_KEYS = {
     "theorem", "truncation", "seed", "n", "power",
 }
 
-_TRUNC_KEYS = {"degree", "power_limit", "tail_window", "tolerance", "cap"}
+_TRUNC_KEYS = {"degree", "tail_window", "tolerance"}
 
 
 def _check_int(value, what: str, minimum: int = 0) -> int:
@@ -278,8 +278,6 @@ def parse_config(source) -> Config:
     degree = _check_int(trunc.get("degree", 512), "truncation.degree")
     tail_window = _check_int(trunc.get("tail_window", 10), "truncation.tail_window", 1)
     tolerance = _check_positive(trunc.get("tolerance", 1e-7), "truncation.tolerance")
-    power_limit = _check_int(trunc.get("power_limit", degree), "truncation.power_limit")
-    cap = _check_positive(trunc.get("cap", 1e12), "truncation.cap")
 
     theorem = raw.get("theorem")
     if theorem is not None and theorem not in CRITERION_CODES:
@@ -302,10 +300,8 @@ def parse_config(source) -> Config:
         "power": None if raw.get("power") is None else _check_int(raw["power"], "power"),
         "truncation": {
             "degree": degree,
-            "power_limit": power_limit,
             "tail_window": tail_window,
             "tolerance": tolerance,
-            "cap": cap,
         },
         "seed": _check_int(raw.get("seed", 0), "seed"),
     }
@@ -314,7 +310,7 @@ def parse_config(source) -> Config:
         beta, delta = build_beta(), build_delta()
         operator = {"u": _build_series(normalized["u"]),
                     "phi": _build_series(normalized["phi"], PolynomialSymbol, "symbol")}
-        space = SpaceConfig(p, degree, tail_window, tolerance, power_limit, cap)
+        space = SpaceConfig(p, degree, tail_window, tolerance)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     # "stride": m and "shift": m are shorthand for phi = z**m and u = z**m.

@@ -151,11 +151,10 @@ class PowerTable:
         if L > self.max_power:
             raise ValidationError(f"L={L} exceeds table max power {self.max_power}")
 
-    def column_scaled(self, n: int, limit: int) -> list[tuple[int, object, int]]:
+    def column_scaled(self, n: int) -> list[tuple[int, object, int]]:
         """``(L, numerator, denominator)`` of ``theta(n, L)`` for the powers
-        ``L <= limit`` in :meth:`power_range`, unreduced."""
+        ``L`` in :meth:`power_range`, unreduced."""
         powers = self.power_range(n)
-        powers = range(powers.start, min(powers.stop, limit + 1))
         if self._mono is not None:
             return [(L, 1, 1) for L in powers]
         rows = self._rows

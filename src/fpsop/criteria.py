@@ -62,6 +62,9 @@ DECAY_RATIO = 0.9
 
 DYADIC_GROWTH_RATIO = 0.75
 
+# A scan still growing past this magnitude is declared divergent.
+DIVERGENCE_CAP = 1e12
+
 # The smallest normal float: a float below it has lost precision.
 _TINY = sys.float_info.min
 
@@ -383,9 +386,9 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, summed: 
         diverged = True
         note_list.append("scan overflowed to infinity")
     elif tail_delta > tol:
-        if value > space.cap:
+        if value > DIVERGENCE_CAP:
             diverged = True
-            note_list.append(f"still growing past the cap {space.cap:g}")
+            note_list.append(f"still growing past the cap {DIVERGENCE_CAP:g}")
         elif n_top >= 8:
             mid, quarter = traj[n_top // 2], traj[n_top // 4]
             d_last = hi - mid
@@ -503,7 +506,7 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _R
     power, passed unreduced for ``row`` to reduce once.  Other rows, and float
     rows with a term of 1.0 (maybe an exact pair), an aggregate outside
     ``(0, inf)`` or an overflow, take the per-term ``_pair`` route."""
-    space, L_max = req.space, req.space.power_limit
+    space = req.space
     qe = None if space.sup_mode else _exponent(space.q)
     qf = None if qe is None else float(qe)
     float_rows = table.phi.mode == FLOAT
@@ -512,7 +515,7 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _R
     rows = [None] * min(shift, space.truncation_degree + 1)
     for n in range(shift, space.truncation_degree + 1):
         j = n - shift
-        entries = table.column_scaled(j, L_max)
+        entries = table.column_scaled(j)
         nz = [e for e in entries if e[1]]
         agg = terms = None
         if float_rows and nz and all(type(w[L]) is float for L, _, _ in nz):
@@ -537,7 +540,7 @@ def _power_sum_upper(req: CriterionRequest, table: PowerTable, shift: int, w: _R
         if agg is None:
             terms = [(0, 1) if x == 0 else _pair([abs(x)], [w[L]], den) for L, x, den in entries]
             agg = _q_pairs(terms, qe)
-        if _natural_power_cut(table.phi, j, L_max):
+        if _natural_power_cut(table.phi, j):
             last3 = terms[-3:] if terms is not None else [
                 _pair([abs(x)], [w[L]], den) if x else 0.0 for L, x, den in entries[-3:]]
             inner_ok = inner_ok and _decayed([_as_float(t) for t in last3])
@@ -602,14 +605,10 @@ def _build_table(phi: PolynomialSymbol, degree_bound: int, max_power: int) -> Po
     return PowerTable(phi, degree_bound=degree_bound, max_power=max_power)
 
 
-def _natural_power_cut(phi: PolynomialSymbol, n: int, limit: int) -> bool:
-    """Whether the powers contributing at degree ``n`` exceed ``limit``."""
-    low = phi.min_degree()
-    if low is None:
-        return False
-    if low == 0:
-        return not (phi.degree == 0 and n > 0)
-    return n // low > limit
+def _natural_power_cut(phi: PolynomialSymbol, n: int) -> bool:
+    """Whether the powers contributing at degree ``n`` run past the table's
+    last power: ``phi(0) != 0``, unless ``phi`` is constant and ``n > 0``."""
+    return phi.min_degree() == 0 and not (phi.degree == 0 and n > 0)
 
 
 def composition_norm_monomial(req: CriterionRequest) -> BoundCertificate:
@@ -642,8 +641,7 @@ def _power_bounds(req: CriterionRequest, shift: int
     ``z**0`` is the diamond unit, every kernel is 1 and no delta is read.
     """
     space, N = req.space, req.space.truncation_degree
-    table = _build_table(_operand(req.phi), degree_bound=max(N - shift, 0),
-                         max_power=max(space.power_limit, N))
+    table = _build_table(_operand(req.phi), degree_bound=max(N - shift, 0), max_power=N)
     pe = _exponent(space.p)
     e = pe if space.sup_mode else _exponent(space.p, space.q)
     d, w = _ReadOnce(req.delta.value if shift else lambda n: 1), _ReadOnce(req.beta.value)
@@ -656,7 +654,7 @@ def _power_bounds(req: CriterionRequest, shift: int
         normal float range though the row itself may not."""
         km, ke = _split([d[n], w[n]], [d[shift], d[j]])
         terms = [_split([abs(x)], [den, w[L]])
-                 for L, x, den in table.column_scaled(j, space.power_limit) if x]
+                 for L, x, den in table.column_scaled(j) if x]
         if not terms:
             return 0
         top = max(te for _, te in terms)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 __all__ = [
     "BETA_PRESETS",
@@ -341,25 +341,21 @@ class _Frozen:
 class SpaceConfig(_Frozen):
     """The exponent p and the truncation block shared by the bound evaluators.
 
-    ``truncation_degree`` caps the outer index of every scanned sup or sum,
-    ``tail_window`` is the trailing stretch used for the convergence check,
-    ``tolerance`` is the largest tail movement still considered settled,
-    ``power_limit`` truncates the inner sums over symbol powers (None: the
-    truncation degree) and ``cap`` is the magnitude above which a
-    still-growing scan is declared divergent.
+    ``truncation_degree`` caps the outer index of every scanned sup or sum
+    and the inner sums over symbol powers, ``tail_window`` is the trailing
+    stretch used for the convergence check and ``tolerance`` is the largest
+    tail movement still considered settled.
     """
 
-    _fields = ("p", "truncation_degree", "tail_window", "tolerance", "power_limit", "cap")
+    _fields = ("p", "truncation_degree", "tail_window", "tolerance")
 
     def __init__(self, p: Union[int, float, Fraction] = 2, truncation_degree: int = 512,
-                 tail_window: int = 10, tolerance: float = 1e-7,
-                 power_limit: Optional[int] = None, cap: float = 1e12):
-        limit = truncation_degree if power_limit is None else power_limit
-        self._set(p, truncation_degree, tail_window, tolerance, limit, cap)
-        if isinstance(self.p, float) and math.isinf(self.p):
-            raise ValidationError("p = inf is not supported; norms require finite p >= 1")
+                 tail_window: int = 10, tolerance: float = 1e-7):
+        self._set(p, truncation_degree, tail_window, tolerance)
         conjugate_exponent(self.p)  # validates p >= 1
-        for name in ("truncation_degree", "tail_window", "power_limit"):
+        if _safe_float(self.p) == math.inf:  # an exact p beyond float range too
+            raise ValidationError("p = inf is not supported; norms require finite p >= 1")
+        for name in ("truncation_degree", "tail_window"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
@@ -367,10 +363,9 @@ class SpaceConfig(_Frozen):
             raise ValidationError("tail_window must be at least 1")
         if self.truncation_degree < self.tail_window:
             raise ValidationError("truncation_degree must be >= tail_window")
-        for name in ("tolerance", "cap"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0 < v < math.inf):
-                raise ValidationError(f"{name} must be a finite positive real")
+        v = self.tolerance
+        if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0 < v < math.inf):
+            raise ValidationError("tolerance must be a finite positive real")
 
     @property
     def q(self):

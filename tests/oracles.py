@@ -304,7 +304,7 @@ def power_sum_upper_reference(req, table, shift, w, row, note):
     def term(n, L, num, den):
         return _pair([abs(num)], [w[L]], den)
 
-    space, L_max = req.space, req.space.power_limit
+    space = req.space
     qe = None if space.sup_mode else _exponent(space.q)
     inner_ok = True
     rows = [None] * min(shift, space.truncation_degree + 1)
@@ -312,11 +312,9 @@ def power_sum_upper_reference(req, table, shift, w, row, note):
         j = n - shift
         terms = []
         for L in table.power_range(j):
-            if L > L_max:
-                break
             num, den = table_theta_scaled(table, j, L)
             terms.append((0, 1) if num == 0 else term(n, L, num, den))
-        if _natural_power_cut(table.phi, j, L_max) and not _decayed(
+        if _natural_power_cut(table.phi, j) and not _decayed(
                 [_as_float(t) for t in terms[-3:]]):
             inner_ok = False
         rows.append(row(n, j, _q_pairs(terms, qe)))
@@ -332,8 +330,7 @@ def shifted_lower_reference(req, shift):
     per column term, delta read as ones at shift 0: the reference for the
     kernel read once per degree."""
     N = req.space.truncation_degree
-    table = _build_table(req.phi, degree_bound=max(N - shift, 0),
-                         max_power=max(req.space.power_limit, N))
+    table = _build_table(req.phi, degree_bound=max(N - shift, 0), max_power=N)
     d = _ReadOnce(req.delta.value if shift else lambda n: 1)
     w = _ReadOnce(req.beta.value)
 

@@ -285,21 +285,44 @@ class TestMain:
         assert code == 0
         assert json.loads(out)["elapsed_ms"] > 0
 
-    @pytest.mark.parametrize("key, literal, shown", [
-        ("cap", "Infinity", "inf"),
-        ("cap", "1e400", "inf"),  # json reads it as inf
-        ("tolerance", "Infinity", "inf"),
-        ("tolerance", "1e400", "inf"),
-        ("tolerance", "NaN", "nan"),
+    @pytest.mark.parametrize("literal, shown", [
+        ("Infinity", "inf"),
+        ("1e400", "inf"),  # json reads it as inf
+        ("NaN", "nan"),
     ])
-    def test_non_finite_truncation_scalar_exits_two(self, capsys, key, literal, shown):
-        config = '{"phi": {"monomial": 2}, "truncation": {"degree": 16, "%s": %s}}' % (
-            key, literal)
+    def test_non_finite_truncation_tolerance_exits_two(self, capsys, literal, shown):
+        config = ('{"phi": {"monomial": 2}, "truncation": {"degree": 16, "tolerance": %s}}'
+                  % literal)
         assert main(["bound", "--theorem", "thm21", "--config", config]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"fpsop: error: truncation.{key} must be a finite positive number, got {shown}\n")
+            f"fpsop: error: truncation.tolerance must be a finite positive number, got {shown}\n")
+
+    @pytest.mark.parametrize("literal", ["Infinity", "1e400"])
+    def test_cap_is_not_a_truncation_key(self, capsys, literal):
+        """The divergence cap is a constant of the scans, not a setting."""
+        config = '{"phi": {"monomial": 2}, "truncation": {"degree": 16, "cap": %s}}' % literal
+        assert main(["bound", "--theorem", "thm21", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fpsop: error: unknown truncation keys: ['cap']\n"
+
+    def test_power_sum_upper_is_never_below_its_lower(self, capsys):
+        """A ``power_limit`` below the degree made this upper of an unbounded
+        operator finite (61.04) and below its lower (9236.8). The inner power
+        sums run to the degree, so the key is rejected and the upper is inf."""
+        config = '{"phi": {"coeffs": [0, "1/2", 2]}, "truncation": {"degree": 20%s}}'
+        assert main(["bound", "--theorem", "thm22", "--quiet", "--config",
+                     config % ', "power_limit": 5']) == 2
+        assert capsys.readouterr().err == (
+            "fpsop: error: unknown truncation keys: ['power_limit']\n")
+        code, out = run_main(capsys, "bound", "--theorem", "thm22", "--quiet", "--config",
+                             config % "")
+        assert code == 0
+        named = {c["name"]: c for c in json.loads(out)["certificates"]}
+        assert named["composition-power-sum-upper"]["value"] == "inf"
+        assert named["composition-monomial-lower"]["value"] > 9000
 
 
 class TestConflictingSymbolKeys:
@@ -394,6 +417,18 @@ class TestBeyondFloatRange:
         assert code == 0
         named = {c["name"]: c["value"] for c in json.loads(out)["certificates"]}
         assert 0 < named["substitution-shift-lower"] <= named["substitution-shift-upper"] < 1
+
+    @pytest.mark.parametrize("command, extra", [
+        ("check-algebra", ""),
+        ("norm", ', "f": {"coeffs": [1, 2]}'),
+    ])
+    def test_exact_p_beyond_float_range_exits_two(self, capsys, command, extra):
+        code = main([command, "--quiet", "--config", '{"p": "1e400"%s}' % extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "fpsop: error: p = inf is not supported; norms require finite p >= 1\n")
 
     def test_mixed_list_with_an_exact_entry_beyond_float_range_exits_two(self, capsys):
         code = main(["norm", "--quiet", "--config", '{"f": {"coeffs": ["1e400", 1.5]}}'])

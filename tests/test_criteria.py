@@ -45,12 +45,10 @@ def geometric_beta(n_top, base=Fraction(1, 2)):
     return make_beta([base ** n for n in range(n_top + 1)])
 
 
-def request(beta, delta, p=2, degree=512, tol=1e-7, window=10, stride=None, shift=None,
-            cap=1e12, **kw):
+def request(beta, delta, p=2, degree=512, tol=1e-7, window=10, stride=None, shift=None, **kw):
     """A request; ``stride`` and ``shift`` stand for ``phi = z**stride`` and
     ``u = z**shift``, as in a config."""
-    space = SpaceConfig(p=p, truncation_degree=degree, tail_window=window, tolerance=tol,
-                        cap=cap)
+    space = SpaceConfig(p=p, truncation_degree=degree, tail_window=window, tolerance=tol)
     if stride is not None:
         kw["phi"] = PolynomialSymbol.monomial(stride)
     if shift is not None:
@@ -418,22 +416,23 @@ class TestConflictingSymbolKeys:
 def test_the_parsed_config_is_the_request():
     """``SpaceConfig`` holds the whole truncation block, and the evaluators
     take the parsed config as they take the request of the same fields."""
-    cfg = parse_config('{"phi": {"coeffs": [0, "1/2", 4]}, '
-                       '"truncation": {"degree": 20, "power_limit": 5, "cap": 1e6}}')
+    cfg = parse_config('{"phi": {"coeffs": [0, "1/2", 4]}, "truncation": {"degree": 20}}')
     assert isinstance(cfg, CriterionRequest)
-    assert (cfg.space.power_limit, cfg.space.cap) == (5, 1e6)
-    assert parse_config('{"truncation": {"degree": 20}}').space.power_limit == 20
+    assert cfg.space == SpaceConfig(truncation_degree=20)
     certs = composition_bounds_polynomial(cfg)
     assert certs == composition_bounds_polynomial(
         CriterionRequest(cfg.beta, cfg.delta, cfg.space, cfg.u, cfg.phi))
-    assert "inner power sums truncated without certified decay" in certs[0].notes
-    assert "still growing past the cap 1e+06" in certs[1].notes
 
 
-@pytest.mark.parametrize("cap", [0, -1.0, math.inf, math.nan])
-def test_request_rejects_a_cap_that_is_not_finite_and_positive(cap):
-    with pytest.raises(ValidationError, match="cap must be a finite positive real"):
-        request(hardy, ones, stride=2, cap=cap)
+def test_a_scan_still_growing_past_the_divergence_cap_diverges():
+    """The weight ratios of ``z**n -> z**(2n)`` on ``(n+1)**150`` weights
+    pass ``DIVERGENCE_CAP`` while the scan is still growing."""
+    cfg = parse_config('{"beta": {"power": 150}, "phi": {"monomial": 2},'
+                       ' "truncation": {"degree": 20}}')
+    cert = composition_norm_monomial(cfg)
+    assert criteria.DIVERGENCE_CAP == 1e12
+    assert cert.value > 1e43 and not cert.converged
+    assert "still growing past the cap 1e+12" in cert.notes
 
 
 def _outcome(fn, nums, dens):
@@ -823,11 +822,9 @@ def _power_sum_cases(draw):
     beta = draw(_weights(top + 1))
     delta = draw(st.sampled_from([ones, make_delta("factorial"), make_delta("inverse-factorial")]))
     space = SpaceConfig(p=draw(st.sampled_from([2, Fraction(3, 2), 3, 1, 2.5])),
-                        truncation_degree=degree, tail_window=1,
-                        power_limit=draw(st.integers(0, degree)))
+                        truncation_degree=degree, tail_window=1)
     req = CriterionRequest(beta=beta, delta=delta, space=space, phi=phi)
-    table = criteria._build_table(phi, degree_bound=max(degree - shift, 0),
-                                  max_power=max(space.power_limit, degree))
+    table = criteria._build_table(phi, degree_bound=max(degree - shift, 0), max_power=degree)
     return req, table, shift
 
 

@@ -21,9 +21,9 @@ SPACE = SpaceConfig(p=2, truncation_degree=64, tail_window=4, tolerance=1e-6)
 
 # (class, field names, keyword arguments of one value, a change of one field)
 FROZEN = [
-    (SpaceConfig, ("p", "truncation_degree", "tail_window", "tolerance", "power_limit", "cap"),
-     dict(p=2, truncation_degree=64, tail_window=4, tolerance=1e-6, power_limit=8),
-     dict(cap=1e6)),
+    (SpaceConfig, ("p", "truncation_degree", "tail_window", "tolerance"),
+     dict(p=2, truncation_degree=64, tail_window=4, tolerance=1e-6),
+     dict(tolerance=1e-5)),
     (TruncatedSeries, ("coeffs", "mode"),
      dict(coeffs=(1, Fraction(1, 2))), dict(coeffs=(1, 0.5))),
     (PolynomialSymbol, ("alphas", "mode"),
@@ -40,7 +40,7 @@ FROZEN = [
      dict(warnings=("w",))),
     (CriterionRequest, ("beta", "delta", "space", "u", "phi"),
      dict(beta=BETA, delta=DELTA, space=SPACE, phi=PolynomialSymbol.monomial(2)),
-     dict(space=SpaceConfig(p=2, truncation_degree=64, tail_window=4, cap=1e6))),
+     dict(space=SpaceConfig(p=2, truncation_degree=64, tail_window=4, tolerance=1e-5))),
 ]
 
 CONFIG_FIELDS = ("normalized", "beta", "delta", "u", "phi", "space")
@@ -52,7 +52,7 @@ _NO_DEFAULT = inspect.Parameter.empty
 # The constructor parameters, in order, with their defaults.
 SIGNATURES = {
     SpaceConfig: [("p", 2), ("truncation_degree", 512), ("tail_window", 10),
-                  ("tolerance", 1e-7), ("power_limit", None), ("cap", 1e12)],
+                  ("tolerance", 1e-7)],
     TruncatedSeries: [("coeffs", (0,))],
     PolynomialSymbol: [("alphas", (0,))],
     BoundCertificate: [("value", _NO_DEFAULT), ("kind", _NO_DEFAULT),
@@ -115,15 +115,11 @@ def test_constructor_signature(cls):
 
 
 def test_positional_arguments_follow_the_field_order():
-    assert SpaceConfig(3, 20, 2, 0.5, 4, 1e6) == SpaceConfig(
-        p=3, truncation_degree=20, tail_window=2, tolerance=0.5, power_limit=4, cap=1e6)
-    assert SpaceConfig(truncation_degree=20).power_limit == 20
-    assert SpaceConfig(truncation_degree=20, power_limit=None) == SpaceConfig(
-        truncation_degree=20, power_limit=20)
+    assert SpaceConfig(3, 20, 2, 0.5) == SpaceConfig(
+        p=3, truncation_degree=20, tail_window=2, tolerance=0.5)
     cert = BoundCertificate(2, "exact", None, 5, 1, 0, [1])
     assert (cert.value, cert.tail_delta, cert.converged, cert.notes) == (2.0, 1.0, False, ("1",))
     assert OperatorMatrix("k", 1, 0, ((),), "float").warnings == ()
-    assert SpaceConfig().cap == 1e12
     req = CriterionRequest(BETA, DELTA, SPACE, None, PolynomialSymbol.monomial(2))
     assert (req.u, req.phi) == (None, PolynomialSymbol.monomial(2))
 
@@ -187,12 +183,7 @@ class TestConfig:
      "truncation_degree must be a nonnegative integer, got '8'"),
     (lambda: SpaceConfig(tail_window=2.5), "tail_window must be a nonnegative integer, got 2.5"),
     (lambda: SpaceConfig(tail_window=False), "tail_window must be a nonnegative integer, got False"),
-    (lambda: SpaceConfig(power_limit=True), "power_limit must be a nonnegative integer, got True"),
-    (lambda: SpaceConfig(power_limit=-1), "power_limit must be a nonnegative integer, got -1"),
-    (lambda: SpaceConfig(power_limit=3.0), "power_limit must be a nonnegative integer, got 3.0"),
-    (lambda: SpaceConfig(cap=math.inf), "cap must be a finite positive real"),
-    (lambda: SpaceConfig(cap=True), "cap must be a finite positive real"),
-    (lambda: SpaceConfig(cap=0), "cap must be a finite positive real"),
+    (lambda: SpaceConfig(p=Fraction(10) ** 400), "p = inf is not supported"),
     (lambda: PolynomialSymbol((1, 0)), "top polynomial coefficient is zero"),
     (lambda: BoundCertificate(math.nan, "upper", None, 3, 0.0, True),
      "certificate value must be nonnegative, got nan"),
