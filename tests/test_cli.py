@@ -285,19 +285,35 @@ class TestMain:
         assert code == 0
         assert json.loads(out)["elapsed_ms"] > 0
 
-    @pytest.mark.parametrize("literal, shown", [
-        ("Infinity", "inf"),
-        ("1e400", "inf"),  # json reads it as inf
-        ("NaN", "nan"),
+    @pytest.mark.parametrize("key, literal, shown", [
+        ("tolerance", "Infinity", "inf"),
+        ("tolerance", "1e400", "inf"),  # json reads it as inf
+        ("tolerance", "NaN", "nan"),
     ])
-    def test_non_finite_truncation_tolerance_exits_two(self, capsys, literal, shown):
-        config = ('{"phi": {"monomial": 2}, "truncation": {"degree": 16, "tolerance": %s}}'
-                  % literal)
+    def test_non_finite_truncation_scalar_exits_two(self, capsys, key, literal, shown):
+        config = '{"phi": {"monomial": 2}, "truncation": {"degree": 16, "%s": %s}}' % (
+            key, literal)
         assert main(["bound", "--theorem", "thm21", "--config", config]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"fpsop: error: truncation.tolerance must be a finite positive number, got {shown}\n")
+            f"fpsop: error: truncation.{key} must be a finite positive number, got {shown}\n")
+
+    def test_truncation_echo_holds_degree_window_and_tolerance(self, capsys):
+        code, out = run_main(capsys, "bound", "--theorem", "thm21", "--config",
+                             '{"phi": {"monomial": 2}, "truncation": {"degree": 16}}')
+        assert code == 0
+        assert json.loads(out)["config"]["truncation"] == {
+            "degree": 16, "tail_window": 10, "tolerance": 1e-7}
+
+    def test_both_dropped_truncation_keys_are_named(self, capsys):
+        config = ('{"phi": {"monomial": 2},'
+                  ' "truncation": {"degree": 16, "power_limit": 16, "cap": 1e12}}')
+        assert main(["bound", "--theorem", "thm21", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "fpsop: error: unknown truncation keys: ['cap', 'power_limit']\n")
 
     @pytest.mark.parametrize("literal", ["Infinity", "1e400"])
     def test_cap_is_not_a_truncation_key(self, capsys, literal):

@@ -141,6 +141,15 @@ class TestPowerTable:
         table = PowerTable(phi, 6, 9)
         assert list(table.power_range(2)) == list(range(2, 10))
 
+    def test_column_scaled_runs_to_max_power(self):
+        """With ``phi(0) != 0`` the column reaches the table's last power, and
+        with ``phi(0) == 0`` it stops at ``n // min_degree``."""
+        table = PowerTable(PolynomialSymbol.from_coeffs([1, 1]), 6, 6)
+        assert table.column_scaled(3) == [(L, comb, 1) for L, comb in
+                                          [(3, 1), (4, 4), (5, 10), (6, 20)]]
+        table = PowerTable(PolynomialSymbol.from_coeffs([0, 1, 1]), 6, 6)
+        assert [L for L, _, _ in table.column_scaled(4)] == [2, 3, 4]
+
     @given(st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]), min_size=1, max_size=5))
     @example([1])  # z**0
     @example([0, 0, 0, 1])

@@ -435,6 +435,18 @@ def test_a_scan_still_growing_past_the_divergence_cap_diverges():
     assert "still growing past the cap 1e+12" in cert.notes
 
 
+@pytest.mark.parametrize("alphas, n, cut", [
+    ((1, 1), 5, True),       # phi(0) != 0: the powers run past any table
+    ((0, 1, 1), 5, False),   # phi(0) == 0: the powers stop at n
+    ((3,), 0, True),         # a constant reaches degree 0 at every power
+    ((3,), 4, False),        # and no power reaches a positive degree
+    ((0,), 0, False),        # the zero symbol has no powers past 0
+    ((0,), 3, False),
+])
+def test_natural_power_cut_reads_phi_alone(alphas, n, cut):
+    assert criteria._natural_power_cut(PolynomialSymbol(alphas), n) is cut
+
+
 def _outcome(fn, nums, dens):
     """``("value", type, bits)`` of a ratio, or ``("error", type, text)``."""
     try:

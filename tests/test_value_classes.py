@@ -183,7 +183,8 @@ class TestConfig:
      "truncation_degree must be a nonnegative integer, got '8'"),
     (lambda: SpaceConfig(tail_window=2.5), "tail_window must be a nonnegative integer, got 2.5"),
     (lambda: SpaceConfig(tail_window=False), "tail_window must be a nonnegative integer, got False"),
-    (lambda: SpaceConfig(p=Fraction(10) ** 400), "p = inf is not supported"),
+    (lambda: SpaceConfig(p=Fraction(10) ** 400),
+     "p = inf is not supported; norms require finite p >= 1"),
     (lambda: PolynomialSymbol((1, 0)), "top polynomial coefficient is zero"),
     (lambda: BoundCertificate(math.nan, "upper", None, 3, 0.0, True),
      "certificate value must be nonnegative, got nan"),
