@@ -3,87 +3,35 @@
 The package computes certified lower/upper bounds and numerical estimates
 for the norms of composition, multiplication, and weighted-substitution
 operators acting on sequence-weighted power series spaces.
+
+Names are exported lazily (PEP 562): ``import fpsop`` loads no submodule,
+and ``fpsop.<name>`` imports only the module that defines it.
 """
 
-from .combinatorics import (
-    PowerTable,
-    power_coefficient,
-    stride_offsets,
-    weighted_compositions,
-)
-from .criteria import (
-    CriterionRequest,
-    column_lower_bound,
-    composition_bounds_polynomial,
-    composition_norm_monomial,
-    multiplier_algebra_bound,
-    substitution_bounds_monomial_multiplier,
-    substitution_bounds_monomial_pair,
-    substitution_bounds_monomial_symbol,
-)
-from .operators import (
-    BoundCertificate,
-    OperatorMatrix,
-    ResourceLimitError,
-    apply,
-    build_matrix,
-    norm_estimate_l2,
-    norm_lower_search,
-)
-from .series import (
-    PolynomialSymbol,
-    TruncatedSeries,
-    cauchy_product,
-    compose,
-    diamond_product,
-    diamond_substitute,
-    norm,
-)
-from .weights import (
-    DeltaSequence,
-    SpaceConfig,
-    ValidationError,
-    WeightSequence,
-    conjugate_exponent,
-    make_beta,
-    make_delta,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundCertificate",
-    "CriterionRequest",
-    "DeltaSequence",
-    "OperatorMatrix",
-    "PolynomialSymbol",
-    "PowerTable",
-    "ResourceLimitError",
-    "SpaceConfig",
-    "TruncatedSeries",
-    "ValidationError",
-    "WeightSequence",
-    "apply",
-    "build_matrix",
-    "cauchy_product",
-    "column_lower_bound",
-    "compose",
-    "composition_bounds_polynomial",
-    "composition_norm_monomial",
-    "conjugate_exponent",
-    "diamond_product",
-    "diamond_substitute",
-    "make_beta",
-    "make_delta",
-    "multiplier_algebra_bound",
-    "norm",
-    "norm_estimate_l2",
-    "norm_lower_search",
-    "power_coefficient",
-    "stride_offsets",
-    "substitution_bounds_monomial_multiplier",
-    "substitution_bounds_monomial_pair",
-    "substitution_bounds_monomial_symbol",
-    "weighted_compositions",
-    "__version__",
-]
+# Exported name -> the module that defines it.
+_HOMES = {name: home for home, names in (
+    ("combinatorics", "PowerTable power_coefficient stride_offsets weighted_compositions"),
+    ("criteria", "column_lower_bound composition_bounds_polynomial composition_norm_monomial"
+                 " multiplier_algebra_bound substitution_bounds_monomial_multiplier"
+                 " substitution_bounds_monomial_pair substitution_bounds_monomial_symbol"),
+    ("operators", "OperatorMatrix apply build_matrix norm_estimate_l2 norm_lower_search"),
+    ("series", "PolynomialSymbol TruncatedSeries cauchy_product compose diamond_product"
+               " diamond_substitute norm"),
+    ("weights", "BoundCertificate CriterionRequest DeltaSequence ResourceLimitError"
+                " SpaceConfig ValidationError WeightSequence conjugate_exponent make_beta"
+                " make_delta"),
+) for name in names.split()}
+
+__all__ = [*sorted(_HOMES), "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{home}"), name)
+    return value

@@ -7,6 +7,12 @@ values serialize as the string ``"inf"`` to stay inside plain JSON.
 Exit codes: 0 success (a divergent certificate is a finding, not an error),
 1 internal failure or violated algebra law, 2 configuration or usage error,
 3 resource guard tripped.
+
+A launch imports only what its command runs: ``norm``, ``product`` and
+``compose`` need ``series`` and ``weights`` alone, ``theta`` adds
+``combinatorics``, ``bound`` and ``check-algebra`` add ``criteria``, and only
+``estimate`` imports ``operators``.  Without cached bytecode every module
+imported is compiled first, about half the time of a short launch.
 """
 
 from __future__ import annotations
@@ -15,20 +21,18 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 import time
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
-from . import criteria, operators
-from .combinatorics import power_coefficient
-from .criteria import CriterionRequest, column_lower_bound
-from .operators import BoundCertificate, ResourceLimitError, build_matrix, covering_rows
 from .series import PolynomialSymbol, TruncatedSeries, compose, diamond_product, norm
 from .weights import (
+    BoundCertificate,
+    CriterionRequest,
     DeltaSequence,
+    ResourceLimitError,
     SpaceConfig,
     ValidationError,
     WeightSequence,
@@ -338,34 +342,54 @@ def _coeff_list(series: TruncatedSeries) -> list:
     return [_render_scalar(c) for c in series.coeffs]
 
 
-_CRITERION_NAMES = {
-    "thm21": ("composition-norm-exact",),
-    "thm22": ("composition-power-sum-upper", "composition-monomial-lower"),
-    "thm23": ("substitution-stride-upper", "substitution-column-lower"),
-    "cor24": ("multiplier-algebra-upper",),
-    "thm25": ("substitution-shift-upper", "substitution-shift-lower"),
-    "cor26": ("progression-ratio-upper", "progression-ratio-lower"),
+# Criterion code -> (its evaluator in ``criteria``, the names of its certificates).
+_CRITERIA = {
+    "thm21": ("composition_norm_monomial", ("composition-norm-exact",)),
+    "thm22": ("composition_bounds_polynomial",
+              ("composition-power-sum-upper", "composition-monomial-lower")),
+    "thm23": ("substitution_bounds_monomial_symbol",
+              ("substitution-stride-upper", "substitution-column-lower")),
+    "cor24": ("multiplier_algebra_bound", ("multiplier-algebra-upper",)),
+    "thm25": ("substitution_bounds_monomial_multiplier",
+              ("substitution-shift-upper", "substitution-shift-lower")),
+    "cor26": ("substitution_bounds_monomial_pair",
+              ("progression-ratio-upper", "progression-ratio-lower")),
 }
 
-_CRITERION_EVALUATORS = {
-    "thm21": criteria.composition_norm_monomial,
-    "thm22": criteria.composition_bounds_polynomial,
-    "thm23": criteria.substitution_bounds_monomial_symbol,
-    "cor24": criteria.multiplier_algebra_bound,
-    "thm25": criteria.substitution_bounds_monomial_multiplier,
-    "cor26": criteria.substitution_bounds_monomial_pair,
-}
+
+def __getattr__(name: str):
+    """Bind ``_CRITERION_EVALUATORS`` (code -> evaluator), ``build_matrix``
+    and ``column_lower_bound`` on first access, importing ``criteria`` or
+    ``operators`` only then.  The commands read them through ``_cli``, this
+    module, so that a replacement set on it (the benchmark's tracer sets
+    one) is the one called."""
+    if name == "_CRITERION_EVALUATORS":
+        from . import criteria
+        value = {code: getattr(criteria, fn) for code, (fn, _) in _CRITERIA.items()}
+    elif name == "build_matrix":
+        from .operators import build_matrix as value
+    elif name == "column_lower_bound":
+        from .criteria import column_lower_bound as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 def _run_criterion(code: str, req: CriterionRequest) -> list[dict]:
-    out = _CRITERION_EVALUATORS[code](req)
+    out = _cli._CRITERION_EVALUATORS[code](req)
     certs = out if isinstance(out, tuple) else (out,)
-    return _cert_entries(zip(_CRITERION_NAMES[code], certs))
+    return _cert_entries(zip(_CRITERIA[code][1], certs))
 
 
 def _estimate(config: Config) -> tuple[list, dict, list]:
     """``(certificates, oracle, warnings)`` of ``u ◇ C_phi``.  The operator's
     shape, its matrix rows and evaluator, is decided here, once."""
+    from . import criteria, operators
+
     u, phi, space = config.u, config.phi, config.space
     unit_u = u is not None and u.monomial_degree() is not None
     unit_phi = phi is not None and (phi.monomial_degree() or 0) >= 1
@@ -378,7 +402,7 @@ def _estimate(config: Config) -> tuple[list, dict, list]:
     else:
         code = ("cor26" if unit_u else "thm23") if unit_phi else ("thm25" if unit_u else None)
     n_cols = space.truncation_degree
-    T = build_matrix(u, phi, config.delta, covering_rows(u, phi, n_cols), n_cols)
+    T = _cli.build_matrix(u, phi, config.delta, operators.covering_rows(u, phi, n_cols), n_cols)
 
     warnings = list(T.warnings)
     if float(space.p) == 2.0:
@@ -396,7 +420,7 @@ def _estimate(config: Config) -> tuple[list, dict, list]:
         "converged": oracle_cert.converged,
     }
 
-    certificates = _cert_entries([("monomial-column-lower", column_lower_bound(T, config))])
+    certificates = _cert_entries([("monomial-column-lower", _cli.column_lower_bound(T, config))])
     if code == "cor24":
         cert = criteria.multiplier_algebra_bound(config)
         unorm = norm(u, config.beta, float(space.p))
@@ -418,6 +442,10 @@ def _estimate(config: Config) -> tuple[list, dict, list]:
 def _check_algebra(config: Config) -> tuple[list, dict, list]:
     """``(certificates, result, warnings)``: the algebra constant, and the
     diamond-product laws on random exact series."""
+    import random
+
+    from . import criteria
+
     rng = random.Random(config.normalized["seed"])
     delta, pf = config.delta, float(config.space.p)
 
@@ -493,6 +521,8 @@ def run(command: str, config: Config, theorem: Optional[str] = None) -> dict:
         power = config.normalized.get("power")
         if n is None or power is None:
             raise ConfigError("theta needs integers 'n' and 'power' in the config")
+        from .combinatorics import power_coefficient
+
         value = power_coefficient(config.phi, n, power)
         result = {"n": n, "power": power, "value": _render_scalar(value)}
     elif command == "bound":

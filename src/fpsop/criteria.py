@@ -2,7 +2,7 @@
 
 Each evaluator scans a truncated sup or sum, keeps the partial values exact
 whenever the weights and exponents allow it, and packages the result as a
-:class:`~fpsop.operators.BoundCertificate` with tail diagnostics.  A scan
+:class:`~fpsop.weights.BoundCertificate` with tail diagnostics.  A scan
 that keeps growing through the final window is probed for divergence: it
 diverges when it exceeds a cap or when the growth fails to decay across
 dyadic windows.  A divergent upper reads ``inf``; a divergent lower or exact
@@ -23,10 +23,9 @@ import math
 import sys
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .combinatorics import PowerTable, stride_offsets
-from .operators import BoundCertificate, OperatorMatrix, _guard
 from .series import (
     FLOAT,
     PolynomialSymbol,
@@ -37,15 +36,18 @@ from .series import (
     _stored_degree,
     norm,
 )
-from .weights import (
-    DeltaSequence,
+from .weights import (  # CriterionRequest: re-exported
+    BoundCertificate,
+    CriterionRequest,
     SpaceConfig,
     ValidationError,
-    WeightSequence,
-    _Frozen,
+    _guard,
     _ReadOnce,
     _safe_float,
 )
+
+if TYPE_CHECKING:
+    from .operators import OperatorMatrix
 
 __all__ = [
     "CriterionRequest",
@@ -67,22 +69,6 @@ DIVERGENCE_CAP = 1e12
 
 # The smallest normal float: a float below it has lost precision.
 _TINY = sys.float_info.min
-
-
-class CriterionRequest(_Frozen):
-    """Input bundle for the bound evaluators: the weights, the space (p and
-    the truncation block) and the operator.
-
-    The operator is the pair of the multiplier ``u`` and the symbol ``phi``;
-    an evaluator that needs either as a unit monomial ``z**m`` reads ``m``
-    from it.  The parsed ``cli.Config`` is itself a request.
-    """
-
-    _fields = ("beta", "delta", "space", "u", "phi")
-
-    def __init__(self, beta: WeightSequence, delta: DeltaSequence, space: SpaceConfig,
-                 u: Optional[TruncatedSeries] = None, phi: Optional[PolynomialSymbol] = None):
-        self._set(beta, delta, space, u, phi)
 
 
 def _gt(a, b, bf: float) -> bool:

@@ -29,8 +29,9 @@ from typing import Optional
 
 from .combinatorics import PowerTable
 from .series import FLOAT, PolynomialSymbol, TruncatedSeries
-from .weights import (
-    DeltaSequence, ValidationError, WeightSequence, _Frozen, _ReadOnce, _safe_float,
+from .weights import (  # the certificate, its kinds and the size guard: re-exported
+    CERTIFICATE_KINDS, DENSE_ENTRY_LIMIT, BoundCertificate, DeltaSequence, ResourceLimitError,
+    ValidationError, WeightSequence, _Frozen, _guard, _ReadOnce, _safe_float,
 )
 
 __all__ = [
@@ -44,61 +45,12 @@ __all__ = [
     "norm_lower_search",
 ]
 
-DENSE_ENTRY_LIMIT = 10_000_000
-
-CERTIFICATE_KINDS = ("lower", "upper", "exact")
-
 # Fixed oracle budgets, spent on the coupled columns alone: power iterations and
 # tolerance of ``norm_estimate_l2``, evaluations and tolerance of ``norm_lower_search``.
 _L2_ITERATIONS = 50_000
 _L2_TOL = 1e-12
 _SEARCH_BUDGET = 600
 _SEARCH_TOL = 1e-9
-
-
-class ResourceLimitError(RuntimeError):
-    """A requested build exceeds the configured size guard."""
-
-
-class BoundCertificate(_Frozen):
-    """A certified bound on an operator norm, with truncation diagnostics.
-
-    ``value`` is the bound (may be ``inf``); ``kind`` says which side it
-    certifies.  ``tail_delta`` is how much the running value moved over the
-    final stretch of the scan and ``converged`` records whether that movement
-    stayed within tolerance.  ``attained_at`` is the smallest index achieving
-    the value, when one exists inside the scanned range.
-    """
-
-    _fields = ("value", "kind", "attained_at", "truncation_degree", "tail_delta",
-               "converged", "notes")
-
-    def __init__(self, value: float, kind: str, attained_at: Optional[int],
-                 truncation_degree: int, tail_delta: float, converged: bool,
-                 notes: tuple = ()):
-        if kind not in CERTIFICATE_KINDS:
-            raise ValidationError(f"certificate kind must be one of {CERTIFICATE_KINDS}")
-        value = float(value)
-        if math.isnan(value) or value < 0:
-            raise ValidationError(f"certificate value must be nonnegative, got {value!r}")
-        tail_delta = float(tail_delta)
-        if attained_at is not None and (not isinstance(attained_at, int) or attained_at < 0):
-            raise ValidationError("attained_at must be None or a nonnegative index")
-        if not isinstance(truncation_degree, int) or truncation_degree < 0:
-            raise ValidationError("truncation_degree must be a nonnegative integer")
-        self._set(value, kind, attained_at, truncation_degree, tail_delta, bool(converged),
-                  tuple(str(n) for n in notes))
-
-    def as_report_dict(self) -> dict:
-        return {
-            "value": "inf" if math.isinf(self.value) else self.value,
-            "kind": self.kind,
-            "attained_at": self.attained_at,
-            "truncation_degree": self.truncation_degree,
-            "tail_delta": "inf" if math.isinf(self.tail_delta) else self.tail_delta,
-            "converged": self.converged,
-            "notes": list(self.notes),
-        }
 
 
 class OperatorMatrix(_Frozen):
@@ -195,13 +147,6 @@ class _CSR:
         powers = abs(self.data[order]) ** pf
         ends = self.indices[order].searchsorted(range(self.shape[1] + 1))
         return [float(powers[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])]
-
-
-def _guard(estimate: int, label: str) -> None:
-    if estimate > DENSE_ENTRY_LIMIT:
-        raise ResourceLimitError(
-            f"{label} needs ~{estimate} entries; the guard allows {DENSE_ENTRY_LIMIT}"
-        )
 
 
 def covering_rows(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],

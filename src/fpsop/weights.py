@@ -1,10 +1,16 @@
-"""Weight sequences and space parameters for weighted power-series norms.
+"""Weight sequences and space parameters for weighted power-series norms,
+and the value classes every command path shares.
 
 A sequence space is described by a norm weight ``w(n)`` (one positive number
 per coefficient index), a convolution weight ``d(n)`` with ``d(0) = 1`` that
 shapes the diamond product, and an exponent ``p >= 1``.  Both weight kinds are
 lazy maps from indices to positive scalars; preset families cover the common
 choices and explicit value lists cover ad-hoc finite experiments.
+
+The request the bound evaluators take (``CriterionRequest``), the certificate
+they return (``BoundCertificate``) and the size guard (``_guard``) live here
+too, so that ``criteria`` needs no ``operators`` and a launch imports neither
+before its command reaches them.
 """
 
 from __future__ import annotations
@@ -12,12 +18,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 __all__ = [
     "BETA_PRESETS",
     "DELTA_PRESETS",
+    "BoundCertificate",
+    "CriterionRequest",
     "DeltaSequence",
+    "ResourceLimitError",
     "SpaceConfig",
     "ValidationError",
     "WeightSequence",
@@ -34,9 +43,24 @@ DELTA_PRESETS = ("ones", "factorial", "inverse-factorial", "geometric")
 _VALUE_CACHE_LIMIT = 4096
 _KERNEL_CACHE_LIMIT = 2048
 
+DENSE_ENTRY_LIMIT = 10_000_000
+
+CERTIFICATE_KINDS = ("lower", "upper", "exact")
+
 
 class ValidationError(ValueError):
     """A weight, exponent, or truncation parameter violates its constraints."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A requested build exceeds the configured size guard."""
+
+
+def _guard(estimate: int, label: str) -> None:
+    if estimate > DENSE_ENTRY_LIMIT:
+        raise ResourceLimitError(
+            f"{label} needs ~{estimate} entries; the guard allows {DENSE_ENTRY_LIMIT}"
+        )
 
 
 def _safe_float(value) -> float:
@@ -375,3 +399,60 @@ class SpaceConfig(_Frozen):
     def sup_mode(self) -> bool:
         """True when p = 1, in which case inner q-sums degrade to sups."""
         return self.p == 1
+
+
+class BoundCertificate(_Frozen):
+    """A certified bound on an operator norm, with truncation diagnostics.
+
+    ``value`` is the bound (may be ``inf``); ``kind`` says which side it
+    certifies.  ``tail_delta`` is how much the running value moved over the
+    final stretch of the scan and ``converged`` records whether that movement
+    stayed within tolerance.  ``attained_at`` is the smallest index achieving
+    the value, when one exists inside the scanned range.
+    """
+
+    _fields = ("value", "kind", "attained_at", "truncation_degree", "tail_delta",
+               "converged", "notes")
+
+    def __init__(self, value: float, kind: str, attained_at: Optional[int],
+                 truncation_degree: int, tail_delta: float, converged: bool,
+                 notes: tuple = ()):
+        if kind not in CERTIFICATE_KINDS:
+            raise ValidationError(f"certificate kind must be one of {CERTIFICATE_KINDS}")
+        value = float(value)
+        if math.isnan(value) or value < 0:
+            raise ValidationError(f"certificate value must be nonnegative, got {value!r}")
+        tail_delta = float(tail_delta)
+        if attained_at is not None and (not isinstance(attained_at, int) or attained_at < 0):
+            raise ValidationError("attained_at must be None or a nonnegative index")
+        if not isinstance(truncation_degree, int) or truncation_degree < 0:
+            raise ValidationError("truncation_degree must be a nonnegative integer")
+        self._set(value, kind, attained_at, truncation_degree, tail_delta, bool(converged),
+                  tuple(str(n) for n in notes))
+
+    def as_report_dict(self) -> dict:
+        return {
+            "value": "inf" if math.isinf(self.value) else self.value,
+            "kind": self.kind,
+            "attained_at": self.attained_at,
+            "truncation_degree": self.truncation_degree,
+            "tail_delta": "inf" if math.isinf(self.tail_delta) else self.tail_delta,
+            "converged": self.converged,
+            "notes": list(self.notes),
+        }
+
+
+class CriterionRequest(_Frozen):
+    """Input bundle for the bound evaluators: the weights, the space (p and
+    the truncation block) and the operator.
+
+    The operator is the pair of the multiplier ``u`` and the symbol ``phi``;
+    an evaluator that needs either as a unit monomial ``z**m`` reads ``m``
+    from it.  The parsed ``cli.Config`` is itself a request.
+    """
+
+    _fields = ("beta", "delta", "space", "u", "phi")
+
+    def __init__(self, beta: WeightSequence, delta: DeltaSequence, space: SpaceConfig,
+                 u: Optional[TruncatedSeries] = None, phi: Optional[PolynomialSymbol] = None):
+        self._set(beta, delta, space, u, phi)

@@ -290,8 +290,8 @@ def test_criterion_7_divergence_detection(verdict):
             "divergent" in note for note in kappa.notes)):
         failures.append(f"factorial progression: {kappa.value}, notes={kappa.notes}")
 
-    ok = verdict("criterion 7: the three unbounded configurations are flagged "
-                 "divergent with converged=false, the uppers as infinity", not failures,
+    ok = verdict("criterion 7: the three divergent criteria are flagged "
+                 "with converged=false, the uppers as infinity", not failures,
                  "; ".join(failures))
     assert ok, failures
 

@@ -893,6 +893,75 @@ def test_launch_imports_neither_dataclasses_nor_inspect():
     _fresh_python(_LAUNCH_GUARD)
 
 
+_LOAD_MAP_GUARD = textwrap.dedent("""
+    import contextlib, io, sys
+
+    def loaded():
+        return sorted(m[len("fpsop."):] for m in sys.modules if m.startswith("fpsop."))
+
+    import fpsop
+    assert loaded() == [], loaded()
+    fpsop.BoundCertificate
+    assert loaded() == ["weights"], loaded()
+
+    # Each command's modules include the previous command's, so in one
+    # interpreter a command that loaded more than its row would show here.
+    import fpsop.cli
+    rows = (("norm", "norm-two-term", []), ("product", "product-binomial-kernel", []),
+            ("compose", "compose-affine-cube", []),
+            ("theta", "theta-shifted-square", ["combinatorics"]),
+            ("bound", "bound-composition-geometric", ["combinatorics", "criteria"]),
+            ("check-algebra", "check-algebra-inverse-factorial",
+             ["combinatorics", "criteria"]),
+            ("estimate", "estimate-composition-geometric",
+             ["combinatorics", "criteria", "operators"]))
+    for command, config, extra in rows:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert fpsop.cli.main([command, "--config", "configs/" + config + ".json",
+                                   "--quiet"]) == 0
+        assert loaded() == sorted(["cli", "series", "weights", *extra]), (command, loaded())
+
+    assert fpsop.__all__[-1] == "__version__"
+    for name in fpsop.__all__[:-1]:
+        obj = getattr(fpsop, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert not hasattr(fpsop, "no_such_name")
+
+    from fpsop import criteria, operators, weights
+    for module, names in ((operators, ("BoundCertificate", "CERTIFICATE_KINDS",
+                                       "ResourceLimitError", "DENSE_ENTRY_LIMIT", "_guard")),
+                          (criteria, ("CriterionRequest", "BoundCertificate", "_guard"))):
+        for name in names:
+            assert getattr(module, name) is getattr(weights, name), (module, name)
+""")
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    _fresh_python(_LOAD_MAP_GUARD)
+
+
+@pytest.mark.parametrize("command, name, spans", [
+    ("estimate", "estimate-composition-geometric",
+     {"operators.build_matrix", "operators.column_lower_bound", "criteria.thm21"}),
+    ("bound", "bound-composition-geometric", {"criteria.thm22", "combinatorics.PowerTable"}),
+])
+def test_traced_launch_records_each_layer(tmp_path, command, name, spans):
+    """The benchmark's traced launch patches ``cli``'s evaluators and matrix
+    functions after import; the commands must call the patched ones, or the
+    per-layer metrics read zero while the report stays right."""
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "traced_cli.py"), "--spans", str(spans_path),
+         "--request-id", "r", "--", command, "--config", "configs/" + name + ".json",
+         "--quiet"], cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(REPO_ROOT, "tests", "golden_reports.json"), encoding="utf-8") as fh:
+        assert proc.stdout == json.load(fh)["configs/" + name]
+    recorded = {span[3] for span in json.loads(spans_path.read_text())["spans"]}
+    assert spans <= recorded, sorted(recorded)
+
+
 _WITHOUT_SCIPY = textwrap.dedent("""
     import contextlib, io, json, sys
     sys.modules["scipy"] = None  # any import of scipy now raises ImportError
