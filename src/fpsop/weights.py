@@ -1,5 +1,4 @@
-"""Weight sequences and space parameters for weighted power-series norms,
-and the value classes every command path shares.
+"""Weight sequences and space parameters for weighted power-series norms.
 
 A sequence space is described by a norm weight ``w(n)`` (one positive number
 per coefficient index), a convolution weight ``d(n)`` with ``d(0) = 1`` that
