@@ -196,8 +196,7 @@ def _build_series(norm_spec: Optional[dict], cls=TruncatedSeries, what: str = "s
 
 
 _TOP_KEYS = {
-    "p", "beta", "delta", "u", "phi", "f", "g", "stride", "shift",
-    "theorem", "truncation", "seed", "n", "power",
+    "p", "beta", "delta", "u", "phi", "f", "g", "theorem", "truncation", "seed", "n", "power",
 }
 
 _TRUNC_KEYS = {"degree", "tail_window", "tolerance"}
@@ -225,9 +224,8 @@ class Config(CriterionRequest):
 
     Two configs are equal exactly when their normalized documents are equal,
     so a serialize/parse round trip is the identity.  Every value is held
-    once: ``u`` and ``phi`` are None when absent, and ``z**m`` for a
-    ``shift`` or ``stride`` of ``m``; p and the truncation block are
-    ``space``, and the seed is read from ``normalized``.
+    once: ``u`` and ``phi`` are None when absent, p and the truncation block
+    are ``space``, and the seed is read from ``normalized``.
     """
 
     _fields = ("normalized", "beta", "delta", "u", "phi", "space")
@@ -253,8 +251,11 @@ def parse_config(source) -> Config:
     if not text.lstrip().startswith("{"):
         if not os.path.isfile(text):
             raise ConfigError(f"config file not found: {text}")
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {text}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -280,7 +281,10 @@ def parse_config(source) -> Config:
     if bad:
         raise ConfigError(f"unknown truncation keys: {sorted(bad)}")
     degree = _check_int(trunc.get("degree", 512), "truncation.degree")
-    tail_window = _check_int(trunc.get("tail_window", 10), "truncation.tail_window", 1)
+    # An absent window fits inside the degree: a command that never reads it
+    # must not reject a small degree over it.
+    tail_window = _check_int(trunc.get("tail_window", max(1, min(10, degree))),
+                             "truncation.tail_window", 1)
     tolerance = _check_positive(trunc.get("tolerance", 1e-7), "truncation.tolerance")
 
     theorem = raw.get("theorem")
@@ -297,8 +301,6 @@ def parse_config(source) -> Config:
         "phi": _normalize_series_spec(raw.get("phi"), "phi"),
         "f": _normalize_series_spec(raw.get("f"), "f"),
         "g": _normalize_series_spec(raw.get("g"), "g"),
-        "stride": None if raw.get("stride") is None else _check_int(raw["stride"], "stride"),
-        "shift": None if raw.get("shift") is None else _check_int(raw["shift"], "shift"),
         "theorem": theorem,
         "n": None if raw.get("n") is None else _check_int(raw["n"], "n"),
         "power": None if raw.get("power") is None else _check_int(raw["power"], "power"),
@@ -312,19 +314,12 @@ def parse_config(source) -> Config:
 
     try:
         beta, delta = build_beta(), build_delta()
-        operator = {"u": _build_series(normalized["u"]),
-                    "phi": _build_series(normalized["phi"], PolynomialSymbol, "symbol")}
+        u = _build_series(normalized["u"])
+        phi = _build_series(normalized["phi"], PolynomialSymbol, "symbol")
         space = SpaceConfig(p, degree, tail_window, tolerance)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-    # "stride": m and "shift": m are shorthand for phi = z**m and u = z**m.
-    for key, name, cls in (("stride", "phi", PolynomialSymbol), ("shift", "u", TruncatedSeries)):
-        m, given = normalized[key], operator[name]
-        if m is not None and given is None:
-            operator[name] = cls.monomial(m)
-        elif m is not None and given.monomial_degree() != m:
-            raise ConfigError(f"{key}={m} conflicts with {name}, which is not z**{m}")
-    return Config(normalized, beta, delta, operator["u"], operator["phi"], space)
+    return Config(normalized, beta, delta, u, phi, space)
 
 
 def _series_or_fail(config: Config, key: str) -> TruncatedSeries:
@@ -561,18 +556,12 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="criterion code for the bound command")
     parser.add_argument("--out", default=None, help="write the report to this file")
     parser.add_argument("--quiet", action="store_true", help="omit the config echo")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed for randomized searches")
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timing in the report (not byte-stable)")
     args = parser.parse_args(argv)
 
     try:
         config = parse_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be nonnegative")
-            config.normalized["seed"] = args.seed
         started = time.perf_counter()
         report = run(args.command, config, theorem=args.theorem)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -597,8 +586,12 @@ def main(argv: Optional[list[str]] = None) -> int:
               f" the most the interpreter writes an integer with: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"fpsop: error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
 

@@ -193,7 +193,7 @@ def build_matrix(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
     if u is None:
         columns = tuple(tuple(powers.row_nonzeros(L)) for L in range(n_cols + 1))
     else:
-        cols = []
+        cols, kernels = [], {}  # a non-monomial phi reads each (row, k) kernel in many columns
         for L in range(n_cols + 1):
             acc: dict[int, object] = {}
             for j, pc in powers.row_nonzeros(L):
@@ -201,7 +201,10 @@ def build_matrix(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
                     row = j + k
                     if row > n_rows:
                         break
-                    acc[row] = acc.get(row, 0) + delta.kernel(row, k) * c * pc
+                    kern = kernels.get((row, k))
+                    if kern is None:
+                        kern = kernels[row, k] = delta.kernel(row, k)
+                    acc[row] = acc.get(row, 0) + kern * c * pc
             cols.append(tuple(sorted((r, v) for r, v in acc.items() if v != 0)))
         columns = tuple(cols)
 

@@ -40,7 +40,6 @@ BETA_PRESETS = ("hardy", "bergman", "dirichlet")
 DELTA_PRESETS = ("ones", "factorial", "inverse-factorial", "geometric")
 
 _VALUE_CACHE_LIMIT = 4096
-_KERNEL_CACHE_LIMIT = 2048
 
 DENSE_ENTRY_LIMIT = 10_000_000
 
@@ -174,29 +173,19 @@ class DeltaSequence(_LazySequence):
         first = self.value(0)
         if first != 1:
             raise ValidationError(f"delta(0) must equal 1, got {first!r}")
-        self._kernel_cache: dict[tuple[int, int], Scalar] = {}
 
     def kernel(self, n: int, k: int) -> Scalar:
         """The factor ``d(n) / (d(k) d(n-k))`` for the k-th convolution term."""
         if not 0 <= k <= n:
             raise ValidationError(f"kernel index k={k} outside 0..{n}")
-        if n <= _KERNEL_CACHE_LIMIT:
-            hit = self._kernel_cache.get((n, k))
-            if hit is not None:
-                return hit
         num = self.value(n)
         den = self.value(k) * self.value(n - k)
         if type(num) is int and type(den) is int:
-            out: Scalar = num // den if num % den == 0 else Fraction(num, den)
-        elif isinstance(num, Rational) and isinstance(den, Rational):
+            return num // den if num % den == 0 else Fraction(num, den)
+        if isinstance(num, Rational) and isinstance(den, Rational):
             out = Fraction(num) / Fraction(den)
-            if out.denominator == 1:
-                out = int(out)
-        else:
-            out = num / den
-        if n <= _KERNEL_CACHE_LIMIT:
-            self._kernel_cache[(n, k)] = out
-        return out
+            return int(out) if out.denominator == 1 else out
+        return num / den
 
 
 def _explicit_fn(values: tuple, what: str) -> Callable[[int], Scalar]:

@@ -13,18 +13,12 @@ from hypothesis import strategies as st
 
 from fpsop.cli import (COMMANDS, Config, ConfigError, _parse_echo, _parse_once, main,
                        parse_config, run)
-from fpsop.series import PolynomialSymbol, TruncatedSeries
 
 from oracles import parse_once_reference
 
 MINIMAL = '{"p": 2, "beta": {"preset": "dirichlet"}, "phi": {"monomial": 2}}'
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-CONFLICTING_STRIDE = ('{"beta": "dirichlet", "u": {"monomial": 1},'
-                      ' "phi": {"monomial": 2}, "stride": 3,'
-                      ' "truncation": {"degree": 128}}')
-
 
 def run_main(capsys, *argv):
     code = main(list(argv))
@@ -92,16 +86,6 @@ class TestParseConfig:
         })
         cfg = parse_config(text)
         assert parse_config(cfg.serialize()) == cfg
-
-    def test_stride_and_shift_are_monomial_shorthand(self):
-        cfg = parse_config('{"stride": 2, "shift": 1}')
-        assert cfg.phi == PolynomialSymbol.monomial(2)
-        assert cfg.u == TruncatedSeries.monomial(1)
-        assert (cfg.normalized["stride"], cfg.normalized["phi"]) == (2, None)
-        assert (cfg.normalized["shift"], cfg.normalized["u"]) == (1, None)
-        for key in ("stride", "shift"):
-            with pytest.raises(ConfigError, match=f"{key} must be an integer >= 0, got -1"):
-                parse_config('{"%s": -1}' % key)
 
     def test_theorem_code_validated(self):
         with pytest.raises(ConfigError, match="thm99"):
@@ -253,29 +237,44 @@ class TestMain:
         _, second = run_main(capsys, *args)
         assert first == second
 
-    def test_seed_flag_echoes(self, capsys):
-        code, out = run_main(capsys, "check-algebra", "--config",
-                             '{"beta": {"preset": "hardy"},'
-                             ' "delta": {"preset": "inverse-factorial"},'
-                             ' "truncation": {"degree": 32}}',
-                             "--seed", "5")
+    def test_config_seed_reaches_the_computation(self, capsys):
+        """A coupled p = 3 estimate: the seed drives the oracle's random search."""
+        config = ('{"p": 3, "beta": "hardy", "u": {"coeffs": [1, 0, 1]},'
+                  ' "truncation": {"degree": 12}%s}')
+        code, seeded = run_main(capsys, "estimate", "--config", config % ', "seed": 5')
+        _, unseeded = run_main(capsys, "estimate", "--config", config % "")
         assert code == 0
-        assert json.loads(out)["config"]["seed"] == 5
+        assert json.loads(seeded)["config"]["seed"] == 5
+        assert json.loads(unseeded)["oracle"] != json.loads(seeded)["oracle"]
 
-    @pytest.mark.parametrize("command, config", [
-        ("check-algebra", '{"beta": "hardy", "delta": "inverse-factorial",'
-                          ' "truncation": {"degree": 32}}'),
-        # A coupled p = 3 estimate: the seed drives the oracle's random search.
-        ("estimate", '{"p": 3, "beta": "hardy", "u": {"coeffs": [1, 0, 1]},'
-                     ' "truncation": {"degree": 12}}'),
-    ])
-    def test_seed_flag_reaches_the_computation(self, capsys, command, config):
-        _, flagged = run_main(capsys, command, "--config", config, "--seed", "5")
-        seeded = config[:-1] + ', "seed": 5}'
-        assert run_main(capsys, command, "--config", seeded) == (0, flagged)
-        if command == "estimate":
-            _, unseeded = run_main(capsys, command, "--config", config)
-            assert json.loads(unseeded)["oracle"] != json.loads(flagged)["oracle"]
+    def test_shorthand_keys_and_seed_flag_exit_two(self, capsys):
+        """The operator is spelled ``u`` and ``phi``, and the seed is the config's."""
+        assert main(["estimate", "--config", '{"stride": 2, "shift": 1}']) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fpsop: error: unknown config keys: ['shift', 'stride']\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--seed", "5", "--config", MINIMAL])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+    def test_undecodable_config_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"f": {"coeffs": [1]}}\xff')
+        assert main(["norm", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"fpsop: error: cannot read config file {path}: 'utf-8' codec can't decode")
+
+    def test_unwritable_out_path_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        assert main(["norm", "--quiet", "--config", '{"f": {"coeffs": [1, 2]}}',
+                     "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fpsop: error: cannot write the report: [Errno 2]")
+        assert not target.exists()
 
     def test_timings_flag_fills_elapsed(self, capsys):
         code, out = run_main(capsys, "theta", "--config",
@@ -305,6 +304,26 @@ class TestMain:
         assert code == 0
         assert json.loads(out)["config"]["truncation"] == {
             "degree": 16, "tail_window": 10, "tolerance": 1e-7}
+
+    @pytest.mark.parametrize("degree", [1, 4, 9])
+    @pytest.mark.parametrize("command", ["product", "compose"])
+    def test_absent_window_fits_a_small_degree(self, capsys, command, degree):
+        """A command that never reads the tail window runs at any degree >= 1."""
+        code, out = run_main(capsys, command, "--config",
+                             '{"f": {"coeffs": [1, 2]}, "g": {"coeffs": [0, 1]},'
+                             ' "phi": {"coeffs": [0, 1, 1]}, "truncation": {"degree": %d}}'
+                             % degree)
+        assert code == 0
+        assert json.loads(out)["config"]["truncation"]["tail_window"] == degree
+        assert len(json.loads(out)["result"]["coeffs"]) == degree + 1
+
+    @pytest.mark.parametrize("truncation", ['{"degree": 4, "tail_window": 5}', '{"degree": 0}'])
+    def test_window_above_the_degree_exits_two(self, capsys, truncation):
+        config = '{"f": {"coeffs": [1, 2]}, "g": {"coeffs": [0, 1]}, "truncation": %s}'
+        assert main(["product", "--config", config % truncation]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fpsop: error: truncation_degree must be >= tail_window\n"
 
     def test_both_dropped_truncation_keys_are_named(self, capsys):
         config = ('{"phi": {"monomial": 2},'
@@ -341,28 +360,10 @@ class TestMain:
         assert named["composition-monomial-lower"]["value"] > 9000
 
 
-class TestConflictingSymbolKeys:
-    def test_stride_disagreeing_with_phi_exits_two(self, capsys):
-        for argv in (["estimate"], ["bound", "--theorem", "cor26"]):
-            code = main(argv + ["--config", CONFLICTING_STRIDE])
-            assert code == 2
-            assert "stride=3 conflicts with phi" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [["estimate"], ["bound", "--theorem", "thm23"]])
-    @pytest.mark.parametrize("short, long", [
-        ('"shift": 1, "stride": 2', '"u": {"monomial": 1}, "phi": {"monomial": 2}'),
-        ('"stride": 2', '"phi": {"monomial": 2}'),
-    ])
-    def test_shorthand_reads_as_monomials(self, capsys, argv, short, long):
-        """``"stride": m`` is ``phi = z**m`` and ``"shift": m`` is ``u = z**m``."""
-        reports = [run_main(capsys, *argv, "--quiet", "--config",
-                            '{"beta": "dirichlet", %s, "truncation": {"degree": 32}}' % keys)
-                   for keys in (short, long)]
-        assert reports[0][0] == 0
-        assert reports[0] == reports[1]
-
-    def test_agreeing_pair_accepted(self, capsys):
-        cfg = CONFLICTING_STRIDE.replace('"stride": 3', '"stride": 2')
+class TestMonomialPair:
+    def test_pair_bounds_are_ordered(self, capsys):
+        cfg = ('{"beta": "dirichlet", "u": {"monomial": 1}, "phi": {"monomial": 2},'
+               ' "truncation": {"degree": 128}}')
         code, out = run_main(capsys, "bound", "--theorem", "cor26",
                              "--config", cfg, "--quiet")
         assert code == 0

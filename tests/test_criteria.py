@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsop import criteria
-from fpsop.cli import ConfigError, parse_config
+from fpsop.cli import parse_config
 from fpsop.criteria import (
     CriterionRequest,
     _certify,
@@ -47,7 +47,7 @@ def geometric_beta(n_top, base=Fraction(1, 2)):
 
 def request(beta, delta, p=2, degree=512, tol=1e-7, window=10, stride=None, shift=None, **kw):
     """A request; ``stride`` and ``shift`` stand for ``phi = z**stride`` and
-    ``u = z**shift``, as in a config."""
+    ``u = z**shift``."""
     space = SpaceConfig(p=p, truncation_degree=degree, tail_window=window, tolerance=tol)
     if stride is not None:
         kw["phi"] = PolynomialSymbol.monomial(stride)
@@ -392,25 +392,9 @@ class TestTruncationWindowRule:
         assert cert.attained_at == 2
 
 
-class TestConflictingSymbolKeys:
-    """``stride`` and ``shift`` are config shorthand, checked by ``parse_config``."""
-
-    def test_stride_must_match_monomial_phi(self):
-        with pytest.raises(ConfigError, match="stride=3 conflicts with phi"):
-            parse_config('{"phi": {"monomial": 2}, "stride": 3}')
-
-    def test_stride_with_non_monomial_phi_rejected(self):
-        with pytest.raises(ConfigError, match="stride=2 conflicts with phi"):
-            parse_config('{"phi": {"coeffs": [0, "1/2", "1/3"]}, "stride": 2}')
-
-    def test_shift_must_match_monomial_u(self):
-        with pytest.raises(ConfigError, match="shift=1 conflicts with u"):
-            parse_config('{"u": {"coeffs": [0, 0, 1]}, "shift": 1}')
-
-    def test_agreeing_keys_accepted(self):
-        req = parse_config('{"phi": {"monomial": 2}, "stride": 2, '
-                           '"u": {"coeffs": [0, 1]}, "shift": 1}')
-        assert substitution_bounds_monomial_pair(req)[0].value == 1.0
+def test_parsed_monomial_pair_reaches_cor26():
+    req = parse_config('{"phi": {"monomial": 2}, "u": {"coeffs": [0, 1]}}')
+    assert substitution_bounds_monomial_pair(req)[0].value == 1.0
 
 
 def test_the_parsed_config_is_the_request():

@@ -105,6 +105,19 @@ class TestBuildMatrix:
             assert dense_column(T, big_l) == list(acc.coeffs)
             acc = cauchy_product(acc, base, 8)
 
+    def test_substitution_reads_each_kernel_once(self, monkeypatch):
+        """A non-monomial ``phi`` puts row ``j + k`` in many columns; each
+        ``(row, k)`` kernel is computed once per build."""
+        delta = make_delta("inverse-factorial")
+        calls = []
+        kernel = type(delta).kernel
+        monkeypatch.setattr(type(delta), "kernel",
+                            lambda self, n, k: calls.append((n, k)) or kernel(self, n, k))
+        u = TruncatedSeries.from_coeffs([1, Fraction(1, 2), Fraction(1, 3)])
+        T = build_matrix(u, PolynomialSymbol.from_coeffs([0, 1, 1]), delta, 12, 6)
+        assert T.nnz > 0
+        assert len(calls) == len(set(calls)) > 0
+
     def test_clipping_warns(self):
         T = build_matrix(None, PolynomialSymbol.monomial(2), ones, 4, 4)
         assert any("clipped" in w for w in T.warnings)

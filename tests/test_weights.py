@@ -124,7 +124,7 @@ class TestConjugateExponent:
 class TestSpaceConfig:
     def test_defaults(self):
         cfg = SpaceConfig()
-        assert cfg.p == 2 and cfg.truncation_degree == 512
+        assert cfg.p == 2 and cfg.truncation_degree == 512 and cfg.tail_window == 10
 
     def test_q_property(self):
         assert SpaceConfig(p=4).q == Fraction(4, 3)
