@@ -280,10 +280,10 @@ def parse_config(source) -> Config:
     bad = set(trunc) - _TRUNC_KEYS
     if bad:
         raise ConfigError(f"unknown truncation keys: {sorted(bad)}")
-    degree = _check_int(trunc.get("degree", 512), "truncation.degree")
+    degree = _check_int(trunc.get("degree", 512), "truncation.degree", 1)
     # An absent window fits inside the degree: a command that never reads it
     # must not reject a small degree over it.
-    tail_window = _check_int(trunc.get("tail_window", max(1, min(10, degree))),
+    tail_window = _check_int(trunc.get("tail_window", min(10, degree)),
                              "truncation.tail_window", 1)
     tolerance = _check_positive(trunc.get("tolerance", 1e-7), "truncation.tolerance")
 
@@ -495,6 +495,7 @@ def run(command: str, config: Config, theorem: Optional[str] = None) -> dict:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     certificates, oracle, result, warnings = [], None, None, []
+    echo = config.normalized
     if command == "norm":
         f = _series_or_fail(config, "f")
         result = {"value": _render_scalar(norm(f, config.beta, float(config.space.p)))}
@@ -512,8 +513,7 @@ def run(command: str, config: Config, theorem: Optional[str] = None) -> dict:
     elif command == "theta":
         if config.phi is None:
             raise ConfigError("theta needs the symbol phi in the config")
-        n = config.normalized.get("n")
-        power = config.normalized.get("power")
+        n, power = config.normalized.get("n"), config.normalized.get("power")
         if n is None or power is None:
             raise ConfigError("theta needs integers 'n' and 'power' in the config")
         from .combinatorics import power_coefficient
@@ -526,7 +526,7 @@ def run(command: str, config: Config, theorem: Optional[str] = None) -> dict:
             raise ConfigError("bound needs --theorem or a 'theorem' config key")
         if code not in CRITERION_CODES:
             raise ConfigError(f"unknown theorem code {code!r}; expected one of {CRITERION_CODES}")
-        config.normalized["theorem"] = code
+        echo = {**echo, "theorem": code}  # the parsed config is left as it is
         certificates = _run_criterion(code, config)
     elif command == "estimate":
         certificates, oracle, warnings = _estimate(config)
@@ -535,7 +535,7 @@ def run(command: str, config: Config, theorem: Optional[str] = None) -> dict:
 
     return {
         "command": command,
-        "config": config.normalized,
+        "config": echo,
         "certificates": certificates,
         "oracle": oracle,
         "result": result,

@@ -68,8 +68,7 @@ def _compositions(n: int, parts: int, degs: tuple[int, ...],
         rem_n, rem_parts = n - d * l, parts - l
         if not (lo_rest * rem_parts <= rem_n <= hi_rest * rem_parts):
             continue
-        yield from _compositions(rem_n, rem_parts, rest,
-                                 (l,) + suffix)
+        yield from _compositions(rem_n, rem_parts, rest, (l,) + suffix)
 
 
 def _multinomial(num_parts: int, vec: Sequence[int]) -> int:

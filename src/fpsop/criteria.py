@@ -41,6 +41,7 @@ from .weights import (  # CriterionRequest: re-exported
     CriterionRequest,
     SpaceConfig,
     ValidationError,
+    _delta_reads,
     _guard,
     _ReadOnce,
     _safe_float,
@@ -361,11 +362,9 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, summed: 
             traj.append(t)
         total = 0 if best is None else best
     value = tf(_as_float(total))
-    note_list = list(notes)
-    tol = space.tolerance
+    note_list, tol = list(notes), space.tolerance
     tail_delta, settled = _tail_stats(traj, space.tail_window, tol)
-    n_top = len(traj) - 1
-    hi = traj[-1]
+    n_top, hi = len(traj) - 1, traj[-1]
 
     diverged = False
     if math.isinf(value) or math.isinf(hi):
@@ -377,8 +376,7 @@ def _certify(contributions: Iterable, *, kind: str, space: SpaceConfig, summed: 
             note_list.append(f"still growing past the cap {DIVERGENCE_CAP:g}")
         elif n_top >= 8:
             mid, quarter = traj[n_top // 2], traj[n_top // 4]
-            d_last = hi - mid
-            d_prev = mid - quarter
+            d_last, d_prev = hi - mid, mid - quarter
             if d_prev > 0.0 and d_last > tol and d_last >= DYADIC_GROWTH_RATIO * d_prev:
                 diverged = True
                 note_list.append(
@@ -416,13 +414,15 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
     ``c(i) = (d(i) w(i))**q`` and ``b(j) = (d(j) w(j/stride))**q``, powered
     once per index, aggregated by :func:`_pair_aggregate` and reduced once.
     While the ``d`` read are rational and the ``w`` plain floats, terms are
-    built inline by the operations :func:`_pair` does on them.  Any other row
-    takes the per-term :func:`_pair` route.  At stride 1 term ``n-k`` is term
-    ``k`` bit for bit: the fast rows build ``k <= n/2``, mirrored for a sum.
+    built inline by the operations :func:`_pair` does on them (a ``kernel_free``
+    ``d`` quotient is 1.0: left out).  Any other row takes the per-term
+    :func:`_pair` route.  At stride 1 term ``n-k`` is term ``k`` bit for bit:
+    the fast rows build ``k <= n/2``, mirrored for a sum.
     """
     beta, delta, space = req.beta, req.delta, req.space
     qe = None if space.sup_mode else _exponent(space.q)
     qp, qf = (1, 1.0) if qe is None else (qe, float(qe))
+    read_d, free = _delta_reads(delta), delta.kernel_free
 
     def powered(x, y):
         return (x.numerator * y.numerator) ** qp, (x.denominator * y.denominator) ** qp
@@ -435,7 +435,7 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
         d, w, c, b, dn, dd = [], [], [], [], [], []
         factored, floats = qe is None or type(qe) is int, True
         for n in range(space.truncation_degree + 1):
-            d.append(delta.value(n))
+            d.append(read_d(n))
             w.append(beta.value(n))
             ks = range(n // 2 + 1) if stride == 1 else stride_offsets(n, stride)
             exact_d = isinstance(d[n], Rational)
@@ -455,8 +455,9 @@ def _kernel_sup(req: CriterionRequest, stride: int, scale: float, note: str
                 dd.append(d[n].denominator)
                 wn, nn, nd = w[n], dn[n], dd[n]
                 try:
-                    terms = [nn * dd[k] * dd[n - k] / (nd * dn[k] * dn[n - k])
-                             * (wn / (w[k] * w[(n - k) // stride])) for k in ks]
+                    terms = [wn / (w[k] * w[(n - k) // stride]) for k in ks] if free else [
+                        nn * dd[k] * dd[n - k] / (nd * dn[k] * dn[n - k])
+                        * (wn / (w[k] * w[(n - k) // stride])) for k in ks]
                     if qe is None:
                         agg, check = max(terms), sum(terms)
                     else:
@@ -624,13 +625,14 @@ def _power_bounds(req: CriterionRequest, shift: int
     Upper: p-summed kernels ``d(n) w(n) / (d(shift) d(j))``, ``j = n - shift``,
     times q-aggregated power coefficients.  Lower: best per-power column
     ratio of the shifted coefficient rows.  At shift 0 the multiplier
-    ``z**0`` is the diamond unit, every kernel is 1 and no delta is read.
-    """
+    ``z**0`` is the diamond unit: as for a ``kernel_free`` delta, every kernel
+    is 1 and no delta is read."""
     space, N = req.space, req.space.truncation_degree
     table = _build_table(_operand(req.phi), degree_bound=max(N - shift, 0), max_power=N)
     pe = _exponent(space.p)
     e = pe if space.sup_mode else _exponent(space.p, space.q)
-    d, w = _ReadOnce(req.delta.value if shift else lambda n: 1), _ReadOnce(req.beta.value)
+    d = _ReadOnce(_delta_reads(req.delta) if shift else lambda n: 1)
+    w = _ReadOnce(req.beta.value)
     pf, qf = float(pe), None if space.sup_mode else float(space.q)
     kernel = _ReadOnce(lambda j: _pair_parts([d[j + shift], w[j + shift]], [d[shift], d[j]]))
 
@@ -715,7 +717,7 @@ def substitution_bounds_monomial_symbol(req: CriterionRequest
     upper_cert = _kernel_sup(
         req, m, unorm, "stride-offset kernel supremum times the multiplier norm")
 
-    d, w = _ReadOnce(delta.value), _ReadOnce(beta.value)
+    d, w = _ReadOnce(_delta_reads(delta)), _ReadOnce(beta.value)
 
     def column(l):
         base = m * l
@@ -759,12 +761,11 @@ def substitution_bounds_monomial_pair(req: CriterionRequest
     m2 = _operand(req.phi, "symbol degree (stride)")
     if m2 == 0:
         raise ValidationError("the symbol degree (stride) must be at least 1")
-    beta, delta, space = req.beta, req.delta, req.space
+    beta, d, space = req.beta, _delta_reads(req.delta), req.space
     N = space.truncation_degree
 
     ratios = _ratios([
-        (delta.value(m1 + m * m2), beta.value(m1 + m * m2),
-         delta.value(m1), delta.value(m * m2), beta.value(m))
+        (d(m1 + m * m2), beta.value(m1 + m * m2), d(m1), d(m * m2), beta.value(m))
         for m in range(N + 1)
     ])
     by_output = [None] * (m1 + m2 * N + 1)

@@ -194,6 +194,7 @@ def build_matrix(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
         columns = tuple(tuple(powers.row_nonzeros(L)) for L in range(n_cols + 1))
     else:
         cols, kernels = [], {}  # a non-monomial phi reads each (row, k) kernel in many columns
+        free = delta.kernel_free  # every kernel is 1
         for L in range(n_cols + 1):
             acc: dict[int, object] = {}
             for j, pc in powers.row_nonzeros(L):
@@ -201,7 +202,7 @@ def build_matrix(u: Optional[TruncatedSeries], phi: Optional[PolynomialSymbol],
                     row = j + k
                     if row > n_rows:
                         break
-                    kern = kernels.get((row, k))
+                    kern = 1 if free else kernels.get((row, k))
                     if kern is None:
                         kern = kernels[row, k] = delta.kernel(row, k)
                     acc[row] = acc.get(row, 0) + kern * c * pc
@@ -222,8 +223,7 @@ def apply(T: OperatorMatrix, f: TruncatedSeries) -> TruncatedSeries:
         raise ValidationError(
             f"series degree bound {f.degree_bound} exceeds the column range {T.n_cols}"
         )
-    float_mode = T.mode == FLOAT or f.mode == FLOAT
-    zero = 0.0 if float_mode else 0
+    zero = 0.0 if T.mode == FLOAT or f.mode == FLOAT else 0
     out = [zero] * (T.n_rows + 1)
     for L, c in enumerate(f.coeffs):
         if c == 0:
@@ -291,11 +291,8 @@ def _power_run(A: _CSR, x: np.ndarray, iter_limit: int, tol: float):
     import numpy as np
 
     cols = A.shape[1]
-    sigma_prev = 0.0
-    sigma = 0.0
-    delta = math.inf
-    converged = False
-    iterations = 0
+    sigma_prev = sigma = 0.0
+    delta, converged, iterations = math.inf, False, 0
     for k in range(iter_limit):
         iterations = k + 1
         z = A @ x
@@ -347,8 +344,7 @@ def _power_top(A: _CSR, iter_limit: int, tol: float):
         tol, margin = math.ldexp(tol, -exp2), math.ldexp(margin, -exp2)
     ones = np.full(cols, 1.0 / math.sqrt(cols))
     sigma, iterations, converged, delta, _ = _power_run(A, ones, iter_limit, tol)
-    total_iters = iterations
-    notes = []
+    total_iters, notes = iterations, []
 
     alternating = ones * np.where(np.arange(cols) % 2 == 0, 1.0, -1.0)
     gaussian = np.random.default_rng(0).standard_normal(cols)
@@ -449,8 +445,7 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
     A = A * math.ldexp(1.0, -exp2) if exp2 else A
     col_norms = np.array([total ** (1.0 / pf) for total in A.column_power_sums(pf)])
     cols = A.shape[1]
-    evals = 0
-    product = None  # A @ x of the last ratio evaluated
+    evals, product = 0, None  # product: A @ x of the last ratio evaluated
 
     def ratio(x: np.ndarray) -> float:
         nonlocal evals, product
@@ -460,10 +455,9 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
         return 0.0 if nx == 0.0 else _pnorm(product, pf) / nx
 
     col_best = int(np.argmax(col_norms))
-    best = float(col_norms[col_best])
+    best, last_gain = float(col_norms[col_best]), 0.0
     best_x = np.zeros(cols)
     best_x[col_best] = 1.0
-    last_gain = 0.0
 
     def consider(x: np.ndarray) -> bool:
         nonlocal best, best_x, last_gain
@@ -504,8 +498,7 @@ def norm_lower_search(T: OperatorMatrix, beta: WeightSequence, p, seed: int = 0
     for x0 in starts:
         dual_iterate(x0, _SEARCH_BUDGET // 6)
 
-    rng = np.random.default_rng(seed)
-    trials = 0
+    rng, trials = np.random.default_rng(seed), 0
     while evals + 2 <= _SEARCH_BUDGET and trials < 32:
         trials += 1
         size = int(rng.integers(1, min(8, cols) + 1))

@@ -13,7 +13,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Optional, Sequence, Union
 
-from .weights import DeltaSequence, ValidationError, WeightSequence, _Frozen, _safe_float
+from .weights import (DeltaSequence, ValidationError, WeightSequence, _delta_reads, _Frozen,
+                      _safe_float)
 
 __all__ = [
     "EXACT",
@@ -100,9 +101,7 @@ class TruncatedSeries(_Frozen):
             if len(coeffs) > degree_bound + 1:
                 coeffs = coeffs[: degree_bound + 1]
             else:
-                pad = 0
-                if any(isinstance(c, float) for c in coeffs):
-                    pad = 0.0
+                pad = 0.0 if any(isinstance(c, float) for c in coeffs) else 0
                 coeffs = coeffs + [pad] * (degree_bound + 1 - len(coeffs))
         return cls(tuple(coeffs))
 
@@ -142,11 +141,6 @@ class TruncatedSeries(_Frozen):
         n = max(self.degree_bound, other.degree_bound)
         a, b = self.pad(n).coeffs, other.pad(n).coeffs
         return TruncatedSeries(tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-1) * other
 
     def __mul__(self, scalar):
         if isinstance(scalar, bool) or not isinstance(scalar, (int, float, Fraction)):
@@ -196,10 +190,7 @@ class PolynomialSymbol(_Frozen):
 
     def min_degree(self) -> Optional[int]:
         """Smallest degree with a nonzero coefficient; None for the zero symbol."""
-        for i, a in enumerate(self.alphas):
-            if a != 0:
-                return i
-        return None
+        return next((i for i, a in enumerate(self.alphas) if a != 0), None)
 
 
 def _float_pnorm(pairs: Sequence[tuple], pf: float) -> float:
@@ -322,7 +313,8 @@ def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence
                     degree_bound: int) -> TruncatedSeries:
     """Weighted convolution: term (k, n-k) is scaled by d(n)/(d(k) d(n-k)).
 
-    With all-ones convolution weights this is the plain Cauchy product.  The
+    With ``d(n) = r**n`` (``delta.kernel_free``) every kernel is 1: this is
+    the plain Cauchy product, and no ``d`` is read (each reads as 1).  The
     operation is commutative, associative, and bilinear, with the constant
     series one as its unity; in exact mode those identities hold exactly.
 
@@ -334,7 +326,7 @@ def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence
     rational (only a custom ``DeltaSequence`` yields one) makes the product a
     float product of the operands converted to float.
     """
-    mode = _require_same_mode(f, g)
+    mode, free, read = _require_same_mode(f, g), delta.kernel_free, _delta_reads(delta)
     fc, gc = f.coeffs, g.coeffs
     if mode == FLOAT:
         out = []
@@ -344,7 +336,7 @@ def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence
             for k in range(lo, hi + 1):
                 a, b = fc[k], gc[n - k]
                 if a and b:
-                    terms.append(_safe_float(delta.kernel(n, k)) * a * b)
+                    terms.append(a * b if free else _safe_float(delta.kernel(n, k)) * a * b)
             try:
                 out.append(math.fsum(terms) if terms else 0.0)
             except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
@@ -356,13 +348,13 @@ def diamond_product(f: TruncatedSeries, g: TruncatedSeries, delta: DeltaSequence
     live, fmask = 0, sum(1 << k for k in fs)
     for j in gs:
         live |= fmask << j
-    d = {n: delta.value(n) for n in range(size) if live >> n & 1}
+    d = {n: read(n) for n in range(size) if live >> n & 1}
     # Only operand degrees that reach an output degree <= degree_bound.
     fs = [k for k in fs if k + gs[0] < size] if gs else []
     gs = [j for j in gs if j + fs[0] < size] if fs else []
     for i in fs + gs:
         if i not in d:
-            d[i] = delta.value(i)
+            d[i] = read(i)
     if not all(isinstance(v, Rational) for v in d.values()):
         return diamond_product(f.to_float(), g.to_float(), delta, degree_bound)
 

@@ -165,8 +165,13 @@ class DeltaSequence(_LazySequence):
 
     The diamond product weighs the (k, n-k) term of an ordinary convolution by
     ``d(n) / (d(k) d(n-k))``; presets are stored exactly (big integers and
-    Fractions) so that kernel ratios never lose precision.
+    Fractions) so that kernel ratios never lose precision.  ``kernel_free``
+    holds for the ``ones`` and ``geometric`` presets alone, ``d(n) = r**n``:
+    every kernel is 1, and a caller need not read ``d``.
     """
+
+    _kernel_free = False  # make_delta sets it
+    kernel_free = property(lambda self: self._kernel_free)
 
     def __init__(self, fn, label: str = "custom"):
         super().__init__(fn, label, "delta")
@@ -178,6 +183,8 @@ class DeltaSequence(_LazySequence):
         """The factor ``d(n) / (d(k) d(n-k))`` for the k-th convolution term."""
         if not 0 <= k <= n:
             raise ValidationError(f"kernel index k={k} outside 0..{n}")
+        if self._kernel_free:
+            return 1
         num = self.value(n)
         den = self.value(k) * self.value(n - k)
         if type(num) is int and type(den) is int:
@@ -186,6 +193,11 @@ class DeltaSequence(_LazySequence):
             out = Fraction(num) / Fraction(den)
             return int(out) if out.denominator == 1 else out
         return num / den
+
+
+def _delta_reads(delta: DeltaSequence) -> Callable[[int], Scalar]:
+    """``delta.value``, or 1 at every index for a ``kernel_free`` delta, not read."""
+    return (lambda n: 1) if delta.kernel_free else delta.value
 
 
 def _explicit_fn(values: tuple, what: str) -> Callable[[int], Scalar]:
@@ -267,22 +279,25 @@ def make_delta(spec, ratio=None) -> DeltaSequence:
     """
     if isinstance(spec, str):
         name = spec.lower()
-        if name == "ones":
-            return DeltaSequence(lambda n: 1, label="ones")
         if name == "factorial":
             return DeltaSequence(_running_factorial(), label="factorial")
         if name == "inverse-factorial":
             factorial = _running_factorial()
-            return DeltaSequence(lambda n: Fraction(1, factorial(n)),
-                                 label="inverse-factorial")
-        if name == "geometric":
+            return DeltaSequence(lambda n: Fraction(1, factorial(n)), label="inverse-factorial")
+        if name == "ones":
+            out = DeltaSequence(lambda n: 1, label="ones")
+        elif name == "geometric":
             if ratio is None:
                 raise ValidationError("geometric delta needs a ratio")
             r = _exact_scalar(ratio, "delta ratio")
             if r <= 0:
                 raise ValidationError(f"geometric ratio must be positive, got {ratio!r}")
-            return DeltaSequence(lambda n: Fraction(r) ** n, label=f"geometric({r})")
-        raise ValidationError(f"unknown delta preset {spec!r}; expected one of {DELTA_PRESETS}")
+            out = DeltaSequence(lambda n: Fraction(r) ** n, label=f"geometric({r})")
+        else:
+            raise ValidationError(
+                f"unknown delta preset {spec!r}; expected one of {DELTA_PRESETS}")
+        out._kernel_free = True  # d(n) = r**n
+        return out
     if isinstance(spec, (list, tuple)):
         if not spec:
             raise ValidationError("explicit delta list needs at least one entry")

@@ -137,6 +137,19 @@ class TestRun:
         assert cert["attained_at"] is None
         assert cert["converged"] is True
 
+    def test_theorem_argument_leaves_the_config_as_parsed(self):
+        """The code passed to ``run`` goes into the report's echo alone: the
+        parsed config still equals a fresh parse, and the report is the one
+        a config naming the code gives."""
+        text = '{"u": {"monomial": 1}, "phi": {"monomial": 2}, "truncation": {"degree": 16}}'
+        cfg = parse_config(text)
+        for code in ("thm21", "cor26"):
+            report = run("bound", cfg, theorem=code)
+            assert cfg == parse_config(text)
+            assert cfg.normalized["theorem"] is None
+            named = parse_config(text[:-1] + ', "theorem": "%s"}' % code)
+            assert json.dumps(report) == json.dumps(run("bound", named))
+
     def test_bound_divergent_reports_inf(self):
         cfg = parse_config(
             '{"beta": {"preset": "hardy"}, "delta": {"preset": "factorial"},'
@@ -317,13 +330,21 @@ class TestMain:
         assert json.loads(out)["config"]["truncation"]["tail_window"] == degree
         assert len(json.loads(out)["result"]["coeffs"]) == degree + 1
 
-    @pytest.mark.parametrize("truncation", ['{"degree": 4, "tail_window": 5}', '{"degree": 0}'])
+    @pytest.mark.parametrize("truncation", ['{"degree": 4, "tail_window": 5}'])
     def test_window_above_the_degree_exits_two(self, capsys, truncation):
         config = '{"f": {"coeffs": [1, 2]}, "g": {"coeffs": [0, 1]}, "truncation": %s}'
         assert main(["product", "--config", config % truncation]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "fpsop: error: truncation_degree must be >= tail_window\n"
+
+    @pytest.mark.parametrize("command", ["norm", "product"])
+    def test_degree_zero_exits_two_naming_the_degree(self, capsys, command):
+        config = '{"f": {"coeffs": [1, 2]}, "g": {"coeffs": [0, 1]}, "truncation": {"degree": 0}}'
+        assert main([command, "--quiet", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fpsop: error: truncation.degree must be an integer >= 1, got 0\n"
 
     def test_both_dropped_truncation_keys_are_named(self, capsys):
         config = ('{"phi": {"monomial": 2},'
